@@ -1,9 +1,13 @@
-// Delta-evaluation speedup: the same anneal search priced through the
-// delta kernel (checkpointed PlannerState + suffix re-pricing) versus
-// the reference from-scratch planner, on the three paper systems.  The
-// machine-readable "DE" rows feed the delta_eval section of
-// BENCH_headline.json (via scripts/bench_headline_json.sh) so the
-// kernel's speedup is tracked across revisions.
+// Delta-evaluation speedup: the same anneal search with every proposal
+// re-priced from its first possible divergence (checkpointed
+// PlannerState + suffix re-pricing) versus planned in full, on the
+// three paper systems.  Both lanes run the one planning kernel; the
+// full lane re-plans each proposal from scratch on the kernel's reused
+// per-thread workspace (SearchOptions::delta = false), so the ratio is
+// what suffix reuse alone earns.  The machine-readable "DE" rows feed
+// the delta_eval section of BENCH_headline.json (via
+// scripts/bench_headline_json.sh) so the speedup is tracked across
+// revisions.
 //
 //   DE <soc> <procs> <strategy> <iters> <full_ms> <delta_ms>
 //      <full_orders_per_sec> <delta_orders_per_sec> <speedup>
@@ -16,8 +20,8 @@
 // property — the bench re-asserts it.)
 //
 // The bench exits non-zero unless the delta lane beats the full lane on
-// every system (a suffix re-pricer slower than from-scratch planning is
-// a regression, full stop) and clears kMinSpeedupP93791 on the largest
+// every system (a suffix re-pricer slower than a full plan is a
+// regression, full stop) and clears kMinSpeedupP93791 on the largest
 // system, where suffix reuse has the most to win.
 
 #include <algorithm>
@@ -33,9 +37,11 @@ namespace {
 
 using namespace nocsched;
 
-/// Minimum delta/full orders-per-second ratio on p93791 (the headline
-/// acceptance bar; the measured ratio runs well above it).
-constexpr double kMinSpeedupP93791 = 5.0;
+/// Minimum delta/full orders-per-second ratio on p93791.  Suffix reuse
+/// over a full plan on the reused kernel measured 1.37-1.46x on an idle
+/// 4-vCPU VM (1.14x with a parallel compile competing for the cores);
+/// the bar sits below the idle spread.
+constexpr double kMinSpeedupP93791 = 1.2;
 
 struct LaneResult {
   double ms = 0;  ///< best of kReps
@@ -81,7 +87,7 @@ int main() {
   try {
     const core::PlannerParams params = core::PlannerParams::paper();
     constexpr std::uint64_t kIters = 256;
-    std::cout << "Delta evaluation vs from-scratch planning: anneal, " << kIters
+    std::cout << "Delta evaluation vs full replans: anneal, " << kIters
               << " order evaluations, jobs 1, seed 0x5EED\n\n";
     std::cout << "   soc procs strategy iters full_ms delta_ms full_o/s delta_o/s "
                  "speedup suffix_p50 best\n";

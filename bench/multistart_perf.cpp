@@ -13,8 +13,8 @@
 // so planner_perf trajectories stay comparable across revisions that
 // change the search engine; this bench times the `restart` strategy,
 // the planner's raw orders/sec floor.  <eval_mode> is full|delta:
-// whether orders were priced by from-scratch reference plans or the
-// delta-evaluation kernel — multistart prices every order in full, so
+// whether orders were priced by full plans or by suffix re-pricing in
+// the delta-evaluation kernel — multistart prices every order in full, so
 // rows here say `full`; bench_delta_eval covers the delta lane.)
 //
 // It also prices the observability layer on the biggest paper system:

@@ -25,56 +25,60 @@ void DeltaPlanner::Trace::clear() {
 }
 
 DeltaPlanner::DeltaPlanner(const SystemModel& sys, const power::PowerBudget& budget,
-                           const PairTable& table, std::vector<int> pretested,
-                           std::uint32_t checkpoint_spacing)
-    : sys_(sys),
-      budget_(budget),
-      table_(table),
-      pretested_(std::move(pretested)),
-      spacing_(std::max<std::uint32_t>(checkpoint_spacing, 1)),
-      first_available_(sys.params().resource_choice == ResourceChoice::kFirstAvailable),
-      fastest_(sys.params().pair_order == PairOrder::kFastestFirst),
-      mask_filter_(sys.endpoints().size() <= 64) {
-  const std::vector<Endpoint>& eps = sys_.endpoints();
-  PlannerState init_state;
-  init_state.init(sys_);
+                           const PairTable& table, std::span<const int> pretested,
+                           std::uint32_t checkpoint_spacing) {
+  init(sys, budget, table, pretested, checkpoint_spacing);
+}
+
+void DeltaPlanner::init(const SystemModel& sys, const power::PowerBudget& budget,
+                        const PairTable& table, std::span<const int> pretested,
+                        std::uint32_t checkpoint_spacing) {
+  // Drop both traces first (even ones a throwing plan left half-built):
+  // their checkpoint buffers return to the pool and their references to
+  // initial_ go away, so initial_ can be rebuilt in place.
+  recycle(base_);
+  recycle(cand_);
+  has_base_ = false;
+  cand_valid_ = false;
+  work_materialized_ = false;
+  stats_ = DeltaStats{};
+
+  sys_ = &sys;
+  budget_ = budget;
+  table_ = &table;
+  spacing_ = std::max<std::uint32_t>(checkpoint_spacing, 1);
+  first_available_ = sys.params().resource_choice == ResourceChoice::kFirstAvailable;
+  fastest_ = sys.params().pair_order == PairOrder::kFastestFirst;
+  const std::vector<Endpoint>& eps = sys.endpoints();
+  mask_filter_ = eps.size() <= 64;
+
+  if (!initial_ || initial_.use_count() != 1) initial_ = std::make_shared<PlannerState>();
+  initial_->init(sys);
+  proc_resource_.assign(sys.soc().modules.size() + 1, PlannerState::npos);
   for (std::size_t r = 0; r < eps.size(); ++r) {
     if (!eps[r].is_processor()) continue;
-    for (const int id : pretested_) {
-      if (eps[r].processor_module == id) init_state.set_available_from(r, 0);
-    }
-  }
-  initial_ = std::make_shared<const PlannerState>(std::move(init_state));
-
-  proc_resource_.assign(sys_.soc().modules.size() + 1, PlannerState::npos);
-  for (std::size_t r = 0; r < eps.size(); ++r) {
-    if (eps[r].is_processor()) {
-      proc_resource_[static_cast<std::size_t>(eps[r].processor_module)] = r;
-    }
-  }
-  if (mask_filter_) {
-    pair_masks_.resize(sys_.soc().modules.size() + 1);
-    for (const itc02::Module& m : sys_.soc().modules) {
-      std::vector<std::uint64_t>& masks = pair_masks_[static_cast<std::size_t>(m.id)];
-      for (const PairChoice& pc : table_.pairs(m.id)) {
-        masks.push_back((std::uint64_t{1} << pc.source) | (std::uint64_t{1} << pc.sink));
-      }
+    proc_resource_[static_cast<std::size_t>(eps[r].processor_module)] = r;
+    for (const int id : pretested) {
+      if (eps[r].processor_module == id) initial_->set_available_from(r, 0);
     }
   }
 }
 
 void DeltaPlanner::precheck(const std::vector<int>& order) const {
-  // Same feasibility precheck (and error) as the reference planner.
+  // Every module offered for planning must have at least one pair whose
+  // session power fits the budget in isolation.  (Iterating the order —
+  // not the SoC — is what lets the fault-aware replanner plan a
+  // surviving subset; for a full order they agree.)
   for (const int id : order) {
-    const double cheapest = table_.cheapest_power(id);
+    const double cheapest = table_->cheapest_power(id);
     ensure(cheapest <= budget_.limit, "infeasible: module ", id, " ('",
-           sys_.soc().module(id).name, "') needs at least ", cheapest,
+           sys_->soc().module(id).name, "') needs at least ", cheapest,
            " power but the budget is ", budget_.limit);
   }
 }
 
 void DeltaPlanner::diagnose_stuck(int module_id, std::uint64_t t) const {
-  const itc02::Module& m = sys_.soc().module(module_id);
+  const itc02::Module& m = sys_->soc().module(module_id);
   fail("planner stuck at t=", t, ": module ", module_id, " ('", m.name,
        "') cannot start any session — the power budget ", budget_.limit,
        " is too tight for the concurrent set, or no interface can reach the core");
@@ -127,8 +131,8 @@ std::shared_ptr<const PlannerState> DeltaPlanner::snapshot_work() {
 
 void DeltaPlanner::recycle(Trace& trace) {
   for (std::shared_ptr<const PlannerState>& cp : trace.checkpoints) {
-    // use_count 1 means no other trace (nor initial_) references the
-    // buffer, so snapshot_work may overwrite it.
+    // use_count 1 means no other trace (nor initial_) holds the buffer,
+    // so snapshot_work may overwrite it.
     if (cp.use_count() == 1) {
       pool_.push_back(std::const_pointer_cast<PlannerState>(std::move(cp)));
     }
@@ -149,21 +153,30 @@ void DeltaPlanner::commit_live(std::uint32_t slot, int module_id, const Candidat
 
 std::optional<DeltaPlanner::Candidate> DeltaPlanner::probe_first_available(int module_id,
                                                                           std::uint64_t t) {
-  // Same feasible set, same tie-breaks, same floating-point compares as
-  // Planner::first_available_candidate — but through PlannerState's
-  // first-available fast paths: every session starts at or before `t`
-  // and is non-empty (plan_session enforces duration > 0), so the
-  // endpoint and circuit-channel interval scans collapse to scalar
-  // frontier compares and the load/power window maxima to the level at
-  // `t`.  Each surviving reject happens for a pair the reference would
-  // reject too, so the selected candidate is identical.
+  // Consider only pairs free *right now*: what makes this the paper's
+  // greedy is that it never waits — a busy-but-faster interface that
+  // frees moments later loses to a free-but-slower processor, which is
+  // the anomaly the paper reports on p22810.  Among simultaneously free
+  // pairs, PairOrder decides (nearest hops, the paper's locality
+  // emphasis, or shortest session).
+  //
+  // Every committed session starts at or before `t` and is non-empty
+  // (plan_session enforces duration > 0), so "free throughout
+  // [t, t + dur)" collapses to PlannerState's first-available fast
+  // paths: scalar frontier compares for endpoints and circuit channels,
+  // the level at `t` for the load and power envelopes.  The cheap
+  // rejects (availability, then the duration comparison against the
+  // running best) run before any envelope lookup.
   std::optional<Candidate> best;
   int best_hops = 0;
   const bool fastest = fastest_;
-  for (const PairChoice& pc : table_.pairs(module_id)) {
+  for (const PairChoice& pc : table_->pairs(module_id)) {
     ++stats_.probes;
     if (!work_.pair_free_at(pc.source, pc.sink, t)) continue;
     if (best) {
+      // The table is already nearest-first, so under kNearestFirst the
+      // first feasible hit is final; under kFastestFirst keep scanning
+      // for a shorter session.
       if (!fastest) break;
       if (pc.plan.duration > best->plan->duration) continue;
       if (pc.plan.duration == best->plan->duration && pc.hops >= best_hops) continue;
@@ -180,16 +193,18 @@ bool DeltaPlanner::module_maybe_startable(int module_id, std::uint64_t mask) con
   // Sound reject only: a module none of whose pairs has both endpoints
   // free cannot pass any probe.  (Callers skip this when mask_filter_
   // is off.)
-  for (const std::uint64_t m : pair_masks_[static_cast<std::size_t>(module_id)]) {
+  for (const std::uint64_t m : table_->endpoint_masks(module_id)) {
     if ((m & ~mask) == 0) return true;
   }
   return false;
 }
 
 void DeltaPlanner::run_first_available_live(std::uint64_t t, std::uint32_t resume_slot) {
-  // Mirror of Planner::run_first_available, except the first pass may
-  // resume mid-way: pending positions below `resume_slot` were already
-  // offered (and failed) in the current pass before the divergence.
+  // One pass in priority order per instant; starting a session never
+  // frees capacity, so a single pass is exhaustive, and the next pass
+  // runs at the next session end.  The first pass may resume mid-way:
+  // pending positions below `resume_slot` were already offered (and
+  // failed) in the current pass before the divergence.
   bool resumed = true;
   std::uint64_t mask = work_.avail_mask(t);
   for (;;) {
@@ -210,7 +225,9 @@ void DeltaPlanner::run_first_available_live(std::uint64_t t, std::uint32_t resum
       }
       if (const auto c = probe_first_available(module_id, t)) {
         commit_live(slot, module_id, *c);
-        mask &= ~((std::uint64_t{1} << c->source) | (std::uint64_t{1} << c->sink));
+        if (mask_filter_) {
+          mask &= ~((std::uint64_t{1} << c->source) | (std::uint64_t{1} << c->sink));
+        }
         it = live_pending_.erase(it);
       } else {
         ++it;
@@ -220,6 +237,7 @@ void DeltaPlanner::run_first_available_live(std::uint64_t t, std::uint32_t resum
     const auto next = work_.next_end_after(t);
     if (!next) diagnose_stuck(cand_.order[live_pending_.front()], t);
     t = *next;
+    ++stats_.time_advances;
     mask = work_.avail_mask(t);
     cand_.passes.push_back(
         PassRec{t, static_cast<std::uint32_t>(cand_.commits.size()), mask});
@@ -227,11 +245,13 @@ void DeltaPlanner::run_first_available_live(std::uint64_t t, std::uint32_t resum
 }
 
 std::uint64_t DeltaPlanner::earliest_feasible_start(const PairChoice& pc) const {
-  // Mirror of Planner::earliest_feasible_start.
+  // Fixed point over the three constraint classes (endpoints, channels,
+  // power).  Terminates: t is nondecreasing and each constraint has
+  // finitely many busy windows.
   const SessionPlan& plan = pc.plan;
   const std::uint64_t dur = plan.duration;
   std::uint64_t t = std::max(work_.available_from(pc.source), work_.available_from(pc.sink));
-  const bool circuit = sys_.params().channel_model == ChannelModel::kCircuit;
+  const bool circuit = sys_->params().channel_model == ChannelModel::kCircuit;
   for (;;) {
     const std::uint64_t before = t;
     t = work_.busy_earliest_fit(pc.source, t, dur);
@@ -240,6 +260,8 @@ std::uint64_t DeltaPlanner::earliest_feasible_start(const PairChoice& pc) const 
       t = work_.circuit_earliest_path_fit(plan.path_in, t, dur);
       t = work_.circuit_earliest_path_fit(plan.path_out, t, dur);
     } else {
+      // Bandwidth constraint: advance past load breakpoints until the
+      // whole window fits on every channel.
       while (!work_.paths_free(plan, Interval{t, t + dur})) {
         auto bump = work_.load_next_change_after(plan.path_in, t);
         const auto bump_out = work_.load_next_change_after(plan.path_out, t);
@@ -259,12 +281,16 @@ std::uint64_t DeltaPlanner::earliest_feasible_start(const PairChoice& pc) const 
 }
 
 void DeltaPlanner::run_earliest_completion_live(std::size_t first_slot) {
-  // Mirror of Planner::run_earliest_completion from `first_slot` on.
+  // Ablation A1: book each module, in order from `first_slot` on, into
+  // the (pair, start) combination that finishes earliest.
   for (std::size_t slot = first_slot; slot < cand_.order.size(); ++slot) {
     const int module_id = cand_.order[slot];
     std::optional<Candidate> best;
-    for (const PairChoice& pc : table_.pairs(module_id)) {
+    for (const PairChoice& pc : table_->pairs(module_id)) {
       ++stats_.probes;
+      // Unenabled processors have available_from == kNever and are
+      // skipped; processors appear earlier in the priority order, so
+      // their availability is known by the time plain cores plan.
       if (work_.available_from(pc.source) == kNever) continue;
       if (pc.sink != pc.source && work_.available_from(pc.sink) == kNever) continue;
       if (pc.plan.power > budget_.limit) continue;
@@ -384,7 +410,9 @@ std::uint64_t DeltaPlanner::replan_first_available() {
         ++ci;
         // The commit occupies both endpoints past this pass (sessions
         // are never empty), so later offers in the pass see them busy.
-        mask &= ~((std::uint64_t{1} << rec.source) | (std::uint64_t{1} << rec.sink));
+        if (mask_filter_) {
+          mask &= ~((std::uint64_t{1} << rec.source) | (std::uint64_t{1} << rec.sink));
+        }
       } else {
         // A changed position is offered here and the base did not
         // commit at it this pass.  If no pair of the new module has

@@ -1,16 +1,22 @@
 #pragma once
-// Delta-evaluation planning kernel: checkpointed PlannerState snapshots
-// plus suffix re-pricing.
+// The planning kernel: the paper's greedy commit rules over a
+// PlannerState, plus checkpointed suffix re-pricing.
 //
-// The search strategies mutate an order locally (a within-tier swap, a
-// shuffle) and re-price it; the reference planner re-plans the whole
-// order each time.  DeltaPlanner keeps the *trace* of the incumbent
-// order's plan — every commit in execution order, the time-advance
-// passes, and PlannerState checkpoints at C-commit boundaries — and
-// re-prices a perturbed order from the first point where its execution
-// can diverge from the incumbent's.  Checkpoints are created lazily,
-// while replaying the shared prefix of a replan (never while planning
-// a candidate live), and their buffers are pooled across replans.
+// Every production plan runs here.  core::plan_tests* plan once on a
+// per-thread DeltaPlanner that init() re-targets at each call's system,
+// budget, and pair table while keeping every buffer's capacity
+// (plan_full + materialize).  The search chains keep one DeltaPlanner
+// each and re-price perturbed orders against an incumbent.
+//
+// Re-pricing: the search strategies mutate an order locally (a
+// within-tier swap, a shuffle).  DeltaPlanner keeps the *trace* of the
+// incumbent order's plan — every commit in execution order, the
+// time-advance passes, and PlannerState checkpoints at C-commit
+// boundaries — and re-prices a perturbed order from the first point
+// where its execution can diverge from the incumbent's.  Checkpoints
+// are created lazily, while replaying the shared prefix of a replan
+// (never while planning a candidate live), and their buffers are pooled
+// across replans.
 //
 // For ResourceChoice::kEarliestCompletion the planner commits orders
 // positionally, so the divergence point is simply the first changed
@@ -20,21 +26,23 @@
 // unchanged positions are reused verbatim; a changed position is
 // screened against the pass's endpoint-availability bitmask (a module
 // none of whose (source, sink) pairs is available cannot start — the
-// exact cheap reject the reference probe performs first) and only
-// filter-passing probes materialize state; the first real difference
-// (a reused commit displaced by a changed position, or a changed
-// position that actually starts) switches to live planning mid-pass.
+// exact cheap reject a probe performs first) and only filter-passing
+// probes materialize state; the first real difference (a reused commit
+// displaced by a changed position, or a changed position that actually
+// starts) switches to live planning mid-pass.
 //
-// The re-priced plan is bit-identical to a from-scratch reference plan
-// of the same order — same commits, same floating-point comparisons,
-// same Schedule — which tests/search/delta_eval_property_test.cpp
-// asserts for random systems and swap sequences.  evaluate() prices a
+// A re-priced plan is bit-identical to plan_full of the same order —
+// same commits, same floating-point comparisons, same Schedule — and
+// both are bit-identical to the independent reference planner that
+// tests/support keeps as the oracle (tests/core/kernel_oracle_test.cpp,
+// tests/search/delta_eval_property_test.cpp).  evaluate() prices a
 // candidate without disturbing the incumbent; adopt() promotes the last
 // candidate (accepted move) so later moves diff against it.
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/pair_table.hpp"
@@ -56,6 +64,7 @@ struct DeltaStats {
   std::uint64_t replayed_commits = 0;  ///< commits replayed checkpoint -> divergence
   std::uint64_t repriced_commits = 0;  ///< commits actually re-priced live
   std::uint64_t probes = 0;            ///< pair feasibility probes on the live path
+  std::uint64_t time_advances = 0;     ///< first-available passes after the first (live)
   /// Re-priced commits of each replan, in call order (suffix-length
   /// histogram input; bounded by the evaluation budget).
   std::vector<std::uint32_t> suffix_lengths;
@@ -63,19 +72,39 @@ struct DeltaStats {
 
 class DeltaPlanner {
  public:
-  /// `table` (and `sys`) must outlive the planner; `pretested` follows
-  /// plan_tests_subset semantics.  `checkpoint_spacing` is C, the
-  /// number of commits between PlannerState snapshots (>= 1).
+  /// An untargeted kernel: init() it before planning.
+  DeltaPlanner() = default;
+
+  /// A kernel targeted by init(sys, budget, table, pretested,
+  /// checkpoint_spacing).
   DeltaPlanner(const SystemModel& sys, const power::PowerBudget& budget,
-               const PairTable& table, std::vector<int> pretested,
+               const PairTable& table, std::span<const int> pretested,
                std::uint32_t checkpoint_spacing);
 
+  // Checkpoint buffers are shared between traces by reference count, so
+  // a copy would alias them; kernels move, never copy.
+  DeltaPlanner(const DeltaPlanner&) = delete;
+  DeltaPlanner& operator=(const DeltaPlanner&) = delete;
+  DeltaPlanner(DeltaPlanner&&) = default;
+  DeltaPlanner& operator=(DeltaPlanner&&) = default;
+
+  /// (Re-)target the kernel: forget any incumbent, zero the stats, and
+  /// plan `sys` under `budget` from `table` from now on.  Every buffer
+  /// keeps its capacity, so re-targeting a warm kernel allocates
+  /// nothing.  `table` (and `sys`) must outlive the kernel's use;
+  /// `pretested` follows plan_tests_subset semantics.
+  /// `checkpoint_spacing` is C, the number of commits between
+  /// PlannerState snapshots (>= 1; only replans take snapshots).
+  void init(const SystemModel& sys, const power::PowerBudget& budget, const PairTable& table,
+            std::span<const int> pretested, std::uint32_t checkpoint_spacing);
+
   /// Plan `order` from scratch, record it as the incumbent base, and
-  /// return its makespan.  Mirrors the reference planner including its
-  /// feasibility precheck (throws the identical error on an infeasible
-  /// module).  Orders are not re-validated here: callers pass orders
-  /// already shaped like EvalContext's (a permutation, or a valid
-  /// subset with `pretested`).
+  /// return its makespan.  Runs the feasibility precheck first (every
+  /// module needs a pair whose power fits the budget in isolation) and
+  /// throws on an infeasible module or a stuck plan.  Orders are not
+  /// validated here: core::plan_tests* check them, and search callers
+  /// pass orders already shaped like EvalContext's (a permutation, or a
+  /// valid subset with `pretested`).
   std::uint64_t plan_full(const std::vector<int>& order);
 
   /// Price `order` (same positions as the base order) by reusing the
@@ -97,8 +126,7 @@ class DeltaPlanner {
   [[nodiscard]] const std::vector<int>& base_order() const { return base_.order; }
   [[nodiscard]] std::uint64_t base_makespan() const { return base_.makespan; }
 
-  /// The incumbent base plan as a full Schedule, bit-identical to the
-  /// reference planner's Schedule for the same order.
+  /// The incumbent base plan as a full Schedule.
   [[nodiscard]] Schedule materialize() const;
 
   [[nodiscard]] const DeltaStats& stats() const { return stats_; }
@@ -112,7 +140,7 @@ class DeltaPlanner {
     std::uint32_t sink = 0;
     std::uint64_t start = 0;
     std::uint64_t end = 0;
-    const SessionPlan* plan = nullptr;  ///< into table_
+    const SessionPlan* plan = nullptr;  ///< into *table_
   };
 
   /// One first-available pass (time step) of a traced plan.
@@ -169,23 +197,21 @@ class DeltaPlanner {
   std::uint64_t replan_earliest_completion();
   std::uint64_t finish_candidate();
 
-  const SystemModel& sys_;
+  const SystemModel* sys_ = nullptr;
   power::PowerBudget budget_;
-  const PairTable& table_;
-  std::vector<int> pretested_;
-  std::uint32_t spacing_;
-  bool first_available_;
-  bool fastest_;
-  bool mask_filter_;  ///< endpoint count fits the 64-bit availability mask
+  const PairTable* table_ = nullptr;
+  std::uint32_t spacing_ = 1;
+  bool first_available_ = true;
+  bool fastest_ = false;
+  bool mask_filter_ = false;  ///< endpoint count fits the 64-bit availability mask
 
   /// Module id -> its own processor endpoint index (npos for plain
   /// cores): the commit-time availability update.
   std::vector<std::size_t> proc_resource_;
-  /// Module id -> per-pair endpoint masks (bit source | bit sink), for
-  /// the pass-availability filter.  Empty when !mask_filter_.
-  std::vector<std::vector<std::uint64_t>> pair_masks_;
 
-  std::shared_ptr<const PlannerState> initial_;
+  /// The state before any commit (pretested processors available from
+  /// 0); checkpoint 0 of every trace.  Rebuilt in place by init().
+  std::shared_ptr<PlannerState> initial_;
   /// Retired checkpoint buffers, reused by snapshot_work so a snapshot
   /// is a capacity-reusing copy-assign instead of a fresh allocation.
   std::vector<std::shared_ptr<PlannerState>> pool_;

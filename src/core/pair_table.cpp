@@ -15,7 +15,7 @@ bool endpoint_failed(const Endpoint& ep, const noc::FaultSet& faults) {
   return ep.is_processor() && faults.processor_failed(ep.processor_module);
 }
 
-// Nearest-first order and the cheapest-power summary are shared by the
+// Nearest-first order (and PairTable::summarize) are shared by the
 // from-scratch build and the incremental rebuild: the two paths promise
 // bit-identical tables, so there must be exactly one definition of
 // each.
@@ -27,11 +27,7 @@ void sort_nearest_first(std::vector<PairChoice>& pairs) {
   });
 }
 
-double cheapest_over(const std::vector<PairChoice>& pairs) {
-  double cheapest = std::numeric_limits<double>::infinity();
-  for (const PairChoice& p : pairs) cheapest = std::min(cheapest, p.plan.power);
-  return cheapest;
-}
+std::uint64_t endpoint_bit(std::size_t r) { return r < 64 ? std::uint64_t{1} << r : 0; }
 
 void flush_build(const std::vector<std::vector<PairChoice>>& by_module) {
   obs::MetricsRegistry& reg = obs::registry();
@@ -87,13 +83,25 @@ void PairTable::build_module(const SystemModel& sys, const itc02::Module& m,
     }
   }
   sort_nearest_first(pairs);
-  cheapest_[static_cast<std::size_t>(m.id - 1)] = cheapest_over(pairs);
+  summarize(static_cast<std::size_t>(m.id - 1));
+}
+
+void PairTable::summarize(std::size_t i) {
+  double cheapest = std::numeric_limits<double>::infinity();
+  std::vector<std::uint64_t>& masks = masks_[i];
+  masks.clear();
+  for (const PairChoice& p : by_module_[i]) {
+    cheapest = std::min(cheapest, p.plan.power);
+    masks.push_back(endpoint_bit(p.source) | endpoint_bit(p.sink));
+  }
+  cheapest_[i] = cheapest;
 }
 
 PairTable::PairTable(const SystemModel& sys) {
   const obs::Span span("pair_table_build");
   by_module_.resize(sys.soc().modules.size());
   cheapest_.resize(sys.soc().modules.size());
+  masks_.resize(sys.soc().modules.size());
   for (const itc02::Module& m : sys.soc().modules) build_module(sys, m, nullptr);
   flush_build(by_module_);
 }
@@ -102,6 +110,7 @@ PairTable::PairTable(const SystemModel& sys, const noc::FaultSet& faults) {
   const obs::Span span("pair_table_build");
   by_module_.resize(sys.soc().modules.size());
   cheapest_.resize(sys.soc().modules.size());
+  masks_.resize(sys.soc().modules.size());
   for (const itc02::Module& m : sys.soc().modules) build_module(sys, m, &faults);
   flush_build(by_module_);
 }
@@ -164,7 +173,7 @@ std::size_t PairTable::apply_faults(const SystemModel& sys, const noc::FaultSet&
       stale += pairs.size();
     }
     pairs = std::move(next);
-    cheapest_[static_cast<std::size_t>(m.id - 1)] = cheapest_over(pairs);
+    summarize(static_cast<std::size_t>(m.id - 1));
   }
 
   obs::MetricsRegistry& reg = obs::registry();
@@ -191,57 +200,49 @@ std::vector<bool> PairTable::testable_modules(const SystemModel& sys, double pow
            "testable_modules: unknown pretested module id ", id);
     done[static_cast<std::size_t>(id - 1)] = true;
   }
-  std::vector<bool> testable(by_module_.size());
-  for (std::size_t i = 0; i < by_module_.size(); ++i) testable[i] = !by_module_[i].empty();
-  // Fixpoint: dropping a processor can strand the cores it exclusively
-  // served, which can strand further processors, and so on.  Terminates
-  // because bits only ever clear.  Pretested processors serve
-  // unconditionally — their own test already happened in an earlier
-  // epoch, so they never strand a client.
+  std::vector<bool> testable(by_module_.size(), false);
+  // Least fixpoint: a module becomes testable once one of its pairs
+  // fits the power limit and every processor endpoint on it is
+  // pretested (its own test already happened in an earlier epoch) or
+  // itself testable.  Growth starts from the modules the ATE ports
+  // serve alone and terminates because bits only ever set.  (A greatest
+  // fixpoint — start from every module with a pair, clear the ones left
+  // without a usable pair — keeps processors that could only be served
+  // through each other, and the planner then gets stuck on them.)
   for (bool changed = true; changed;) {
     changed = false;
     for (const itc02::Module& m : sys.soc().modules) {
       const std::size_t i = static_cast<std::size_t>(m.id - 1);
-      if (!testable[i]) continue;
-      bool usable = false;
+      if (testable[i]) continue;
       for (const PairChoice& p : by_module_[i]) {
         if (p.plan.power > power_limit) continue;
-        bool servers_alive = true;
+        bool servers_ready = true;
         for (const std::size_t e : {p.source, p.sink}) {
           const Endpoint& ep = eps[e];
           if (ep.is_processor() &&
               !done[static_cast<std::size_t>(ep.processor_module - 1)] &&
               !testable[static_cast<std::size_t>(ep.processor_module - 1)]) {
-            servers_alive = false;
+            servers_ready = false;
             break;
           }
         }
-        if (servers_alive) {
-          usable = true;
+        if (servers_ready) {
+          testable[i] = true;
+          changed = true;
           break;
         }
-      }
-      if (!usable) {
-        testable[i] = false;
-        changed = true;
       }
     }
   }
   return testable;
 }
 
-std::span<const PairChoice> PairTable::pairs(int module_id) const {
-  return by_module_[index_of(module_id)];
-}
-
 bool PairTable::has_pairs(int module_id) const { return !by_module_[index_of(module_id)].empty(); }
 
 double PairTable::cheapest_power(int module_id) const { return cheapest_[index_of(module_id)]; }
 
-std::size_t PairTable::index_of(int module_id) const {
-  ensure(module_id >= 1 && static_cast<std::size_t>(module_id) <= by_module_.size(),
-         "PairTable: unknown module id ", module_id);
-  return static_cast<std::size_t>(module_id - 1);
+void PairTable::unknown_module(int module_id) {
+  fail("PairTable: unknown module id ", module_id);
 }
 
 }  // namespace nocsched::core

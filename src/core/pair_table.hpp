@@ -19,6 +19,7 @@
 // re-enumerated, and the result is bit-identical to a from-scratch
 // degraded build (asserted by the tests/fault property suite).
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -58,7 +59,9 @@ class PairTable {
   std::size_t apply_faults(const SystemModel& sys, const noc::FaultSet& faults);
 
   /// Legal pairs for `module_id`, nearest-first.
-  [[nodiscard]] std::span<const PairChoice> pairs(int module_id) const;
+  [[nodiscard]] std::span<const PairChoice> pairs(int module_id) const {
+    return by_module_[index_of(module_id)];
+  }
 
   /// True when the module has at least one legal pair (always, on a
   /// pristine feasible system; under faults a module with no surviving
@@ -69,16 +72,29 @@ class PairTable {
   /// module has no legal pair) — the feasibility-precheck input.
   [[nodiscard]] double cheapest_power(int module_id) const;
 
+  /// Endpoint bitmask of each of the module's pairs, parallel to
+  /// pairs(): bit `source` | bit `sink`.  The planning kernel screens a
+  /// whole module against the endpoints free in a pass with these
+  /// before probing any pair.  Exact only when the system has at most
+  /// 64 endpoints (the kernel skips the screen otherwise); an endpoint
+  /// index >= 64 contributes no bit.
+  [[nodiscard]] std::span<const std::uint64_t> endpoint_masks(int module_id) const {
+    return masks_[index_of(module_id)];
+  }
+
   friend bool operator==(const PairTable&, const PairTable&) = default;
 
   /// Which modules the planner can actually schedule from this table
   /// under a peak-power limit, indexed by module id - 1.  A module is
   /// testable when it has at least one *usable* pair: session power
   /// within `power_limit`, and every processor endpoint itself
-  /// testable — a processor that lost its own test can never serve, so
-  /// losses cascade to the cores it exclusively served (computed as a
-  /// fixpoint).  The fault-aware replanner plans exactly this set and
-  /// reports the complement instead of letting the planner get stuck.
+  /// testable — a processor serves only once its own test ran, so
+  /// testability grows from the modules the ATE ports can serve alone
+  /// (computed as a least fixpoint: processors that could only be
+  /// served through each other never bootstrap, and neither do the
+  /// cores they exclusively serve).  The fault-aware replanner plans
+  /// exactly this set and reports the complement instead of letting the
+  /// planner get stuck.
   [[nodiscard]] std::vector<bool> testable_modules(const SystemModel& sys,
                                                    double power_limit) const;
 
@@ -92,12 +108,23 @@ class PairTable {
                                                    std::span<const int> pretested) const;
 
  private:
-  [[nodiscard]] std::size_t index_of(int module_id) const;
+  // Inline: the planning kernel looks pairs up on every probe.
+  [[nodiscard]] std::size_t index_of(int module_id) const {
+    if (module_id < 1 || static_cast<std::size_t>(module_id) > by_module_.size()) {
+      unknown_module(module_id);
+    }
+    return static_cast<std::size_t>(module_id - 1);
+  }
+  [[noreturn]] static void unknown_module(int module_id);
   void build_module(const SystemModel& sys, const itc02::Module& m,
                     const noc::FaultSet* faults);
+  /// Refresh the per-module summaries (cheapest_, masks_) of module
+  /// index `i` from its pair list.
+  void summarize(std::size_t i);
 
   std::vector<std::vector<PairChoice>> by_module_;  // module id - 1 (ids are 1..N)
   std::vector<double> cheapest_;
+  std::vector<std::vector<std::uint64_t>> masks_;  // parallel to by_module_
 };
 
 }  // namespace nocsched::core

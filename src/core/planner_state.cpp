@@ -102,16 +102,17 @@ void StepProfile::clear() {
 void PlannerState::init(const SystemModel& sys) {
   const std::vector<Endpoint>& eps = sys.endpoints();
   circuit_ = sys.params().channel_model == ChannelModel::kCircuit;
+  windows_ = sys.params().resource_choice == ResourceChoice::kEarliestCompletion;
   available_from_.assign(eps.size(), 0);
   for (std::size_t r = 0; r < eps.size(); ++r) {
     available_from_[r] = eps[r].is_processor() ? kNever : 0;
   }
   free_from_ = available_from_;
-  busy_.resize(eps.size());
+  busy_.resize(windows_ ? eps.size() : 0);
   for (IntervalSet& b : busy_) b.clear();
   const auto channels = static_cast<std::size_t>(sys.mesh().channel_count());
   if (circuit_) {
-    channel_busy_.resize(channels);
+    channel_busy_.resize(windows_ ? channels : 0);
     for (IntervalSet& c : channel_busy_) c.clear();
     channel_free_from_.assign(channels, 0);
   } else {
@@ -186,7 +187,8 @@ std::optional<std::uint64_t> PlannerState::next_end_after(std::uint64_t t) const
 std::uint64_t PlannerState::circuit_earliest_path_fit(std::span<const noc::ChannelId> path,
                                                       std::uint64_t from,
                                                       std::uint64_t len) const {
-  // Same fixed point as ChannelReservations::earliest_path_fit.
+  // Fixed point over the path's channels: bump past any reservation
+  // that overlaps the window until no channel moves it.
   std::uint64_t t = from;
   bool moved = true;
   while (moved) {
@@ -223,21 +225,22 @@ std::uint64_t PlannerState::avail_mask(std::uint64_t t) const {
 
 void PlannerState::commit_session(std::size_t source, std::size_t sink, const Interval& iv,
                                   const SessionPlan& plan, std::size_t proc_resource) {
-  busy_[source].insert(iv);
-  if (sink != source) busy_[sink].insert(iv);
+  if (windows_) {
+    busy_[source].insert(iv);
+    if (sink != source) busy_[sink].insert(iv);
+  }
   if (free_from_[source] < iv.end) free_from_[source] = iv.end;
   if (free_from_[sink] < iv.end) free_from_[sink] = iv.end;
   if (circuit_) {
-    for (const noc::ChannelId c : plan.path_in) {
-      channel_busy_[static_cast<std::size_t>(c)].insert(iv);
-      auto& free_from = channel_free_from_[static_cast<std::size_t>(c)];
-      if (free_from < iv.end) free_from = iv.end;
-    }
-    for (const noc::ChannelId c : plan.path_out) {
-      channel_busy_[static_cast<std::size_t>(c)].insert(iv);
-      auto& free_from = channel_free_from_[static_cast<std::size_t>(c)];
-      if (free_from < iv.end) free_from = iv.end;
-    }
+    const auto reserve = [&](std::span<const noc::ChannelId> path) {
+      for (const noc::ChannelId c : path) {
+        if (windows_) channel_busy_[static_cast<std::size_t>(c)].insert(iv);
+        auto& free_from = channel_free_from_[static_cast<std::size_t>(c)];
+        if (free_from < iv.end) free_from = iv.end;
+      }
+    };
+    reserve(plan.path_in);
+    reserve(plan.path_out);
   } else {
     for (const noc::ChannelId c : plan.path_in) {
       channel_load_[static_cast<std::size_t>(c)].add(iv, plan.bandwidth_in);

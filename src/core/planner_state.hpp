@@ -1,20 +1,21 @@
 #pragma once
-// Copyable planner state for delta evaluation.
+// The planner's mutable scheduling state as a copyable value.
 //
-// The greedy planner in scheduler.cpp rebuilds all of its booking state
-// (resource busy windows, channel reservations or loads, the power
-// envelope, per-processor availability frontiers) from scratch on every
-// run.  Delta evaluation needs that state as an explicit *value*: cheap
-// to snapshot, cheap to restore, and bit-identical in every feasibility
-// answer to the structures the reference planner consults.
+// Every booking the greedy planner consults — resource busy windows,
+// channel reservations or loads, the power envelope, per-processor
+// availability frontiers — lives here, and the planning kernel
+// (delta_planner.hpp) is its only mutator.  Delta evaluation needs the
+// state as an explicit *value*: cheap to snapshot, cheap to restore,
+// and cheap to re-initialise for the next plan.
 //
 // Layout is structure-of-arrays: one flat vector per concern, indexed
 // by endpoint or channel id, instead of an array of per-resource
-// structs.  Restoring a checkpoint is then a handful of vector
-// assignments that reuse the destination's capacity — no node churn.
-// The power envelopes use StepProfile, a flat sorted-array replica of
-// power::PowerProfile whose query results (including every
-// floating-point comparison) are bit-identical to the std::map walk.
+// structs.  Restoring a checkpoint or re-running init() is then a
+// handful of vector assignments that reuse the destination's capacity
+// — no node churn.  The power envelopes use StepProfile, a flat
+// sorted-array step function whose query results (including every
+// floating-point comparison) are bit-identical to power::PowerProfile,
+// the std::map envelope the validator checks plans with.
 //
 // PlannerState is a D4 shared type: outside this file it may only be
 // taken by const reference (or && sink) — all mutation goes through the
@@ -31,7 +32,7 @@
 
 namespace nocsched::core {
 
-/// Flat replica of power::PowerProfile: `times_` holds the sorted
+/// Flat counterpart of power::PowerProfile: `times_` holds the sorted
 /// breakpoints, `deltas_` the summed step at each breakpoint (summed in
 /// insertion order, exactly as the map's `deltas_[t] += v`), `levels_`
 /// the running level after each breakpoint (the same left-to-right
@@ -39,13 +40,13 @@ namespace nocsched::core {
 /// Queries binary-search instead of walking the whole map.
 class StepProfile {
  public:
-  /// Mirrors PowerProfile::add, including the argument check.
+  /// PowerProfile::add, including the argument check.
   void add(const Interval& iv, double value);
 
-  /// Mirrors PowerProfile::fits bit-for-bit (same slack, same fold).
+  /// PowerProfile::fits bit-for-bit (same slack, same fold).
   [[nodiscard]] bool fits(const Interval& iv, double value, double limit) const;
 
-  /// Mirrors PowerProfile::max_in.
+  /// PowerProfile::max_in.
   [[nodiscard]] double max_in(const Interval& iv) const;
 
   /// fits({t, t + dur}, value, limit) under the first-available
@@ -55,10 +56,10 @@ class StepProfile {
   /// — the identical double, one binary search instead of a range max.
   [[nodiscard]] bool fits_at(std::uint64_t t, double value, double limit) const;
 
-  /// Mirrors PowerProfile::peak.
+  /// PowerProfile::peak.
   [[nodiscard]] double peak() const;
 
-  /// Mirrors PowerProfile::next_change_after.
+  /// PowerProfile::next_change_after.
   [[nodiscard]] std::optional<std::uint64_t> next_change_after(std::uint64_t t) const;
 
   void clear();
@@ -80,8 +81,11 @@ class PlannerState {
 
   /// Size the per-endpoint and per-channel arrays for `sys` and reset
   /// everything to the planner's initial state (processors unavailable,
-  /// ATE ports free from 0).  Only the channel structure matching
-  /// `sys.params().channel_model` is allocated.
+  /// ATE ports free from 0), keeping every buffer's capacity.  Only the
+  /// structures `sys.params()` needs are sized: the channel bookkeeping
+  /// of its channel model, and the busy-window interval sets only under
+  /// kEarliestCompletion (first-available probing reads the scalar
+  /// frontiers instead).
   void init(const SystemModel& sys);
 
   /// Earliest instant endpoint `r` may serve a session (kNever until a
@@ -96,10 +100,14 @@ class PlannerState {
     free_from_[r] = t;
   }
 
-  /// Mirrors Planner::resources_free.
+  /// Both endpoints available by iv.start and idle throughout `iv`
+  /// (kEarliestCompletion only).
   [[nodiscard]] bool resources_free(std::size_t s, std::size_t k, const Interval& iv) const;
 
-  /// Mirrors Planner::paths_free for the configured channel model.
+  /// Both session paths can carry `plan` throughout `iv`: no circuit
+  /// reservation overlaps it (kCircuit, kEarliestCompletion only), or
+  /// every channel's load plus the plan's bandwidth stays within
+  /// capacity (kMultiplexed).
   [[nodiscard]] bool paths_free(const SessionPlan& plan, const Interval& iv) const;
 
   // --- First-available fast paths -----------------------------------------
@@ -129,7 +137,7 @@ class PlannerState {
     return profile_.fits_at(t, value, limit);
   }
 
-  /// Mirrors profile_.fits(iv, value, limit).
+  /// The power envelope plus `value` stays within `limit` over `iv`.
   [[nodiscard]] bool power_fits(const Interval& iv, double value, double limit) const {
     return profile_.fits(iv, value, limit);
   }
@@ -140,26 +148,30 @@ class PlannerState {
     return profile_.next_change_after(t);
   }
 
-  /// Mirrors ends_.upper_bound(t): the first session end strictly after
-  /// `t`, or nullopt when no session ends later.
+  /// The first session end strictly after `t`, or nullopt when no
+  /// session ends later.
   [[nodiscard]] std::optional<std::uint64_t> next_end_after(std::uint64_t t) const;
 
   /// Latest session end so far (the makespan once planning completes);
   /// 0 with no commits.
   [[nodiscard]] std::uint64_t last_end() const { return ends_.empty() ? 0 : ends_.back(); }
 
-  /// Mirrors busy.earliest_fit on endpoint `r`.
+  /// Earliest start >= `from` of a `len`-cycle window endpoint `r` is
+  /// idle throughout (kEarliestCompletion only).
   [[nodiscard]] std::uint64_t busy_earliest_fit(std::size_t r, std::uint64_t from,
                                                 std::uint64_t len) const {
     return busy_[r].earliest_fit(from, len);
   }
 
-  /// Mirrors ChannelReservations::earliest_path_fit (kCircuit only).
+  /// Earliest start >= `from` of a `len`-cycle window every channel of
+  /// `path` is unreserved throughout (kCircuit, kEarliestCompletion
+  /// only).
   [[nodiscard]] std::uint64_t circuit_earliest_path_fit(std::span<const noc::ChannelId> path,
                                                         std::uint64_t from,
                                                         std::uint64_t len) const;
 
-  /// Mirrors ChannelLoadTable::next_change_after (kMultiplexed only).
+  /// Earliest load breakpoint after `t` on any channel of `path`
+  /// (kMultiplexed only).
   [[nodiscard]] std::optional<std::uint64_t> load_next_change_after(
       std::span<const noc::ChannelId> path, std::uint64_t t) const;
 
@@ -169,10 +181,11 @@ class PlannerState {
   /// filtering otherwise.
   [[nodiscard]] std::uint64_t avail_mask(std::uint64_t t) const;
 
-  /// Mirrors Planner::commit minus the Session materialization:
-  /// books both endpoints, both paths, the power slice, the end event,
-  /// and — when `proc_resource` is not npos — the tested module's own
-  /// processor endpoint becoming available at iv.end.
+  /// Commit one session: books both endpoints, both paths, the power
+  /// slice, the end event, and — when `proc_resource` is not npos — the
+  /// tested module's own processor endpoint becoming available at
+  /// iv.end ("a processor is reused for test just after it has been
+  /// successfully tested").
   void commit_session(std::size_t source, std::size_t sink, const Interval& iv,
                       const SessionPlan& plan, std::size_t proc_resource);
 
@@ -180,14 +193,15 @@ class PlannerState {
 
  private:
   bool circuit_ = false;
+  bool windows_ = false;  ///< busy_ / channel_busy_ kept (kEarliestCompletion)
   std::vector<std::uint64_t> available_from_;  // per endpoint
   /// max(available_from, end of the endpoint's latest session) — the
   /// scalar frontier behind the first-available fast paths.  Queries
   /// against it are only exact for monotonically non-decreasing `t`
   /// (first-available time), which commit_session relies on.
   std::vector<std::uint64_t> free_from_;       // per endpoint
-  std::vector<IntervalSet> busy_;              // per endpoint
-  std::vector<IntervalSet> channel_busy_;      // per channel (kCircuit)
+  std::vector<IntervalSet> busy_;              // per endpoint (windows_)
+  std::vector<IntervalSet> channel_busy_;      // per channel (kCircuit, windows_)
   std::vector<std::uint64_t> channel_free_from_;  // per channel (kCircuit)
   std::vector<StepProfile> channel_load_;      // per channel (kMultiplexed)
   StepProfile profile_;                        // summed power envelope

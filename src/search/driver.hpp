@@ -33,10 +33,10 @@ struct SearchOptions {
   unsigned jobs = 1;
   /// Delta evaluation: chains with a budget > 1 price proposals through
   /// a per-chain core::DeltaPlanner (checkpointed suffix re-pricing)
-  /// instead of from-scratch plans.  The makespans are bit-identical
-  /// either way (the kernel's mandatory property), so this is purely a
-  /// throughput switch — off is the reference lane the delta_eval bench
-  /// compares against.
+  /// instead of full plans.  The makespans are bit-identical either way
+  /// (the kernel's mandatory property), so this is purely a throughput
+  /// switch — off is the full-replan lane the delta_eval bench compares
+  /// against.
   bool delta = true;
   /// Commits between PlannerState checkpoints inside the delta kernel.
   std::uint32_t delta_spacing = 16;

@@ -163,6 +163,30 @@ TEST(Replan, StrandedProcessorCascadesToItsExclusiveClients) {
   sim::validate_or_throw(sys, result.schedule, faults);
 }
 
+TEST(Replan, ProcessorsServingOnlyEachOtherAreLostNotStuck) {
+  // Regression: with the ATE input's router dead no processor can take
+  // its own test, yet each still has pairs through the others.  The
+  // testability fixpoint kept that cycle, and the planner threw
+  // "planner stuck at t=0" instead of replan reporting coverage lost.
+  const SystemModel sys =
+      SystemModel::paper_system("d695", itc02::ProcessorKind::kLeon, 4, PlannerParams::paper());
+  noc::FaultSet faults;
+  faults.fail_router(sys.ate_input());
+  const core::PairTable degraded(sys, faults);
+  int cycle_members = 0;
+  for (const itc02::Module& m : sys.soc().modules) {
+    if (m.is_processor && degraded.has_pairs(m.id)) ++cycle_members;
+  }
+  ASSERT_GE(cycle_members, 2);  // the scenario really has a processor cycle
+
+  const ReplanResult result =
+      replan(sys, power::PowerBudget::unconstrained(), faults, SearchOptions{});
+  EXPECT_TRUE(result.planned_modules.empty());
+  EXPECT_TRUE(result.schedule.sessions.empty());
+  EXPECT_EQ(result.dead_modules.size() + result.untestable_modules.size(),
+            sys.soc().modules.size());
+}
+
 TEST(Replan, PowerInfeasibleDetourBecomesUntestableNotAThrow) {
   // Regression: a fault that forces a pricier detour used to trip the
   // planner's feasibility precheck inside every search evaluation when

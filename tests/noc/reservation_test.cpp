@@ -1,4 +1,4 @@
-#include "noc/reservation.hpp"
+#include "support/reservation.hpp"
 
 #include <gtest/gtest.h>
 

@@ -1,8 +1,8 @@
 // The delta-evaluation kernel's mandatory property: every order priced
 // through DeltaPlanner — suffix replans from any incumbent, any
-// checkpoint spacing — is *bit-identical* to a from-scratch reference
-// plan of the same order: same makespan, same sessions, same
-// floating-point peak power.  Asserted over the builtin paper systems
+// checkpoint spacing — is *bit-identical* to the reference planner's
+// (tests/support oracle) plan of the same order: same makespan, same
+// sessions, same floating-point peak power.  Asserted over the builtin paper systems
 // and random SoCs across every planner parameter variant, plus the
 // search-level contracts: delta on/off gives the same SearchResult and
 // --jobs {1, 2, 8} stay bit-identical with delta on.
@@ -17,9 +17,10 @@
 #include "common/rng.hpp"
 #include "core/delta_planner.hpp"
 #include "core/scheduler.hpp"
-#include "itc02/random_soc.hpp"
 #include "search/driver.hpp"
 #include "search/eval_context.hpp"
+#include "support/random_system.hpp"
+#include "support/reference_planner.hpp"
 
 namespace nocsched::search {
 namespace {
@@ -29,41 +30,8 @@ core::SystemModel paper(const std::string& soc, int procs) {
                                          core::PlannerParams::paper());
 }
 
-core::SystemModel random_system(Rng& rng, const core::PlannerParams& params) {
-  itc02::RandomSocSpec spec;
-  spec.min_cores = 3;
-  spec.max_cores = 12;
-  spec.max_scan_flops = 1200;
-  spec.max_patterns = 100;
-  itc02::Soc soc = itc02::random_soc(rng, spec);
-  const int procs = static_cast<int>(1 + rng.below(3));
-  for (int i = 1; i <= procs; ++i) {
-    const auto kind =
-        rng.chance(0.5) ? itc02::ProcessorKind::kLeon : itc02::ProcessorKind::kPlasma;
-    soc.modules.push_back(
-        itc02::processor_module(kind, static_cast<int>(soc.modules.size()) + 1, i));
-  }
-  itc02::validate(soc);
-  const int cols = static_cast<int>(2 + rng.below(4));
-  const int rows = static_cast<int>(2 + rng.below(4));
-  noc::Mesh mesh(cols, rows);
-  auto placement = core::default_placement(soc, mesh);
-  const noc::RouterId in = core::default_ate_input(mesh);
-  const noc::RouterId out = core::default_ate_output(mesh);
-  return core::SystemModel(std::move(soc), std::move(mesh), std::move(placement), in, out,
-                           params);
-}
-
-/// Planner parameter variant `v` — sweeps both resource choices, both
-/// pair orders, both channel models, and cross pairing.
-core::PlannerParams params_variant(std::uint64_t v) {
-  core::PlannerParams p = core::PlannerParams::paper();
-  if (v & 1) p.resource_choice = core::ResourceChoice::kEarliestCompletion;
-  if (v & 2) p.pair_order = core::PairOrder::kFastestFirst;
-  if (v & 4) p.channel_model = core::ChannelModel::kCircuit;
-  if (v & 8) p.allow_cross_pairing = true;
-  return p;
-}
+using support::params_variant;
+using support::random_system;
 
 void expect_schedules_identical(const core::Schedule& a, const core::Schedule& b) {
   EXPECT_EQ(a.makespan, b.makespan);
@@ -86,12 +54,19 @@ void random_swap(const EvalContext& ctx, Rng& rng, std::vector<int>& order) {
   std::swap(order[a], order[b]);
 }
 
+/// The reference planner's plan of `order` over `ctx`'s inputs.
+core::Schedule oracle_plan(const EvalContext& ctx, const power::PowerBudget& budget,
+                           const std::vector<int>& order) {
+  return core::oracle::plan_tests_with_order(ctx.system(), budget, order, ctx.pair_table());
+}
+
 /// Drives `steps` random swaps (occasionally multi-swap or a full
 /// tier shuffle, the reset move) against one DeltaPlanner, asserting
 /// bit-identity with the reference planner at every step.
-void run_sequence(const EvalContext& ctx, core::DeltaPlanner& dp, Rng& rng, int steps) {
+void run_sequence(const EvalContext& ctx, const power::PowerBudget& budget,
+                  core::DeltaPlanner& dp, Rng& rng, int steps) {
   std::vector<int> incumbent = ctx.base_order();
-  ASSERT_EQ(dp.plan_full(incumbent), ctx.evaluate(incumbent));
+  ASSERT_EQ(dp.plan_full(incumbent), oracle_plan(ctx, budget, incumbent).makespan);
   for (int step = 0; step < steps; ++step) {
     std::vector<int> order = incumbent;
     if (rng.chance(0.1)) {
@@ -101,12 +76,12 @@ void run_sequence(const EvalContext& ctx, core::DeltaPlanner& dp, Rng& rng, int 
       if (rng.chance(0.3)) random_swap(ctx, rng, order);  // compound move
     }
     const std::uint64_t delta_makespan = dp.evaluate(order);
-    const std::uint64_t full_makespan = ctx.evaluate(order);
+    const std::uint64_t full_makespan = oracle_plan(ctx, budget, order).makespan;
     ASSERT_EQ(delta_makespan, full_makespan) << "step " << step;
     if (rng.chance(0.4)) {
       incumbent = order;
       dp.adopt();
-      expect_schedules_identical(dp.materialize(), ctx.plan(incumbent));
+      expect_schedules_identical(dp.materialize(), oracle_plan(ctx, budget, incumbent));
       ASSERT_EQ(dp.base_makespan(), full_makespan);
     }
   }
@@ -123,7 +98,7 @@ TEST(DeltaEvalProperty, BuiltinSystemsSwapSequencesBitIdentical) {
       const EvalContext ctx(sys, budget);
       core::DeltaPlanner dp = ctx.make_delta_planner(16);
       Rng rng = stream_rng(0xDE17A, constrained ? 1 : 0);
-      run_sequence(ctx, dp, rng, 50);
+      run_sequence(ctx, budget, dp, rng, 50);
     }
   }
 }
@@ -140,7 +115,7 @@ TEST(DeltaEvalProperty, CheckpointSpacingsAllAgree) {
     // the spacings must agree step for step (each is checked against
     // the reference anyway).
     Rng rng = stream_rng(0xC0FFEE, 7);
-    run_sequence(ctx, dp, rng, 40);
+    run_sequence(ctx, budget, dp, rng, 40);
   }
 }
 
@@ -153,7 +128,7 @@ TEST(DeltaEvalProperty, RandomSystemsAllParamVariants) {
     if (rng.chance(0.5)) budget = power::PowerBudget::fraction_of_total(sys.soc(), 0.8);
     const EvalContext ctx(sys, budget);
     core::DeltaPlanner dp = ctx.make_delta_planner(static_cast<std::uint32_t>(1 + seed % 5));
-    run_sequence(ctx, dp, rng, 30);
+    run_sequence(ctx, budget, dp, rng, 30);
   }
 }
 
@@ -188,7 +163,7 @@ TEST(DeltaEvalProperty, SubsetOrdersWithPretestedProcessors) {
 
     core::DeltaPlanner dp(sys, budget, table, pretested, 4);
     ASSERT_EQ(dp.plan_full(order),
-              core::plan_tests_subset(sys, budget, order, table, pretested).makespan);
+              core::oracle::plan_tests_subset(sys, budget, order, table, pretested).makespan);
     for (int step = 0; step < 20; ++step) {
       std::vector<int> perturbed = order;
       if (perturbed.size() >= 2) {
@@ -198,13 +173,13 @@ TEST(DeltaEvalProperty, SubsetOrdersWithPretestedProcessors) {
       }
       const std::uint64_t got = dp.evaluate(perturbed);
       const std::uint64_t want =
-          core::plan_tests_subset(sys, budget, perturbed, table, pretested).makespan;
+          core::oracle::plan_tests_subset(sys, budget, perturbed, table, pretested).makespan;
       ASSERT_EQ(got, want) << "step " << step;
       if (rng.chance(0.5)) {
         order = perturbed;
         dp.adopt();
-        expect_schedules_identical(
-            dp.materialize(), core::plan_tests_subset(sys, budget, order, table, pretested));
+        expect_schedules_identical(dp.materialize(), core::oracle::plan_tests_subset(
+                                                         sys, budget, order, table, pretested));
       }
     }
   }

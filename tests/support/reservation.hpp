@@ -1,12 +1,14 @@
 #pragma once
-// Time-interval reservation of directed NoC channels.
+// Time-interval reservation of directed NoC channels — the reference
+// planner oracle's circuit-switching bookkeeping (the production
+// kernel keeps its own in core::PlannerState).
 //
-// The planner circuit-reserves both XY paths of a test session (source
-// to core, core to sink) for the session's whole duration — the
-// conservative approximation standard in NoC test-access scheduling.
-// Two concurrent sessions may never hold the same directed channel at
-// the same time; this table enforces that and answers feasibility
-// queries.
+// Under ChannelModel::kCircuit the planner reserves both XY paths of a
+// test session (source to core, core to sink) for the session's whole
+// duration — the conservative approximation standard in NoC
+// test-access scheduling.  Two concurrent sessions may never hold the
+// same directed channel at the same time; this table enforces that and
+// answers feasibility queries.
 
 #include <span>
 
