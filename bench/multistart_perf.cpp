@@ -1,4 +1,4 @@
-// Planner hot-path throughput: multistart orders planned per second,
+// Planner hot-path throughput: restart-strategy orders planned per second,
 // single- and multi-threaded, on the three paper systems.  The
 // machine-readable "MSP" rows feed the planner_perf section of
 // BENCH_headline.json (via scripts/bench_headline_json.sh) so the
@@ -14,11 +14,11 @@
 // change the search engine; this bench times the `restart` strategy,
 // the planner's raw orders/sec floor.  <eval_mode> is full|delta:
 // whether orders were priced by full plans or by suffix re-pricing in
-// the delta-evaluation kernel — multistart prices every order in full, so
+// the delta-evaluation kernel — restarts price every order in full, so
 // rows here say `full`; bench_delta_eval covers the delta lane.)
 //
 // It also prices the observability layer on the biggest paper system:
-// the same multistart body A/B-timed with metrics collection off and
+// the same restart search A/B-timed with metrics collection off and
 // on (bench::with_metrics, min of interleaved reps).  The "MOH" row
 // feeds the metrics_overhead section of BENCH_headline.json, where
 // scripts/check_overhead.sh gates the <1% enabled-path claim.
@@ -30,7 +30,7 @@
 #include <iostream>
 
 #include "common/parallel.hpp"
-#include "core/multistart.hpp"
+#include "search/driver.hpp"
 #include "sim/validate.hpp"
 #include "with_metrics.hpp"
 
@@ -38,11 +38,27 @@ namespace {
 
 using namespace nocsched;
 
+/// The restart strategy: the deterministic pass plus `restarts` seeded
+/// tier-preserving shuffles, every order planned in full.
+search::SearchResult restart_search(const core::SystemModel& sys, std::uint64_t restarts,
+                                    unsigned jobs) {
+  search::SearchOptions options;
+  options.strategy = search::StrategyKind::kRestart;
+  options.iters = restarts;
+  options.seed = 0x5EED;
+  options.jobs = jobs;
+  return search::search_orders(sys, power::PowerBudget::unconstrained(), options);
+}
+
+/// Orders planned, including the deterministic pass.
+std::uint64_t orders(const search::SearchResult& r) {
+  return r.metrics.counter_or("search.evaluations");
+}
+
 double run_timed(const core::SystemModel& sys, std::uint64_t restarts, unsigned jobs,
-                 core::MultistartResult& out) {
+                 search::SearchResult& out) {
   const auto t0 = std::chrono::steady_clock::now();
-  out = core::plan_tests_multistart(sys, power::PowerBudget::unconstrained(), restarts,
-                                    0x5EED, jobs);
+  out = restart_search(sys, restarts, jobs);
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
@@ -57,31 +73,31 @@ int main() {
     const unsigned hw = std::max(2u, hardware_jobs());
     constexpr std::uint64_t kRestarts = 256;
     std::cout << "Planner throughput: " << kRestarts
-              << " multistart orders per system, jobs in {1, " << hw << "}\n\n";
+              << " restart orders per system, jobs in {1, " << hw << "}\n\n";
     bool identical = true;
     for (const std::string& soc : itc02::builtin_names()) {
       const int procs = soc == "d695" ? 6 : 8;
       const core::SystemModel sys =
           core::SystemModel::paper_system(soc, itc02::ProcessorKind::kLeon, procs, params);
-      core::MultistartResult warm;
+      search::SearchResult warm;
       (void)run_timed(sys, 8, 1, warm);  // warm caches before timing
 
-      core::MultistartResult serial;
+      search::SearchResult serial;
       const double serial_ms = run_timed(sys, kRestarts, 1, serial);
       sim::validate_or_throw(sys, serial.best);
 
-      core::MultistartResult parallel;
+      search::SearchResult parallel;
       const double parallel_ms = run_timed(sys, kRestarts, hw, parallel);
 
       identical = identical && serial.best.makespan == parallel.best.makespan &&
-                  serial.improvements == parallel.improvements &&
+                  serial.metrics.counters == parallel.metrics.counters &&
                   serial.best.sessions == parallel.best.sessions;
 
       for (const auto& [jobs, ms, r] :
-           {std::tuple<unsigned, double, const core::MultistartResult&>{1, serial_ms, serial},
+           {std::tuple<unsigned, double, const search::SearchResult&>{1, serial_ms, serial},
             {hw, parallel_ms, parallel}}) {
-        std::cout << "MSP " << soc << " " << procs << " " << r.restarts << " " << jobs << " "
-                  << ms << " " << 1000.0 * static_cast<double>(r.restarts) / ms << " "
+        std::cout << "MSP " << soc << " " << procs << " " << orders(r) << " " << jobs << " "
+                  << ms << " " << 1000.0 * static_cast<double>(orders(r)) / ms << " "
                   << r.best.makespan << " " << hardware_jobs() << " restart " << kRestarts
                   << " full\n";
       }
@@ -90,19 +106,16 @@ int main() {
       const core::SystemModel big =
           core::SystemModel::paper_system("p93791", itc02::ProcessorKind::kLeon, 8, params);
       constexpr std::uint64_t kOrders = 64;
-      core::MultistartResult scratch;
+      search::SearchResult scratch;
       // Timed serially — the per-run flush cost being priced is the
       // same at any job count, without the thread pool's scheduling
       // jitter — and in many short pairs: a sub-1% verdict needs the
       // pair count, not the body length, and a ~9ms window also gives
       // the OS fewer chances to preempt mid-sample.
       const bench::MetricsOverhead moh = bench::with_metrics(
-          [&] {
-            scratch = core::plan_tests_multistart(big, power::PowerBudget::unconstrained(),
-                                                  kOrders, 0x5EED, 1);
-          },
+          [&] { scratch = restart_search(big, kOrders, 1); },
           101);
-      std::cout << "MOH p93791 8 " << scratch.restarts << " " << moh.disabled_ms << " "
+      std::cout << "MOH p93791 8 " << orders(scratch) << " " << moh.disabled_ms << " "
                 << moh.enabled_ms << " " << moh.overhead_pct << "\n";
     }
 
@@ -110,7 +123,7 @@ int main() {
                  "into BENCH_headline.json's planner_perf section, MOH rows into\n"
                  "metrics_overhead)\n";
     if (!identical) {
-      std::cerr << "bench failed: parallel multistart diverged from the serial result\n";
+      std::cerr << "bench failed: parallel restarts diverged from the serial result\n";
       return 1;
     }
   } catch (const std::exception& e) {

@@ -13,6 +13,12 @@
 // may converge below the budget.  <greedy> is the deterministic
 // priority-order makespan every strategy starts from.)
 //
+// Each system also gets one "LB" line with its provable makespan lower
+// bound (core::makespan_lower_bounds, combined), the floor no order can
+// beat:
+//
+//   LB <soc> <procs> <lower_bound>
+//
 // The bench exits non-zero unless anneal or local strictly beats
 // restart somewhere: that is the whole point of adaptive search, and a
 // regression that flattens the gap should fail loudly.  The headroom is
@@ -25,6 +31,7 @@
 #include <optional>
 
 #include "common/error.hpp"
+#include "core/bounds.hpp"
 #include "search/driver.hpp"
 #include "sim/validate.hpp"
 
@@ -42,6 +49,8 @@ int main() {
       const int procs = soc == "d695" ? 6 : 8;
       const core::SystemModel sys =
           core::SystemModel::paper_system(soc, itc02::ProcessorKind::kLeon, procs, params);
+      std::cout << "LB " << soc << " " << procs << " "
+                << core::makespan_lower_bounds(sys).combined() << "\n";
       for (const std::optional<double> fraction :
            {std::optional<double>{}, std::optional<double>{0.5}}) {
         const power::PowerBudget budget =

@@ -6,7 +6,7 @@
 // no work stealing, no task queue.  Callers that want results
 // independent of the job count must make each index's work
 // self-contained (own RNG stream, own output slot) and reduce
-// serially afterwards; the multistart planner is the model user.
+// serially afterwards; the order-search driver is the model user.
 // Threads are spawned per call: the intended grain is milliseconds of
 // work per index, where spawn cost is noise.
 

@@ -142,12 +142,6 @@ Schedule plan_tests(const SystemModel& sys, const power::PowerBudget& budget) {
 }
 
 Schedule plan_tests_with_order(const SystemModel& sys, const power::PowerBudget& budget,
-                               const std::vector<int>& order) {
-  const PairTable pairs(sys);
-  return plan_tests_with_order(sys, budget, order, pairs);
-}
-
-Schedule plan_tests_with_order(const SystemModel& sys, const power::PowerBudget& budget,
                                const std::vector<int>& order, const PairTable& pairs) {
   // The order must name every module exactly once.
   std::vector<int> sorted = order;
@@ -158,11 +152,6 @@ Schedule plan_tests_with_order(const SystemModel& sys, const power::PowerBudget&
   ensure(sorted == expected,
          "plan_tests_with_order: order must be a permutation of all module ids");
   return run_planner(sys, budget, order, pairs, {});
-}
-
-Schedule plan_tests_subset(const SystemModel& sys, const power::PowerBudget& budget,
-                           const std::vector<int>& order, const PairTable& pairs) {
-  return plan_tests_subset(sys, budget, order, pairs, {});
 }
 
 Schedule plan_tests_subset(const SystemModel& sys, const power::PowerBudget& budget,

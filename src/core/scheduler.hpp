@@ -19,6 +19,9 @@
 // planner books each core into the (pair, start time) combination that
 // finishes earliest, which removes the anomaly (ablation A1).
 
+#include <span>
+#include <vector>
+
 #include "core/pair_table.hpp"
 #include "core/schedule.hpp"
 #include "core/session_model.hpp"
@@ -49,7 +52,7 @@ namespace nocsched::core {
 /// Per-module CPU-eligibility bitmap, indexed by module id - 1: true
 /// when at least one *other* processor has the memory to run the
 /// module's test.  Shared by priority_order's comparator and the
-/// multistart tier partition, both of which used to rescan every
+/// restart strategy's tier partition, both of which used to rescan every
 /// endpoint per query.
 [[nodiscard]] std::vector<bool> cpu_eligible_modules(const SystemModel& sys);
 
@@ -60,17 +63,11 @@ namespace nocsched::core {
 
 /// Plan with an explicit module order (must be a permutation of all
 /// module ids); only the offer sequence changes, every feasibility rule
-/// still applies.  Used by the multistart improver and by callers with
-/// domain knowledge.
-[[nodiscard]] Schedule plan_tests_with_order(const SystemModel& sys,
-                                             const power::PowerBudget& budget,
-                                             const std::vector<int>& order);
-
-/// As above, reusing a caller-owned PairTable so repeated planning over
-/// the same system (the multistart hot path) skips re-enumerating pairs
-/// and re-deriving session plans.  `pairs` must have been built from
-/// `sys` and must outlive the call; a const PairTable is safe to share
-/// across concurrent calls.
+/// still applies.  Reuses a caller-owned PairTable so repeated planning
+/// over the same system (the order-search hot path) skips re-enumerating
+/// pairs and re-deriving session plans.  `pairs` must have been built
+/// from `sys` and must outlive the call; a const PairTable is safe to
+/// share across concurrent calls.
 [[nodiscard]] Schedule plan_tests_with_order(const SystemModel& sys,
                                              const power::PowerBudget& budget,
                                              const std::vector<int>& order,
@@ -81,20 +78,14 @@ namespace nocsched::core {
 /// or unroutable modules are simply absent, and a processor whose own
 /// test is absent never becomes a resource.  `pairs` decides which
 /// interface pairs exist (build it from the degraded system).
+/// For mid-timeline replans, processors named in `pretested` already
+/// completed their own test in an earlier epoch, so they serve from
+/// instant 0 even though their test session is absent from this plan.
+/// `pretested` must name processor modules of `sys`; ids may not repeat
+/// or appear in `order` (a completed test is never replanned).
 [[nodiscard]] Schedule plan_tests_subset(const SystemModel& sys,
                                          const power::PowerBudget& budget,
-                                         const std::vector<int>& order,
-                                         const PairTable& pairs);
-
-/// As above for mid-timeline replans: processors named in `pretested`
-/// already completed their own test in an earlier epoch, so they serve
-/// from instant 0 even though their test session is absent from this
-/// plan.  `pretested` must name processor modules of `sys`; ids may not
-/// repeat or appear in `order` (a completed test is never replanned).
-[[nodiscard]] Schedule plan_tests_subset(const SystemModel& sys,
-                                         const power::PowerBudget& budget,
-                                         const std::vector<int>& order,
-                                         const PairTable& pairs,
-                                         std::span<const int> pretested);
+                                         const std::vector<int>& order, const PairTable& pairs,
+                                         std::span<const int> pretested = {});
 
 }  // namespace nocsched::core

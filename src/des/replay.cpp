@@ -777,11 +777,6 @@ SimTrace replay(const core::SystemModel& sys, const core::Schedule& schedule) {
 }
 
 DegradedReplay replay_degraded(const core::SystemModel& sys, const core::Schedule& schedule,
-                               const noc::FaultSet& faults) {
-  return replay_degraded(sys, schedule, faults, {});
-}
-
-DegradedReplay replay_degraded(const core::SystemModel& sys, const core::Schedule& schedule,
                                const noc::FaultSet& faults, std::span<const int> pretested) {
   Replayer replayer(sys, schedule, &faults, pretested);
   DegradedReplay result;

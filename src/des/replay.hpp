@@ -77,17 +77,13 @@ struct DegradedReplay {
 /// is a dead processor, no surviving route connects its endpoints, or
 /// the processor serving it lost its own test (transitively).  Lost
 /// sessions never launch, draw no power, and hold no channels.
-[[nodiscard]] DegradedReplay replay_degraded(const core::SystemModel& sys,
-                                             const core::Schedule& schedule,
-                                             const noc::FaultSet& faults);
-
-/// As above for a mid-timeline epoch: processors in `pretested`
-/// completed their own test in an earlier epoch, so sessions they serve
-/// launch without waiting for (or losing) a processor test this plan
-/// deliberately omits.
+/// For a mid-timeline epoch, processors in `pretested` completed their
+/// own test in an earlier epoch, so sessions they serve launch without
+/// waiting for (or losing) a processor test this plan deliberately
+/// omits.
 [[nodiscard]] DegradedReplay replay_degraded(const core::SystemModel& sys,
                                              const core::Schedule& schedule,
                                              const noc::FaultSet& faults,
-                                             std::span<const int> pretested);
+                                             std::span<const int> pretested = {});
 
 }  // namespace nocsched::des

@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
-#include "common/strings.hpp"
 #include "core/scheduler.hpp"
 #include "des/replay.hpp"
 #include "noc/fault.hpp"
@@ -20,51 +19,18 @@ namespace nocsched::engine {
 
 namespace {
 
-/// Resolve a request's raw fault references against the built system.
-/// Range checks run on the parsed 64-bit values before any narrowing —
-/// a huge id must be rejected, never truncated into a plausible one.
-noc::FaultSet resolve_faults(const FaultSpec& spec, const core::SystemModel& sys) {
-  auto check_router = [&](std::uint64_t r, std::string_view what) {
-    ensure(r < static_cast<std::uint64_t>(sys.mesh().router_count()), what, ": no router ", r,
-           " (mesh has ", sys.mesh().router_count(), " routers)");
-    return static_cast<noc::RouterId>(r);
-  };
-  noc::FaultSet faults;
-  for (const std::string& link : spec.links) {
-    const auto ends = split(link, ':');
-    ensure(ends.size() == 2, "faults.links entries are FROM:TO router pairs, got '", link,
-           "'");
-    const noc::RouterId from = check_router(parse_u64(ends[0], "faults.links"), "faults.links");
-    const noc::RouterId to = check_router(parse_u64(ends[1], "faults.links"), "faults.links");
-    ensure(sys.mesh().hop_count(from, to) == 1, "faults.links: routers ", from, " and ", to,
-           " are not adjacent (channels join mesh neighbours only)");
-    faults.fail_channel(sys.mesh().channel_between(from, to));
-  }
-  for (const std::uint64_t r : spec.routers) {
-    faults.fail_router(check_router(r, "faults.routers"));
-  }
-  for (const std::uint64_t raw : spec.procs) {
-    ensure(raw >= 1 && raw <= sys.soc().modules.size(), "faults.procs: no module ", raw);
-    const int id = static_cast<int>(raw);
-    ensure(sys.soc().module(id).is_processor, "faults.procs: module ", id, " ('",
-           sys.soc().module(id).name, "') is not a processor");
-    faults.fail_processor(id);
-  }
-  return faults;
-}
-
-search::SearchOptions search_options(const PlanRequest& request) {
-  search::SearchOptions opts;
-  opts.strategy = request.strategy.value_or(search::StrategyKind::kRestart);
-  opts.iters = request.searching() ? request.iters.value_or(256) : 0;
-  opts.seed = request.seed;
-  // Defaults to one thread per request: batch parallelism runs whole
-  // requests on the work queue, and search results are bit-identical
-  // at any job count anyway, so nesting thread pools would buy bytes
-  // nothing.  The one-shot CLI adapter raises it (one request, many
-  // cores).
-  opts.jobs = request.search_jobs;
-  return opts;
+/// `execute()`, timed into wall.serve.request_us while the registry is
+/// collecting.
+template <typename F>
+PlanResult observed(F&& execute) {
+  obs::MetricsRegistry& reg = obs::registry();
+  if (!reg.enabled()) return execute();
+  const double start_ms = obs::now_ms();
+  PlanResult res = execute();
+  reg.histogram("wall.serve.request_us",
+                {100, 300, 1000, 3000, 10000, 30000, 100000, 300000, 1000000})
+      .observe(static_cast<std::uint64_t>((obs::now_ms() - start_ms) * 1000.0));
+  return res;
 }
 
 }  // namespace
@@ -84,14 +50,15 @@ PlanResult Engine::execute(const PlanRequest& request, const ContextCache::SlotH
       return cache_.context(slot);
     }();
     const core::SystemModel& sys = ctx->system();
-    const power::PowerBudget budget =
-        request.power_pct
-            ? power::PowerBudget::fraction_of_total(sys.soc(), *request.power_pct / 100.0)
-            : power::PowerBudget::unconstrained();
-    const search::SearchOptions sopts = search_options(request);
+    const power::PowerBudget budget = request.budget(sys);
+    // Defaults to one search thread per request: batch parallelism runs
+    // whole requests on the work queue, and search results are
+    // bit-identical at any job count anyway.  The one-shot CLI adapter
+    // raises search_jobs (one request, many cores).
+    const search::SearchOptions sopts = request.search_options();
 
     if (!request.faults.empty()) {
-      const noc::FaultSet faults = resolve_faults(request.faults, sys);
+      const noc::FaultSet faults = request.faults.resolve(sys, "faults.");
       const obs::Span span("plan");
       search::ReplanResult replanned =
           search::replan(sys, budget, faults, sopts, ctx->pristine_pairs());
@@ -143,14 +110,7 @@ PlanResult Engine::execute(const PlanRequest& request, const ContextCache::SlotH
 
 PlanResult Engine::run(const PlanRequest& request) {
   const ContextCache::SlotHandle slot = cache_.reserve(request.system);
-  obs::MetricsRegistry& reg = obs::registry();
-  if (!reg.enabled()) return execute(request, slot);
-  const double start_ms = obs::now_ms();
-  PlanResult res = execute(request, slot);
-  reg.histogram("wall.serve.request_us",
-                {100, 300, 1000, 3000, 10000, 30000, 100000, 300000, 1000000})
-      .observe(static_cast<std::uint64_t>((obs::now_ms() - start_ms) * 1000.0));
-  return res;
+  return observed([&] { return execute(request, slot); });
 }
 
 std::vector<PlanResult> Engine::run_batch(const std::vector<PlanRequest>& requests) {
@@ -164,18 +124,8 @@ std::vector<PlanResult> Engine::run_batch(const std::vector<PlanRequest>& reques
   // contexts are built once (call_once per slot) by whichever worker
   // arrives first; every result is a pure function of its request.
   std::vector<PlanResult> results(requests.size());
-  const bool collect = obs::registry().enabled();
   parallel_for(requests.size(), options_.jobs, [&](std::size_t i) {
-    if (!collect) {
-      results[i] = execute(requests[i], slots[i]);
-      return;
-    }
-    const double start_ms = obs::now_ms();
-    results[i] = execute(requests[i], slots[i]);
-    obs::registry()
-        .histogram("wall.serve.request_us",
-                   {100, 300, 1000, 3000, 10000, 30000, 100000, 300000, 1000000})
-        .observe(static_cast<std::uint64_t>((obs::now_ms() - start_ms) * 1000.0));
+    results[i] = observed([&] { return execute(requests[i], slots[i]); });
   });
   return results;
 }

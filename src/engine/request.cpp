@@ -1,7 +1,10 @@
 #include "engine/request.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <fstream>
 #include <limits>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -24,6 +27,11 @@ void append_rates(std::string& key, const core::CpuRates& r) {
   key += report::json_number(r.active_power);
   key += ',';
   key += cat(r.program_bytes, ',', r.memory_bytes);
+}
+
+/// One or more decimal digits and nothing else.
+bool all_digits(std::string_view s) {
+  return !s.empty() && std::all_of(s.begin(), s.end(), [](char c) { return c >= '0' && c <= '9'; });
 }
 
 }  // namespace
@@ -50,15 +58,90 @@ std::string SystemSpec::cache_key() const {
   return key;
 }
 
+void SystemSpec::set_mesh(std::string_view cxr, std::string_view what) {
+  const auto parts = split(cxr, 'x');
+  ensure(parts.size() == 2 && all_digits(parts[0]) && all_digits(parts[1]), what,
+         " expects CxR, e.g. 4x4, got '", cxr, "'");
+  // Range checks run on the 64-bit values, before any narrowing; a
+  // value too long for 64 bits saturates (and fails the cap).
+  const auto dim = [](std::string_view p) {
+    std::uint64_t v = 0;
+    return std::from_chars(p.data(), p.data() + p.size(), v).ec == std::errc()
+               ? v
+               : std::numeric_limits<std::uint64_t>::max();
+  };
+  const std::uint64_t cols = dim(parts[0]);
+  const std::uint64_t rows = dim(parts[1]);
+  ensure(cols > 0 && rows > 0, what, " dimensions must be positive, got '", cxr, "'");
+  ensure(cols <= kMaxMeshRouters && rows <= kMaxMeshRouters && cols * rows <= kMaxMeshRouters,
+         what, " '", cxr, "' has more than ", kMaxMeshRouters, " routers");
+  mesh_cols = static_cast<int>(cols);
+  mesh_rows = static_cast<int>(rows);
+}
+
+noc::FaultSet FaultSpec::resolve(const core::SystemModel& sys, std::string_view where) const {
+  const auto router_count = static_cast<std::uint64_t>(sys.mesh().router_count());
+  // Range checks run on the parsed 64-bit value, before any narrowing —
+  // a huge id must be rejected, never truncated into a plausible one.
+  noc::FaultSet faults;
+  for (const std::string& link : links) {
+    const auto ends = split(link, ':');
+    ensure(ends.size() == 2, where, "links: expected a FROM:TO router pair, got '", link, "'");
+    noc::RouterId ids[2] = {0, 0};
+    for (std::size_t i = 0; i < 2; ++i) {
+      const std::string_view end = ends[i];
+      std::uint64_t r = 0;
+      const auto [ptr, ec] = std::from_chars(end.data(), end.data() + end.size(), r);
+      ensure(ec != std::errc::invalid_argument && ptr == end.data() + end.size(), where,
+             "links: bad router id '", end, "' in '", link, "'");
+      ensure(ec == std::errc() && r < router_count, where, "links: no router ", end, " in '",
+             link, "' (mesh has ", router_count, " routers)");
+      ids[i] = static_cast<noc::RouterId>(r);
+    }
+    ensure(sys.mesh().hop_count(ids[0], ids[1]) == 1, where, "links: '", link,
+           "' joins routers ", ids[0], " and ", ids[1],
+           ", which are not adjacent (channels join mesh neighbours only)");
+    faults.fail_channel(sys.mesh().channel_between(ids[0], ids[1]));
+  }
+  for (const std::uint64_t r : routers) {
+    ensure(r < router_count, where, "routers: no router ", r, " (mesh has ", router_count,
+           " routers)");
+    faults.fail_router(static_cast<noc::RouterId>(r));
+  }
+  for (const std::uint64_t raw : procs) {
+    ensure(raw >= 1 && raw <= sys.soc().modules.size(), where, "procs: no module ", raw);
+    const int id = static_cast<int>(raw);
+    ensure(sys.soc().module(id).is_processor, where, "procs: module ", id, " ('",
+           sys.soc().module(id).name, "') is not a processor");
+    faults.fail_processor(id);
+  }
+  return faults;
+}
+
+search::SearchOptions PlanRequest::search_options() const {
+  search::SearchOptions opts;
+  opts.strategy = strategy.value_or(search::StrategyKind::kRestart);
+  opts.iters = searching() ? iters.value_or(256) : 0;
+  opts.seed = seed;
+  opts.jobs = search_jobs;
+  return opts;
+}
+
+power::PowerBudget PlanRequest::budget(const core::SystemModel& sys) const {
+  return power_pct ? power::PowerBudget::fraction_of_total(sys.soc(), *power_pct / 100.0)
+                   : power::PowerBudget::unconstrained();
+}
+
 namespace {
 
-/// Scanner over one JSONL request line — the same strict grammar and
-/// "<source>:<line>: " diagnostics as the fault-stream parser: flat
-/// objects of known keys, unsigned integers and decimal numbers,
-/// escape-free strings, true/false literals.
-class LineScanner {
+/// Strict scanner over one JSONL line of either wire format (a request
+/// or a fault-stream event): flat objects of known keys, unsigned
+/// integers and decimal numbers, escape-free strings, true/false
+/// literals.  Every diagnostic is prefixed "<source>:<line>: " so a
+/// malformed line is fixable from the message alone.
+class Scanner {
  public:
-  LineScanner(std::string_view text, std::string_view source, std::size_t line)
+  Scanner(std::string_view text, std::string_view source, std::size_t line)
       : text_(text), source_(source), line_(line) {}
 
   template <typename... Parts>
@@ -145,10 +228,20 @@ class LineScanner {
     die("expected true or false for ", what);
   }
 
-  void expect_end() {
+  void expect_end(std::string_view object) {
     skip_ws();
     if (pos_ != text_.size()) {
-      die("trailing content '", text_.substr(pos_), "' after the request object");
+      die("trailing content '", text_.substr(pos_), "' after the ", object, " object");
+    }
+  }
+
+  /// f(), with a nocsched::Error it throws re-raised under the prefix.
+  template <typename F>
+  decltype(auto) prefixed(F&& f) const {
+    try {
+      return f();
+    } catch (const Error& e) {
+      die(e.what());
     }
   }
 
@@ -160,64 +253,94 @@ class LineScanner {
 };
 
 /// "d695" | "p22810" | "p93791" | "rand:<seed>".
-void check_soc_name(LineScanner& sc, std::string_view name) {
+void check_soc_name(Scanner& sc, std::string_view name) {
   for (const std::string& builtin : itc02::builtin_names()) {
     if (name == builtin) return;
   }
   if (starts_with(name, "rand:")) {
-    const std::string_view seed = name.substr(5);
-    const bool digits =
-        !seed.empty() && std::all_of(seed.begin(), seed.end(),
-                                     [](char c) { return c >= '0' && c <= '9'; });
-    if (digits) return;
+    if (all_digits(name.substr(5))) return;
     sc.die("bad \"soc\" random seed in '", name, "' (expected rand:<seed>)");
   }
   sc.die("unknown \"soc\" '", name, "' (expected d695|p22810|p93791 or rand:<seed>)");
 }
 
+/// The value of a "links" / "routers" / "procs" key, appended to
+/// `faults`; false when `key` is none of the three.  Both wire formats
+/// read their fault lists here: a request's "faults" object and a
+/// fault-stream event line.
+bool parse_fault_list(Scanner& sc, std::string_view key, FaultSpec& faults) {
+  auto list = [&](auto&& item) {
+    sc.expect('[', cat("to open \"", key, "\""));
+    if (sc.eat(']')) return;
+    do {
+      item();
+    } while (sc.eat(','));
+    sc.expect(']', cat("to close \"", key, "\""));
+  };
+  if (key == "links") {
+    list([&] { faults.links.emplace_back(sc.parse_string("a link")); });
+  } else if (key == "routers") {
+    list([&] { faults.routers.push_back(sc.parse_uint("a router id")); });
+  } else if (key == "procs") {
+    list([&] { faults.procs.push_back(sc.parse_uint("a processor module id")); });
+  } else {
+    return false;
+  }
+  return true;
+}
+
 /// {"links": [...], "routers": [...], "procs": [...]} — the one nested
-/// object the grammar admits.
-void parse_faults(LineScanner& sc, FaultSpec& faults) {
+/// object the request grammar admits.
+void parse_faults(Scanner& sc, FaultSpec& faults) {
   sc.expect('{', "to open \"faults\"");
   if (sc.eat('}')) return;
   do {
     const std::string_view key = sc.parse_string("a faults key");
     sc.expect(':', cat("after key \"", key, "\""));
-    if (key == "links") {
-      sc.expect('[', "to open \"links\"");
-      if (!sc.eat(']')) {
-        do {
-          faults.links.emplace_back(sc.parse_string("a link"));
-        } while (sc.eat(','));
-        sc.expect(']', "to close \"links\"");
-      }
-    } else if (key == "routers") {
-      sc.expect('[', "to open \"routers\"");
-      if (!sc.eat(']')) {
-        do {
-          faults.routers.push_back(sc.parse_uint("a router id"));
-        } while (sc.eat(','));
-        sc.expect(']', "to close \"routers\"");
-      }
-    } else if (key == "procs") {
-      sc.expect('[', "to open \"procs\"");
-      if (!sc.eat(']')) {
-        do {
-          faults.procs.push_back(sc.parse_uint("a processor module id"));
-        } while (sc.eat(','));
-        sc.expect(']', "to close \"procs\"");
-      }
-    } else {
+    if (!parse_fault_list(sc, key, faults)) {
       sc.die("unknown faults key \"", key, "\" (expected links|routers|procs)");
     }
   } while (sc.eat(','));
   sc.expect('}', "to close \"faults\"");
 }
 
+/// One fault-stream line: {"cycle": N, "links": [..], "routers": [..],
+/// "procs": [..]}.
+search::FaultEvent parse_event(std::string_view text, const core::SystemModel& sys,
+                               std::string_view name, std::size_t line) {
+  Scanner sc(text, name, line);
+  search::FaultEvent event;
+  FaultSpec spec;
+  bool saw_cycle = false;
+  sc.expect('{', "to open the event object");
+  if (!sc.eat('}')) {
+    do {
+      const std::string_view key = sc.parse_string("a key");
+      sc.expect(':', cat("after key \"", key, "\""));
+      if (key == "cycle") {
+        if (saw_cycle) sc.die("duplicate \"cycle\" key");
+        saw_cycle = true;
+        event.cycle = sc.parse_uint("\"cycle\"");
+        if (event.cycle > search::kMaxEventCycle) {
+          sc.die("\"cycle\" ", event.cycle, " exceeds the maximum ", search::kMaxEventCycle);
+        }
+      } else if (!parse_fault_list(sc, key, spec)) {
+        sc.die("unknown key \"", key, "\" (expected cycle|links|routers|procs)");
+      }
+    } while (sc.eat(','));
+    sc.expect('}', "to close the event object");
+  }
+  sc.expect_end("event");
+  if (!saw_cycle) sc.die("event has no \"cycle\"");
+  if (spec.empty()) sc.die("event breaks nothing (need at least one link, router, or proc)");
+  event.increment = sc.prefixed([&] { return spec.resolve(sys, ""); });
+  return event;
+}
+
 }  // namespace
 
 PlanRequest parse_request(std::string_view text, std::string_view source, std::size_t line) {
-  LineScanner sc(text, source, line);
+  Scanner sc(text, source, line);
   PlanRequest req;
   req.id = cat("line-", line);
   req.origin = cat(source, ":", line);
@@ -255,11 +378,15 @@ PlanRequest parse_request(std::string_view text, std::string_view source, std::s
         }
       } else if (key == "procs") {
         const std::uint64_t procs = sc.parse_uint("\"procs\"");
-        if (procs > 64) sc.die("\"procs\" ", procs, " is out of range (at most 64)");
+        if (procs > kMaxProcs) {
+          sc.die("\"procs\" ", procs, " is out of range (at most ", kMaxProcs, ")");
+        }
         req.system.procs = static_cast<int>(procs);
       } else if (key == "wrapper") {
         const std::uint64_t w = sc.parse_uint("\"wrapper\"");
-        if (w == 0 || w > 1024) sc.die("\"wrapper\" must be in [1, 1024], got ", w);
+        if (w == 0 || w > kMaxWrapperChains) {
+          sc.die("\"wrapper\" must be in [1, ", kMaxWrapperChains, "], got ", w);
+        }
         req.system.params.wrapper_chains = static_cast<std::uint32_t>(w);
       } else if (key == "policy") {
         const std::string_view p = sc.parse_string("\"policy\"");
@@ -283,15 +410,7 @@ PlanRequest parse_request(std::string_view text, std::string_view source, std::s
         }
       } else if (key == "mesh") {
         const std::string_view mesh = sc.parse_string("\"mesh\"");
-        const auto parts = split(mesh, 'x');
-        if (parts.size() != 2 || parts[0].empty() || parts[1].empty()) {
-          sc.die("\"mesh\" expects CxR, e.g. 4x4, got '", mesh, "'");
-        }
-        req.system.mesh_cols = static_cast<int>(parse_u64(parts[0], "\"mesh\" cols"));
-        req.system.mesh_rows = static_cast<int>(parse_u64(parts[1], "\"mesh\" rows"));
-        if (req.system.mesh_cols == 0 || req.system.mesh_rows == 0) {
-          sc.die("\"mesh\" dimensions must be positive, got '", mesh, "'");
-        }
+        sc.prefixed([&] { req.system.set_mesh(mesh, "\"mesh\""); });
       } else if (key == "power") {
         const double pct = sc.parse_number("\"power\"");
         if (!(pct > 0.0 && pct <= 100.0)) {
@@ -300,15 +419,7 @@ PlanRequest parse_request(std::string_view text, std::string_view source, std::s
         req.power_pct = pct;
       } else if (key == "search") {
         const std::string_view s = sc.parse_string("\"search\"");
-        if (s == "restart") {
-          req.strategy = search::StrategyKind::kRestart;
-        } else if (s == "anneal") {
-          req.strategy = search::StrategyKind::kAnneal;
-        } else if (s == "local") {
-          req.strategy = search::StrategyKind::kLocal;
-        } else {
-          sc.die("unknown \"search\" strategy '", s, "' (expected restart|anneal|local)");
-        }
+        req.strategy = sc.prefixed([&] { return search::parse_strategy(s); });
       } else if (key == "iters") {
         req.iters = sc.parse_uint("\"iters\"");
       } else if (key == "seed") {
@@ -325,12 +436,39 @@ PlanRequest parse_request(std::string_view text, std::string_view source, std::s
     } while (sc.eat(','));
     sc.expect('}', "to close the request object");
   }
-  sc.expect_end();
+  sc.expect_end("request");
   if (req.simulate && !req.faults.empty()) {
     sc.die("\"simulate\" cannot be combined with \"faults\" (fault requests already "
            "classify the degraded plan)");
   }
   return req;
+}
+
+search::FaultStream parse_fault_stream(std::istream& in, const core::SystemModel& sys,
+                                       std::string_view name) {
+  search::FaultStream stream;
+  std::string raw;
+  std::size_t line = 0;
+  while (std::getline(in, raw)) {
+    ++line;
+    const std::string_view text = trim(raw);
+    if (text.empty()) continue;
+    search::FaultEvent event = parse_event(text, sys, name, line);
+    if (!stream.events.empty() && event.cycle <= stream.events.back().cycle) {
+      fail(name, ":", line, ": event cycle ", event.cycle,
+           " is not after the previous event's cycle ", stream.events.back().cycle,
+           " (events must be strictly increasing in time)");
+    }
+    stream.events.push_back(std::move(event));
+  }
+  ensure(!stream.events.empty(), name, ": fault stream has no events");
+  return stream;
+}
+
+search::FaultStream load_fault_stream(const std::string& path, const core::SystemModel& sys) {
+  std::ifstream in(path);
+  ensure(in.good(), "cannot open fault stream file '", path, "'");
+  return parse_fault_stream(in, sys, path);
 }
 
 }  // namespace nocsched::engine

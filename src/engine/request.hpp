@@ -10,22 +10,38 @@
 // search effort, faults) is per-request and derived cheaply from the
 // cached artifacts.
 //
-// parse_request reads the JSONL wire form used by `nocsched_cli
-// --serve` — one flat-ish object per line, strict grammar, every
-// diagnostic prefixed "<source>:<line>: " (the same discipline as
-// search::parse_fault_stream).
+// Both JSONL wire formats are read here, by one strict scanner: the
+// request lines of `nocsched_cli --serve` (parse_request) and the fault
+// timelines of `--fault-stream-file` (parse_fault_stream).  Every
+// diagnostic is prefixed "<source>:<line>: ".  The fault lists of both
+// formats, and the CLI's --fail-* flags, resolve against a built system
+// through one routine, FaultSpec::resolve; --mesh and "mesh" share
+// SystemSpec::set_mesh.
 
 #include <cstdint>
+#include <istream>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/params.hpp"
+#include "core/system_model.hpp"
 #include "itc02/soc.hpp"
+#include "noc/fault.hpp"
+#include "power/budget.hpp"
+#include "search/driver.hpp"
+#include "search/fault_stream.hpp"
 #include "search/strategy.hpp"
 
 namespace nocsched::engine {
+
+/// Input caps shared by the CLI flags and the request keys.  Values are
+/// range-checked as 64-bit integers before any narrowing.  The mesh cap
+/// bounds memory: noc::Mesh keeps a routers x routers channel index.
+inline constexpr std::uint64_t kMaxProcs = 64;
+inline constexpr std::uint64_t kMaxWrapperChains = 1024;
+inline constexpr std::uint64_t kMaxMeshRouters = 1024;
 
 /// Names one buildable system: the cacheable, request-independent part
 /// of a PlanRequest.  Two requests with equal cache_key()s share one
@@ -40,6 +56,10 @@ struct SystemSpec {
   int mesh_cols = 0;  ///< 0 = smallest square mesh (soc_file/rand systems)
   int mesh_rows = 0;
   core::PlannerParams params = core::PlannerParams::paper();
+
+  /// Set mesh_cols/mesh_rows from "CxR" (both positive, at most
+  /// kMaxMeshRouters routers); diagnostics start with `what`.
+  void set_mesh(std::string_view cxr, std::string_view what);
 
   /// Canonical cache key: every field that changes the built system —
   /// including every PlannerParams scalar, since policy, wrapper width,
@@ -56,6 +76,14 @@ struct FaultSpec {
   [[nodiscard]] bool empty() const {
     return links.empty() && routers.empty() && procs.empty();
   }
+
+  /// The FaultSet these references name on `sys`.  Links must join
+  /// adjacent routers and procs must name processor modules.  A
+  /// diagnostic reads "<where><field>: <problem>", so each source adds
+  /// only its prefix: "--fail-" for the CLI flags, "faults." for a
+  /// served request, "<file>:<line>: " for a fault-stream line.
+  [[nodiscard]] noc::FaultSet resolve(const core::SystemModel& sys,
+                                      std::string_view where) const;
 };
 
 struct PlanRequest {
@@ -80,6 +108,14 @@ struct PlanRequest {
   [[nodiscard]] bool searching() const {
     return strategy.has_value() || iters.has_value();
   }
+
+  /// The search effort: the strategy (default restart) with `iters`
+  /// evaluations (default 256) when searching(), else plain greedy.
+  [[nodiscard]] search::SearchOptions search_options() const;
+
+  /// The peak-power budget `power_pct` names on `sys` (unconstrained
+  /// when unset).
+  [[nodiscard]] power::PowerBudget budget(const core::SystemModel& sys) const;
 };
 
 /// Parse one JSONL request line.  Accepted keys:
@@ -95,5 +131,23 @@ struct PlanRequest {
 /// out-of-range power, malformed JSON.
 [[nodiscard]] PlanRequest parse_request(std::string_view text, std::string_view source,
                                         std::size_t line);
+
+/// Parse a JSONL fault stream: one event object per non-empty line,
+///
+///   {"cycle": 1200, "links": ["0:1"], "routers": [2], "procs": [7]}
+///
+/// where "cycle" is the absolute injection cycle (<= search::kMaxEventCycle,
+/// strictly increasing line to line) and the three lists are resolved
+/// against `sys` as FaultSpec::resolve does.  At least one list must be
+/// non-empty per event.  Malformed input fails with a "<name>:<line>: "
+/// diagnostic naming the offending field and value.
+[[nodiscard]] search::FaultStream parse_fault_stream(std::istream& in,
+                                                     const core::SystemModel& sys,
+                                                     std::string_view name);
+
+/// parse_fault_stream over the file at `path` (diagnostics use the
+/// path as the stream name); fails if the file cannot be opened.
+[[nodiscard]] search::FaultStream load_fault_stream(const std::string& path,
+                                                    const core::SystemModel& sys);
 
 }  // namespace nocsched::engine

@@ -1,14 +1,11 @@
 #include "search/fault_stream.hpp"
 
 #include <algorithm>
-#include <fstream>
-#include <limits>
 #include <set>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "common/strings.hpp"
 
 namespace nocsched::search {
 
@@ -26,211 +23,10 @@ void merge_faults(noc::FaultSet& faults, const noc::FaultSet& increment) {
   for (const int p : increment.failed_processors()) faults.fail_processor(p);
 }
 
-namespace {
-
-/// Scanner over one JSONL line.  Every diagnostic is prefixed
-/// "<name>:<line>: " so a malformed file is fixable from the message
-/// alone.  The accepted grammar is deliberately small: one flat object
-/// of known keys, unsigned integers, and escape-free strings.
-class LineScanner {
- public:
-  LineScanner(std::string_view text, std::string_view name, std::size_t line)
-      : text_(text), name_(name), line_(line) {}
-
-  template <typename... Parts>
-  [[noreturn]] void die(Parts&&... parts) const {
-    fail(name_, ":", line_, ": ", std::forward<Parts>(parts)...);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\t')) ++pos_;
-  }
-
-  [[nodiscard]] bool eat(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  void expect(char c, std::string_view where) {
-    if (!eat(c)) die("expected '", c, "' ", where);
-  }
-
-  [[nodiscard]] std::string_view parse_string(std::string_view what) {
-    expect('"', cat("to open ", what));
-    const std::size_t begin = pos_;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\') die("escape sequences are not supported in ", what);
-      ++pos_;
-    }
-    if (pos_ == text_.size()) die("unterminated string in ", what);
-    return text_.substr(begin, pos_++ - begin);
-  }
-
-  [[nodiscard]] std::uint64_t parse_uint(std::string_view what) {
-    skip_ws();
-    const std::size_t begin = pos_;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') ++pos_;
-    if (pos_ == begin) {
-      die("expected an unsigned integer for ", what, ", got '",
-          text_.substr(begin, std::min<std::size_t>(text_.size() - begin, 12)), "'");
-    }
-    std::uint64_t v = 0;
-    for (std::size_t i = begin; i < pos_; ++i) {
-      const std::uint64_t digit = static_cast<std::uint64_t>(text_[i] - '0');
-      if (v > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
-        die(what, " value '", text_.substr(begin, pos_ - begin), "' is out of range");
-      }
-      v = v * 10 + digit;
-    }
-    return v;
-  }
-
-  void expect_end() {
-    skip_ws();
-    if (pos_ != text_.size()) {
-      die("trailing content '", text_.substr(pos_), "' after the event object");
-    }
-  }
-
- private:
-  std::string_view text_;
-  std::string_view name_;
-  std::size_t line_;
-  std::size_t pos_ = 0;
-};
-
-/// "FROM:TO" -> the directed channel between two adjacent routers.
-noc::ChannelId parse_link(LineScanner& sc, std::string_view spec,
-                          const core::SystemModel& sys) {
-  const auto ends = split(spec, ':');
-  if (ends.size() != 2) sc.die("links entries are FROM:TO router pairs, got '", spec, "'");
-  noc::RouterId routers[2];
-  for (int i = 0; i < 2; ++i) {
-    std::uint64_t r = 0;
-    for (const char c : ends[i]) {
-      if (c < '0' || c > '9') sc.die("bad router id '", ends[i], "' in link '", spec, "'");
-      r = r * 10 + static_cast<std::uint64_t>(c - '0');
-      if (r > static_cast<std::uint64_t>(sys.mesh().router_count())) break;
-    }
-    if (ends[i].empty() || r >= static_cast<std::uint64_t>(sys.mesh().router_count())) {
-      sc.die("no router '", ends[i], "' in link '", spec, "' (mesh has ",
-             sys.mesh().router_count(), " routers)");
-    }
-    routers[i] = static_cast<noc::RouterId>(r);
-  }
-  if (sys.mesh().hop_count(routers[0], routers[1]) != 1) {
-    sc.die("link '", spec, "': routers ", routers[0], " and ", routers[1],
-           " are not adjacent");
-  }
-  return sys.mesh().channel_between(routers[0], routers[1]);
-}
-
-FaultEvent parse_event(std::string_view text, const core::SystemModel& sys,
-                       std::string_view name, std::size_t line) {
-  LineScanner sc(text, name, line);
-  FaultEvent event;
-  bool saw_cycle = false;
-  sc.expect('{', "to open the event object");
-  if (!sc.eat('}')) {
-    do {
-      const std::string_view key = sc.parse_string("a key");
-      sc.expect(':', cat("after key \"", key, "\""));
-      if (key == "cycle") {
-        if (saw_cycle) sc.die("duplicate \"cycle\" key");
-        saw_cycle = true;
-        event.cycle = sc.parse_uint("\"cycle\"");
-        if (event.cycle > kMaxEventCycle) {
-          sc.die("\"cycle\" ", event.cycle, " exceeds the maximum ", kMaxEventCycle);
-        }
-      } else if (key == "links") {
-        sc.expect('[', "to open \"links\"");
-        if (!sc.eat(']')) {
-          do {
-            event.increment.fail_channel(parse_link(sc, sc.parse_string("a link"), sys));
-          } while (sc.eat(','));
-          sc.expect(']', "to close \"links\"");
-        }
-      } else if (key == "routers") {
-        sc.expect('[', "to open \"routers\"");
-        if (!sc.eat(']')) {
-          do {
-            const std::uint64_t r = sc.parse_uint("a router id");
-            if (r >= static_cast<std::uint64_t>(sys.mesh().router_count())) {
-              sc.die("no router ", r, " (mesh has ", sys.mesh().router_count(), " routers)");
-            }
-            event.increment.fail_router(static_cast<noc::RouterId>(r));
-          } while (sc.eat(','));
-          sc.expect(']', "to close \"routers\"");
-        }
-      } else if (key == "procs") {
-        sc.expect('[', "to open \"procs\"");
-        if (!sc.eat(']')) {
-          do {
-            const std::uint64_t raw = sc.parse_uint("a processor module id");
-            if (raw < 1 || raw > sys.soc().modules.size()) sc.die("no module ", raw);
-            const int id = static_cast<int>(raw);
-            if (!sys.soc().module(id).is_processor) {
-              sc.die("module ", id, " ('", sys.soc().module(id).name,
-                     "') is not a processor");
-            }
-            event.increment.fail_processor(id);
-          } while (sc.eat(','));
-          sc.expect(']', "to close \"procs\"");
-        }
-      } else {
-        sc.die("unknown key \"", key, "\" (expected cycle|links|routers|procs)");
-      }
-    } while (sc.eat(','));
-    sc.expect('}', "to close the event object");
-  }
-  sc.expect_end();
-  if (!saw_cycle) sc.die("event has no \"cycle\"");
-  if (event.increment.empty()) {
-    sc.die("event breaks nothing (need at least one link, router, or proc)");
-  }
-  return event;
-}
-
-}  // namespace
-
-FaultStream parse_fault_stream(std::istream& in, const core::SystemModel& sys,
-                               std::string_view name) {
-  FaultStream stream;
-  std::string raw;
-  std::size_t line = 0;
-  while (std::getline(in, raw)) {
-    ++line;
-    const std::string_view text = trim(raw);
-    if (text.empty()) continue;
-    FaultEvent event = parse_event(text, sys, name, line);
-    if (!stream.events.empty() && event.cycle <= stream.events.back().cycle) {
-      fail(name, ":", line, ": event cycle ", event.cycle,
-           " is not after the previous event's cycle ", stream.events.back().cycle,
-           " (events must be strictly increasing in time)");
-    }
-    stream.events.push_back(std::move(event));
-  }
-  ensure(!stream.events.empty(), name, ": fault stream has no events");
-  return stream;
-}
-
-FaultStream load_fault_stream(const std::string& path, const core::SystemModel& sys) {
-  std::ifstream in(path);
-  ensure(in.good(), "cannot open fault stream file '", path, "'");
-  return parse_fault_stream(in, sys, path);
-}
-
 FaultStream random_fault_stream(const core::SystemModel& sys, std::size_t k,
                                 std::uint64_t seed, std::uint64_t horizon) {
   ensure(k > 0, "random_fault_stream: need at least one event");
-  std::vector<int> procs;
-  for (const itc02::Module& m : sys.soc().modules) {
-    if (m.is_processor) procs.push_back(m.id);
-  }
+  const std::vector<int> procs = sys.soc().processor_ids();
   ensure(sys.mesh().channel_count() > 0 || !procs.empty(),
          "random_fault_stream: system has nothing to break");
 

@@ -9,16 +9,13 @@
 // PairTable::apply_faults across the growing cumulative fault set.
 //
 // Streams come from two places, both deterministic:
-//   * a JSONL file (one event per line) via load_fault_stream — the CLI
-//     `--fault-stream-file` input, rejected with <path>:<line>-prefixed
-//     diagnostics on malformed input;
+//   * a JSONL file (one event per line) — the CLI `--fault-stream-file`
+//     input, read by engine::load_fault_stream with the request parser's
+//     scanner and fault resolver (engine/request.hpp);
 //   * a seeded generator via random_fault_stream — the CLI
 //     `--fault-stream K` mode and the bench/fault_stream scenarios.
 
 #include <cstdint>
-#include <istream>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/system_model.hpp"
@@ -51,25 +48,6 @@ struct FaultStream {
 
 /// Merge every fault of `increment` into `faults`.
 void merge_faults(noc::FaultSet& faults, const noc::FaultSet& increment);
-
-/// Parse a JSONL fault stream: one event object per non-empty line,
-///
-///   {"cycle": 1200, "links": ["0:1"], "routers": [2], "procs": [7]}
-///
-/// where "cycle" is the absolute injection cycle (<= kMaxEventCycle,
-/// strictly increasing line to line), "links" lists directed channels
-/// as FROM:TO ids of adjacent routers, "routers" lists router ids, and
-/// "procs" lists processor module ids of `sys`.  At least one of the
-/// three fault lists must be non-empty per event.  Malformed input
-/// fails with a "<name>:<line>: ..." diagnostic naming the offending
-/// field and value.
-[[nodiscard]] FaultStream parse_fault_stream(std::istream& in, const core::SystemModel& sys,
-                                             std::string_view name);
-
-/// parse_fault_stream over the file at `path` (diagnostics use the
-/// path as the stream name); fails if the file cannot be opened.
-[[nodiscard]] FaultStream load_fault_stream(const std::string& path,
-                                            const core::SystemModel& sys);
 
 /// A seeded random stream of `k` events over `sys`: k distinct
 /// injection cycles in [1, max(horizon, k)] and one random fault

@@ -64,7 +64,6 @@ esac
 check "--cpu plasma"        "$cli" --soc d695 --cpu plasma --procs 4 --format table
 check "--power 50"          "$cli" --soc d695 --procs 4 --power 50 --format table
 check "--policy shortest"   "$cli" --soc d695 --procs 4 --policy shortest --format table
-check "--restarts 3"        "$cli" --soc d695 --procs 4 --restarts 3 --format table
 check "--search anneal"     "$cli" --soc d695 --procs 4 --search anneal --iters 20 --format table
 check "--search local"      "$cli" --soc d695 --procs 4 --search local --iters 20 --format table
 check "--search restart"    "$cli" --soc d695 --procs 4 --search restart --format table
@@ -98,29 +97,19 @@ for strat in restart anneal local; do
   fi
 done
 
-# --restarts N must stay an exact alias for --search restart --iters N.
-alias_a=$("$cli" --soc d695 --procs 4 --restarts 5 --seed 3 --format csv 2>/dev/null)
-alias_b=$("$cli" --soc d695 --procs 4 --search restart --iters 5 --seed 3 --format csv 2>/dev/null)
-if [ -n "$alias_a" ] && [ "$alias_a" = "$alias_b" ]; then
-  echo "ok: --restarts aliases --search restart --iters"
-else
-  echo "FAIL: --restarts 5 and --search restart --iters 5 disagreed" >&2
-  fails=$((fails + 1))
-fi
-
-# --seed makes multistart runs reproducible from the command line.
-seed_a=$("$cli" --soc d695 --procs 4 --restarts 3 --seed 7 --format csv 2>/dev/null)
-seed_b=$("$cli" --soc d695 --procs 4 --restarts 3 --seed 7 --format csv 2>/dev/null)
+# --seed makes restart searches reproducible from the command line.
+seed_a=$("$cli" --soc d695 --procs 4 --search restart --iters 3 --seed 7 --format csv 2>/dev/null)
+seed_b=$("$cli" --soc d695 --procs 4 --search restart --iters 3 --seed 7 --format csv 2>/dev/null)
 if [ -n "$seed_a" ] && [ "$seed_a" = "$seed_b" ]; then
   echo "ok: --seed reproducible"
 else
-  echo "FAIL: two --restarts 3 --seed 7 runs disagreed" >&2
+  echo "FAIL: two --search restart --iters 3 --seed 7 runs disagreed" >&2
   fails=$((fails + 1))
 fi
 
-# --jobs parallelizes multistart without changing the answer.
-jobs_1=$("$cli" --soc d695 --procs 4 --restarts 6 --seed 7 --jobs 1 --format csv 2>/dev/null)
-jobs_4=$("$cli" --soc d695 --procs 4 --restarts 6 --seed 7 --jobs 4 --format csv 2>/dev/null)
+# --jobs parallelizes restarts without changing the answer.
+jobs_1=$("$cli" --soc d695 --procs 4 --search restart --iters 6 --seed 7 --jobs 1 --format csv 2>/dev/null)
+jobs_4=$("$cli" --soc d695 --procs 4 --search restart --iters 6 --seed 7 --jobs 4 --format csv 2>/dev/null)
 if [ -n "$jobs_1" ] && [ "$jobs_1" = "$jobs_4" ]; then
   echo "ok: --jobs 4 matches --jobs 1"
 else
@@ -220,11 +209,11 @@ reject_stream_file() {
        fails=$((fails + 1)) ;;
   esac
 }
-reject_stream_file "stream file bad router id" "1: no router '99'" \
+reject_stream_file "stream file bad router id" "1: links: no router 99 in '0:99'" \
   '{"cycle": 10, "links": ["0:99"]}'
-reject_stream_file "stream file non-adjacent link" "1: link '0:9': routers 0 and 9 are not adjacent" \
+reject_stream_file "stream file non-adjacent link" "1: links: '0:9' joins routers 0 and 9, which are not adjacent" \
   '{"cycle": 10, "links": ["0:9"]}'
-reject_stream_file "stream file non-processor proc" "1: module 1" \
+reject_stream_file "stream file non-processor proc" "1: procs: module 1" \
   '{"cycle": 10, "procs": [1]}'
 reject_stream_file "stream file out-of-range cycle" "1: \"cycle\"" \
   '{"cycle": 9223372036854775808, "links": ["0:1"]}'
@@ -233,6 +222,39 @@ reject_stream_file "stream file non-monotone events" "2: event cycle 400 is not 
 {"cycle": 400, "procs": [11]}'
 reject_stream_file "stream file empty increment" "1: event breaks nothing" \
   '{"cycle": 10}'
+
+# One bad fault reference reaches the resolver from three sources: the
+# --fail-* flags, a served request's "faults", and a fault-stream line.
+# All three give the same message body; only the source prefix differs
+# ("--fail-", "stdin:1: faults.", "<file>:1: ").
+same_diagnostic() {
+  field=$1 flag_value=$2 json_value=$3
+  flag_err=$("$cli" --soc d695 --procs 4 "--fail-$field" "$flag_value" 2>&1 >/dev/null)
+  flag_body=${flag_err#"nocsched_cli: --fail-"}
+  serve_err=$(printf '{"soc": "d695", "procs": 4, "faults": {"%s": [%s]}}\n' \
+    "$field" "$json_value" | "$cli" --serve 2>/dev/null)
+  serve_body=$(printf '%s\n' "$serve_err" |
+    sed -n 's/.*"error": "stdin:1: faults\.\(.*\)"}$/\1/p')
+  printf '{"cycle": 10, "%s": [%s]}\n' "$field" "$json_value" > "$streamfile"
+  stream_err=$("$cli" --soc d695 --procs 4 --fault-stream-file "$streamfile" 2>&1 >/dev/null)
+  stream_body=${stream_err#"nocsched_cli: $streamfile:1: "}
+  case $flag_body in
+    "$field: "*"$flag_value"*)
+      if [ "$flag_body" = "$serve_body" ] && [ "$flag_body" = "$stream_body" ]; then
+        echo "ok: --fail-$field $flag_value: one diagnostic from flag, request, and stream"
+        return
+      fi ;;
+  esac
+  echo "FAIL: --fail-$field $flag_value diagnostics differ by source:" >&2
+  printf '  flag:   %s\n  serve:  %s\n  stream: %s\n' "$flag_err" "$serve_err" \
+    "$stream_err" >&2
+  fails=$((fails + 1))
+}
+same_diagnostic links 0:9 '"0:9"'
+same_diagnostic routers 99 99
+same_diagnostic links 4294967296:1 '"4294967296:1"'
+same_diagnostic procs 1 1
+same_diagnostic procs 999 999
 rm -f "$streamfile"
 
 # Plan server: --serve answers JSONL requests on stdin with one JSONL
@@ -390,7 +412,8 @@ esac
 
 # Error paths: bad values must fail loudly, not succeed quietly.
 for bad in "--format bogus" "--soc no_such_soc" "--cpu vax" "--bogus-flag 1" "--search tabu" \
-           "--restarts 3 --iters 5" "--restarts 3 --search anneal" \
+           "--restarts 3" "--mesh 4294967300x4" "--mesh 33x32" \
+           "--wrapper 4294967297" "--procs 4294967298" \
            "--fail-links 0-1" "--fail-links 0:9" "--fail-procs 1" "--fail-procs 999" \
            "--fail-routers 99" "--fault-sweep 0" \
            "--fail-links 4294967296:1" "--fail-procs 4294967307" \

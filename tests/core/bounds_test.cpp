@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/multistart.hpp"
 #include "core/scheduler.hpp"
 #include "itc02/random_soc.hpp"
+#include "search/driver.hpp"
 
 namespace nocsched::core {
 namespace {
@@ -78,9 +78,12 @@ TEST_P(BoundsProperty, HoldOnRandomSystems) {
   const LowerBounds b = makespan_lower_bounds(sys);
   const Schedule greedy = plan_tests(sys, power::PowerBudget::unconstrained());
   EXPECT_GE(greedy.makespan, b.combined());
-  const MultistartResult ms =
-      plan_tests_multistart(sys, power::PowerBudget::unconstrained(), 10, GetParam());
-  EXPECT_GE(ms.best.makespan, b.combined());
+  search::SearchOptions restarts;
+  restarts.iters = 10;
+  restarts.seed = GetParam();
+  const search::SearchResult searched =
+      search::search_orders(sys, power::PowerBudget::unconstrained(), restarts);
+  EXPECT_GE(searched.best.makespan, b.combined());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BoundsProperty, ::testing::Range<std::uint64_t>(1, 16));

@@ -14,6 +14,11 @@ SystemModel d695(int procs, PlannerParams params = PlannerParams::paper()) {
   return SystemModel::paper_system("d695", itc02::ProcessorKind::kLeon, procs, params);
 }
 
+SystemModel p22810(int procs) {
+  return SystemModel::paper_system("p22810", itc02::ProcessorKind::kLeon, procs,
+                                   PlannerParams::paper());
+}
+
 TEST(Scheduler, NoProcBaselineIsSequential) {
   const SystemModel sys = d695(0);
   const Schedule s = plan_tests(sys, power::PowerBudget::unconstrained());
@@ -185,6 +190,41 @@ TEST(PriorityOrder, DistancePolicyOrdersByDistance) {
     EXPECT_LE(sys.distance_to_nearest_endpoint(order[i - 1]),
               sys.distance_to_nearest_endpoint(order[i]));
   }
+}
+
+TEST(PlanWithOrder, MatchesPlanTestsOnDefaultOrder) {
+  const SystemModel sys = p22810(4);
+  const power::PowerBudget budget = power::PowerBudget::unconstrained();
+  const PairTable pairs(sys);
+  const Schedule a = plan_tests(sys, budget);
+  const Schedule b = plan_tests_with_order(sys, budget, priority_order(sys), pairs);
+  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.sessions.size(), b.sessions.size());
+}
+
+TEST(PlanWithOrder, RejectsNonPermutations) {
+  const SystemModel sys = p22810(2);
+  const power::PowerBudget budget = power::PowerBudget::unconstrained();
+  const PairTable pairs(sys);
+  std::vector<int> order = priority_order(sys);
+  order.pop_back();
+  EXPECT_THROW((void)plan_tests_with_order(sys, budget, order, pairs), Error);
+  order = priority_order(sys);
+  order[0] = order[1];
+  EXPECT_THROW((void)plan_tests_with_order(sys, budget, order, pairs), Error);
+  order = priority_order(sys);
+  order.push_back(999);
+  EXPECT_THROW((void)plan_tests_with_order(sys, budget, order, pairs), Error);
+}
+
+TEST(PlanWithOrder, DifferentOrdersStillValidate) {
+  const SystemModel sys = p22810(4);
+  const power::PowerBudget budget = power::PowerBudget::unconstrained();
+  std::vector<int> order = priority_order(sys);
+  std::reverse(order.begin(), order.end());
+  const Schedule s = plan_tests_with_order(sys, budget, order, PairTable(sys));
+  const sim::ValidationReport report = sim::validate(sys, s);
+  EXPECT_TRUE(report.ok()) << (report.violations.empty() ? "" : report.violations[0]);
 }
 
 }  // namespace

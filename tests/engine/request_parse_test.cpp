@@ -107,8 +107,18 @@ TEST(RequestParse, ExactDiagnostics) {
   EXPECT_EQ(parse_error(R"({"wrapper": 0})"),
             "req:7: \"wrapper\" must be in [1, 1024], got 0");
   EXPECT_EQ(parse_error(R"({"mesh": "4"})"), "req:7: \"mesh\" expects CxR, e.g. 4x4, got '4'");
+  // Mesh sizes are range-checked before narrowing to int, and capped:
+  // noc::Mesh keeps a routers x routers channel index.
+  EXPECT_EQ(parse_error(R"({"soc": "rand:1", "procs": 2, "mesh": "4294967300x4"})"),
+            "req:7: \"mesh\" '4294967300x4' has more than 1024 routers");
+  EXPECT_EQ(parse_error(R"({"mesh": "33x32"})"),
+            "req:7: \"mesh\" '33x32' has more than 1024 routers");
+  EXPECT_EQ(parse_error(R"({"mesh": "99999999999999999999x1"})"),
+            "req:7: \"mesh\" '99999999999999999999x1' has more than 1024 routers");
+  EXPECT_EQ(parse_error(R"({"mesh": "0x4"})"),
+            "req:7: \"mesh\" dimensions must be positive, got '0x4'");
   EXPECT_EQ(parse_error(R"({"search": "tabu"})"),
-            "req:7: unknown \"search\" strategy 'tabu' (expected restart|anneal|local)");
+            "req:7: unknown search strategy 'tabu' (expected restart|anneal|local)");
   EXPECT_EQ(parse_error(R"({"simulate": "yes"})"),
             "req:7: expected true or false for \"simulate\"");
   EXPECT_EQ(parse_error(R"({"id": "x"} trailing)"),

@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "core/system_model.hpp"
+#include "engine/request.hpp"
 
 namespace nocsched::search {
 namespace {
@@ -18,7 +19,7 @@ core::SystemModel d695() {
 
 FaultStream parse(const std::string& text, const core::SystemModel& sys) {
   std::istringstream in(text);
-  return parse_fault_stream(in, sys, "test");
+  return engine::parse_fault_stream(in, sys, "test");
 }
 
 /// Expect the parse to fail with `fragment` somewhere in the message —
@@ -68,13 +69,14 @@ TEST(FaultStreamParser, RejectionsNameTheLineAndField) {
   // Every rejection carries a "test:<line>:" prefix and names the
   // offending value — satellite 2's hardening contract.
   expect_rejected("{\"cycle\": 10, \"links\": [\"0:9\"]}",
-                  "test:1: link '0:9': routers 0 and 9 are not adjacent");
-  expect_rejected("{\"cycle\": 10, \"links\": [\"0:99\"]}", "test:1: no router '99'");
+                  "test:1: links: '0:9' joins routers 0 and 9, which are not adjacent");
+  expect_rejected("{\"cycle\": 10, \"links\": [\"0:99\"]}",
+                  "test:1: links: no router 99 in '0:99' (mesh has 16 routers)");
   expect_rejected("{\"cycle\": 10, \"links\": [\"zero:1\"]}",
-                  "test:1: bad router id 'zero'");
-  expect_rejected("{\"cycle\": 10, \"routers\": [99]}", "test:1: no router 99");
-  expect_rejected("{\"cycle\": 10, \"procs\": [1]}", "is not a processor");
-  expect_rejected("{\"cycle\": 10, \"procs\": [99]}", "test:1: no module 99");
+                  "test:1: links: bad router id 'zero'");
+  expect_rejected("{\"cycle\": 10, \"routers\": [99]}", "test:1: routers: no router 99");
+  expect_rejected("{\"cycle\": 10, \"procs\": [1]}", "test:1: procs: module 1 (");
+  expect_rejected("{\"cycle\": 10, \"procs\": [99]}", "test:1: procs: no module 99");
   expect_rejected("{\"cycle\": 10}", "test:1: event breaks nothing");
   expect_rejected("{\"links\": [\"0:1\"]}", "test:1: event has no \"cycle\"");
   expect_rejected("{\"cycle\": 1, \"cycle\": 2, \"links\": [\"0:1\"]}",
@@ -144,7 +146,7 @@ TEST(RandomFaultStream, TinyHorizonStillYieldsDistinctCycles) {
 
 TEST(LoadFaultStream, MissingFileIsAnError) {
   const core::SystemModel sys = d695();
-  EXPECT_THROW((void)load_fault_stream("/nonexistent/stream.jsonl", sys), Error);
+  EXPECT_THROW((void)engine::load_fault_stream("/nonexistent/stream.jsonl", sys), Error);
 }
 
 }  // namespace

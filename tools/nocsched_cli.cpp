@@ -15,19 +15,19 @@
 //   --policy <p>        priority: longest (default) | distance | shortest
 //   --choice <c>        resource choice: greedy (default) | earliest
 //   --search <s>        order-search strategy: restart | anneal | local
-//                       (default restart when --iters/--restarts is given)
+//                       (default restart when --iters is given)
 //   --iters <n>         order-evaluation budget for --search beyond the
 //                       deterministic pass (default 256 when --search is
 //                       given alone; 0 = plain greedy)
-//   --restarts <n>      legacy alias for "--search restart --iters n"
 //   --seed <n>          RNG seed for the search (default 0x5EED), so
 //                       search runs are reproducible
 //   --jobs <n>          threads running search chains (default: one per
 //                       hardware thread); every strategy is bit-identical
 //                       at every job count
-//   --wrapper <n>       wrapper chains per core (default 4)
+//   --wrapper <n>       wrapper chains per core (default 4, at most 1024)
 //   --format <f>        table (default) | gantt | csv | json | all
-//   --mesh <CxR>        mesh dimensions for --soc-file systems
+//   --mesh <CxR>        mesh dimensions for --soc-file systems (at most
+//                       1024 routers)
 //   --simulate          replay the plan on the flit-level discrete-event
 //                       simulator and report observed vs planned timing
 //                       (exits non-zero if the cross-check finds
@@ -76,6 +76,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 
 #include "common/csv.hpp"
 #include "common/error.hpp"
@@ -98,7 +99,6 @@
 #include "report/timeline_report.hpp"
 #include "report/trace_report.hpp"
 #include "search/driver.hpp"
-#include "search/fault_stream.hpp"
 #include "search/replan.hpp"
 #include "sim/cross_check.hpp"
 #include "sim/robustness.hpp"
@@ -110,26 +110,13 @@ namespace {
 using namespace nocsched;
 
 struct Options {
-  std::string soc = "d695";
-  std::string soc_file;
-  itc02::ProcessorKind cpu = itc02::ProcessorKind::kLeon;
-  int procs = 2;
-  std::optional<double> power_pct;
-  core::PriorityPolicy policy = core::PriorityPolicy::kLongestTestFirst;
-  core::ResourceChoice choice = core::ResourceChoice::kFirstAvailable;
-  std::optional<search::StrategyKind> strategy;
-  std::optional<std::uint64_t> iters;
-  std::uint64_t restarts = 0;
-  std::uint64_t seed = 0x5EED;
+  /// The system, power and search flags, as the engine's request.  Its
+  /// `faults` stay empty: the fault modes plan the pristine system and
+  /// then replan CLI-side, with the --fail-* references in `faults`.
+  engine::PlanRequest request;
+  engine::FaultSpec faults;
   unsigned jobs = 0;  // 0 = one per hardware thread
-  std::uint32_t wrapper = 4;
   std::string format = "table";
-  int mesh_cols = 0;
-  int mesh_rows = 0;
-  bool simulate = false;
-  std::string fail_links;    // "A:B,C:D" router pairs, resolved once the mesh exists
-  std::string fail_routers;  // "N,M"
-  std::string fail_procs;    // "N,M" module ids
   std::uint64_t fault_sweep = 0;
   std::uint64_t fault_stream = 0;        // K random timed events
   std::string fault_stream_file;         // JSONL timeline, one event per line
@@ -144,8 +131,7 @@ struct Options {
     return fault_stream > 0 || !fault_stream_file.empty();
   }
   [[nodiscard]] bool fault_mode() const {
-    return !fail_links.empty() || !fail_routers.empty() || !fail_procs.empty() ||
-           fault_sweep > 0 || stream_mode();
+    return !faults.empty() || fault_sweep > 0 || stream_mode();
   }
 };
 
@@ -154,7 +140,7 @@ struct Options {
             << " [--soc d695|p22810|p93791] [--soc-file path] [--cpu leon|plasma]\n"
                "       [--procs N] [--power PCT] [--policy longest|distance|shortest]\n"
                "       [--choice greedy|earliest] [--search restart|anneal|local]\n"
-               "       [--iters N] [--restarts N] [--seed N] [--jobs N]\n"
+               "       [--iters N] [--seed N] [--jobs N]\n"
                "       [--wrapper N] [--format table|gantt|csv|json|all] [--mesh CxR]\n"
                "       [--simulate] [--fail-links A:B,...] [--fail-routers N,...]\n"
                "       [--fail-procs N,...] [--fault-sweep K] [--fault-seed S]\n"
@@ -162,8 +148,7 @@ struct Options {
                "       [--metrics table|csv|json|prom] [--trace-out FILE]\n"
                "       [--serve] [--serve-batch N] [--serve-cache N]\n"
                "  --search picks the order-search strategy and --iters its\n"
-               "  order-evaluation budget (--restarts N is a legacy alias for\n"
-               "  --search restart --iters N); --seed makes search runs\n"
+               "  order-evaluation budget; --seed makes search runs\n"
                "  reproducible; --jobs runs search chains in parallel (default:\n"
                "  hardware threads) with bit-identical results at any job count;\n"
                "  --simulate replays the plan on the flit-level simulator and\n"
@@ -186,13 +171,17 @@ Options parse_args(int argc, char** argv) {
   // rejected by name (not a silent usage exit) so typos are diagnosable.
   static const std::set<std::string> value_keys = {
       "soc",  "soc-file", "cpu",  "procs",   "power",  "policy", "choice", "search",
-      "iters", "restarts", "seed", "jobs", "wrapper", "format", "mesh",
+      "iters", "seed", "jobs", "wrapper", "format", "mesh",
       "fail-links", "fail-routers", "fail-procs", "fault-sweep", "fault-seed",
       "fault-stream", "fault-stream-file", "metrics", "trace-out",
       "serve-batch", "serve-cache"};
   static const std::set<std::string> flag_keys = {"simulate", "serve"};
 
   Options opt;
+  opt.request.id = "cli";
+  // origin stays empty: execution errors reach stderr exactly as the
+  // pre-engine CLI printed them, with no "<source>:<line>: " prefix.
+  engine::SystemSpec& system = opt.request.system;
   std::map<std::string, std::string> kv;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -213,60 +202,65 @@ Options parse_args(int argc, char** argv) {
   }
   for (const auto& [key, value] : kv) {
     if (key == "soc") {
-      opt.soc = value;
+      system.soc = value;
     } else if (key == "soc-file") {
-      opt.soc_file = value;
+      system.soc_file = value;
     } else if (key == "cpu") {
       if (value == "leon") {
-        opt.cpu = itc02::ProcessorKind::kLeon;
+        system.cpu = itc02::ProcessorKind::kLeon;
       } else if (value == "plasma") {
-        opt.cpu = itc02::ProcessorKind::kPlasma;
+        system.cpu = itc02::ProcessorKind::kPlasma;
       } else {
         fail("unknown --cpu '", value, "'");
       }
     } else if (key == "procs") {
-      opt.procs = static_cast<int>(parse_u64(value, "--procs"));
+      const std::uint64_t procs = parse_u64(value, "--procs");
+      ensure(procs <= engine::kMaxProcs, "--procs ", procs, " is out of range (at most ",
+             engine::kMaxProcs, ")");
+      system.procs = static_cast<int>(procs);
     } else if (key == "power") {
-      opt.power_pct = parse_double(value, "--power");
+      opt.request.power_pct = parse_double(value, "--power");
     } else if (key == "policy") {
       if (value == "longest") {
-        opt.policy = core::PriorityPolicy::kLongestTestFirst;
+        system.params.priority = core::PriorityPolicy::kLongestTestFirst;
       } else if (value == "distance") {
-        opt.policy = core::PriorityPolicy::kDistanceFirst;
+        system.params.priority = core::PriorityPolicy::kDistanceFirst;
       } else if (value == "shortest") {
-        opt.policy = core::PriorityPolicy::kShortestTestFirst;
+        system.params.priority = core::PriorityPolicy::kShortestTestFirst;
       } else {
         fail("unknown --policy '", value, "'");
       }
     } else if (key == "choice") {
       if (value == "greedy") {
-        opt.choice = core::ResourceChoice::kFirstAvailable;
+        system.params.resource_choice = core::ResourceChoice::kFirstAvailable;
       } else if (value == "earliest") {
-        opt.choice = core::ResourceChoice::kEarliestCompletion;
+        system.params.resource_choice = core::ResourceChoice::kEarliestCompletion;
       } else {
         fail("unknown --choice '", value, "'");
       }
     } else if (key == "search") {
-      opt.strategy = search::parse_strategy(value);
+      opt.request.strategy = search::parse_strategy(value);
     } else if (key == "iters") {
-      opt.iters = parse_u64(value, "--iters");
-    } else if (key == "restarts") {
-      opt.restarts = parse_u64(value, "--restarts");
+      opt.request.iters = parse_u64(value, "--iters");
     } else if (key == "seed") {
-      opt.seed = parse_u64(value, "--seed");
+      opt.request.seed = parse_u64(value, "--seed");
     } else if (key == "jobs") {
       const std::uint64_t jobs = parse_u64(value, "--jobs");
       ensure(jobs <= std::numeric_limits<unsigned>::max(), "--jobs value ", jobs,
              " is out of range");
       opt.jobs = static_cast<unsigned>(jobs);
     } else if (key == "simulate") {
-      opt.simulate = true;
+      opt.request.simulate = true;
     } else if (key == "fail-links") {
-      opt.fail_links = value;
+      for (const std::string_view link : split(value, ',')) opt.faults.links.emplace_back(link);
     } else if (key == "fail-routers") {
-      opt.fail_routers = value;
+      for (const std::string_view r : split(value, ',')) {
+        opt.faults.routers.push_back(parse_u64(r, "--fail-routers"));
+      }
     } else if (key == "fail-procs") {
-      opt.fail_procs = value;
+      for (const std::string_view p : split(value, ',')) {
+        opt.faults.procs.push_back(parse_u64(p, "--fail-procs"));
+      }
     } else if (key == "fault-sweep") {
       opt.fault_sweep = parse_u64(value, "--fault-sweep");
       ensure(opt.fault_sweep > 0, "--fault-sweep expects at least 1 scenario");
@@ -294,14 +288,14 @@ Options parse_args(int argc, char** argv) {
       opt.serve_cache = parse_u64(value, "--serve-cache");
       ensure(opt.serve_cache > 0, "--serve-cache expects at least 1 cached context");
     } else if (key == "wrapper") {
-      opt.wrapper = static_cast<std::uint32_t>(parse_u64(value, "--wrapper"));
+      const std::uint64_t w = parse_u64(value, "--wrapper");
+      ensure(w >= 1 && w <= engine::kMaxWrapperChains, "--wrapper must be in [1, ",
+             engine::kMaxWrapperChains, "], got ", w);
+      system.params.wrapper_chains = static_cast<std::uint32_t>(w);
     } else if (key == "format") {
       opt.format = value;
     } else if (key == "mesh") {
-      const auto parts = split(value, 'x');
-      ensure(parts.size() == 2, "--mesh expects CxR, e.g. 4x4");
-      opt.mesh_cols = static_cast<int>(parse_u64(parts[0], "--mesh cols"));
-      opt.mesh_rows = static_cast<int>(parse_u64(parts[1], "--mesh rows"));
+      system.set_mesh(value, "--mesh");
     } else {
       // Unknown keys were rejected while scanning argv; reaching this
       // branch means a key was added to value_keys/flag_keys without a
@@ -309,23 +303,16 @@ Options parse_args(int argc, char** argv) {
       NOCSCHED_ASSERT(!"option key accepted by the parse loop but not dispatched");
     }
   }
-  // --restarts is the legacy spelling of --search restart --iters;
-  // mixing it with the new flags has no single documented meaning, so
-  // reject the combination instead of silently preferring one side.
-  ensure(!(opt.restarts > 0 && (opt.strategy.has_value() || opt.iters.has_value())),
-         "--restarts is a legacy alias for --search restart --iters and cannot be "
-         "combined with --search/--iters");
-  ensure(!(opt.fault_mode() && opt.simulate),
+  opt.request.search_jobs = opt.jobs;
+  ensure(!(opt.fault_mode() && opt.request.simulate),
          "--simulate cannot be combined with fault injection (fault mode already "
          "replays the plan on the degraded mesh)");
-  ensure(!(opt.fault_sweep > 0 &&
-           (!opt.fail_links.empty() || !opt.fail_routers.empty() || !opt.fail_procs.empty())),
+  ensure(!(opt.fault_sweep > 0 && !opt.faults.empty()),
          "--fault-sweep generates its own scenarios and cannot be combined with --fail-*");
   ensure(!(opt.fault_stream > 0 && !opt.fault_stream_file.empty()),
          "--fault-stream generates a random timeline and --fault-stream-file loads an "
          "explicit one; give one or the other");
-  ensure(!(opt.stream_mode() &&
-           (!opt.fail_links.empty() || !opt.fail_routers.empty() || !opt.fail_procs.empty())),
+  ensure(!(opt.stream_mode() && !opt.faults.empty()),
          "a fault stream carries its own timed fault events and cannot be combined with "
          "--fail-*");
   ensure(!(opt.stream_mode() && opt.fault_sweep > 0),
@@ -350,94 +337,12 @@ Options parse_args(int argc, char** argv) {
   return opt;
 }
 
-/// Resolve the --fail-* flags against the built system.  Link specs are
-/// "from:to" router ids of adjacent routers; processor specs must name
-/// processor modules.
-noc::FaultSet build_fault_set(const Options& opt, const core::SystemModel& sys) {
-  // Range checks run on the parsed 64-bit value, before any narrowing —
-  // a huge id must be rejected, never truncated into a plausible one.
-  auto parse_router = [&](std::string_view spec, std::string_view what) {
-    const std::uint64_t r = parse_u64(spec, what);
-    ensure(r < static_cast<std::uint64_t>(sys.mesh().router_count()), what, ": no router ", r);
-    return static_cast<noc::RouterId>(r);
-  };
-  noc::FaultSet faults;
-  if (!opt.fail_links.empty()) {
-    for (const std::string_view spec : split(opt.fail_links, ',')) {
-      const auto ends = split(spec, ':');
-      ensure(ends.size() == 2, "--fail-links expects FROM:TO router pairs, got '", spec, "'");
-      const noc::RouterId from = parse_router(ends[0], "--fail-links");
-      const noc::RouterId to = parse_router(ends[1], "--fail-links");
-      ensure(sys.mesh().hop_count(from, to) == 1, "--fail-links: routers ", from, " and ", to,
-             " are not adjacent (channels join mesh neighbours only)");
-      faults.fail_channel(sys.mesh().channel_between(from, to));
-    }
-  }
-  if (!opt.fail_routers.empty()) {
-    for (const std::string_view spec : split(opt.fail_routers, ',')) {
-      faults.fail_router(parse_router(spec, "--fail-routers"));
-    }
-  }
-  if (!opt.fail_procs.empty()) {
-    for (const std::string_view spec : split(opt.fail_procs, ',')) {
-      const std::uint64_t raw = parse_u64(spec, "--fail-procs");
-      ensure(raw >= 1 && raw <= sys.soc().modules.size(), "--fail-procs: no module ", raw);
-      const int id = static_cast<int>(raw);
-      ensure(sys.soc().module(id).is_processor, "--fail-procs: module ", id, " ('",
-             sys.soc().module(id).name, "') is not a processor");
-      faults.fail_processor(id);
-    }
-  }
-  return faults;
-}
-
-/// The engine-facing name for the system this invocation plans.  System
-/// construction itself lives behind engine::ContextCache (one shared
-/// path for the CLI, the server, and the benches).
-engine::SystemSpec build_spec(const Options& opt) {
-  engine::SystemSpec spec;
-  spec.soc = opt.soc;
-  spec.soc_file = opt.soc_file;
-  spec.cpu = opt.cpu;
-  spec.procs = opt.procs;
-  spec.mesh_cols = opt.mesh_cols;
-  spec.mesh_rows = opt.mesh_rows;
-  spec.params = core::PlannerParams::paper();
-  spec.params.priority = opt.policy;
-  spec.params.resource_choice = opt.choice;
-  spec.params.wrapper_chains = opt.wrapper;
-  return spec;
-}
-
-/// The one-shot flags as a single PlanRequest (faults stay CLI-side:
-/// the fault modes need the pristine plan plus reports the engine
-/// doesn't produce, so they run as separate steps in run()).
-engine::PlanRequest build_request(const Options& opt) {
-  engine::PlanRequest request;
-  request.id = "cli";
-  // origin stays empty: execution errors reach stderr exactly as the
-  // pre-engine CLI printed them, with no "<source>:<line>: " prefix.
-  request.system = build_spec(opt);
-  request.power_pct = opt.power_pct;
-  if (opt.restarts > 0) {
-    request.strategy = search::StrategyKind::kRestart;
-    request.iters = opt.restarts;
-  } else {
-    request.strategy = opt.strategy;
-    request.iters = opt.iters;
-  }
-  request.seed = opt.seed;
-  request.search_jobs = opt.jobs;
-  request.simulate = opt.simulate;
-  return request;
-}
-
 /// One explicit fault scenario: replay the pristine plan degraded,
 /// replan fault-aware, and report both.
 int run_fault_scenario(const Options& opt, const core::SystemModel& sys,
                        const power::PowerBudget& budget, const core::Schedule& schedule,
                        const search::SearchOptions& ropts, bool all) {
-  const noc::FaultSet faults = build_fault_set(opt, sys);
+  const noc::FaultSet faults = opt.faults.resolve(sys, "--fail-");
   const sim::RobustnessReport robustness = sim::assess_robustness(sys, schedule, faults);
   const search::ReplanResult replanned = search::replan(sys, budget, faults, ropts);
   sim::validate_or_throw(sys, replanned.schedule, faults);
@@ -542,7 +447,7 @@ int run_fault_stream(const Options& opt, const core::SystemModel& sys,
   ensure(opt.format != "gantt", "--fault-stream supports --format table|csv|json|all");
   const search::FaultStream stream = [&] {
     if (!opt.fault_stream_file.empty()) {
-      return search::load_fault_stream(opt.fault_stream_file, sys);
+      return engine::load_fault_stream(opt.fault_stream_file, sys);
     }
     // Random events land inside the pristine run: the horizon is the
     // makespan the stream is about to disrupt.
@@ -581,7 +486,7 @@ int run(const Options& opt) {
   // One-shot modes: one PlanRequest through the engine (which owns the
   // parse/build/plan/validate pipeline), then CLI-side formatting.
   engine::Engine eng(engine::EngineOptions{/*cache_capacity=*/1, opt.jobs});
-  const engine::PlanResult res = eng.run(build_request(opt));
+  const engine::PlanResult res = eng.run(opt.request);
   if (!res.ok) fail(res.error);
 
   const bool all = opt.format == "all";
@@ -595,20 +500,11 @@ int run(const Options& opt) {
   if (res.search_metrics) std::cerr << report::search_summary(*res.search_metrics);
 
   if (opt.fault_mode()) {
-    const power::PowerBudget budget =
-        opt.power_pct
-            ? power::PowerBudget::fraction_of_total(sys.soc(), *opt.power_pct / 100.0)
-            : power::PowerBudget::unconstrained();
+    const power::PowerBudget budget = opt.request.budget(sys);
     // The replan inherits the pristine run's search configuration, so
     // a searched plan is replanned with the same effort (a plain
     // greedy run replans greedily).
-    const bool searching =
-        opt.strategy.has_value() || opt.iters.has_value() || opt.restarts > 0;
-    search::SearchOptions ropts;
-    ropts.strategy = opt.strategy.value_or(search::StrategyKind::kRestart);
-    ropts.iters = searching ? opt.iters.value_or(opt.restarts > 0 ? opt.restarts : 256) : 0;
-    ropts.seed = opt.seed;
-    ropts.jobs = opt.jobs;
+    const search::SearchOptions ropts = opt.request.search_options();
     if (opt.stream_mode()) {
       return run_fault_stream(opt, sys, budget, schedule, ropts, all);
     }
@@ -618,7 +514,7 @@ int run(const Options& opt) {
                : run_fault_scenario(opt, sys, budget, schedule, ropts, all);
   }
 
-  if (opt.simulate) {
+  if (opt.request.simulate) {
     const des::SimTrace& trace = *res.trace;
     const sim::CrossCheckReport& check = *res.cross_check;
     if (opt.format == "table" || all) {
