@@ -5,17 +5,14 @@
 // planner's speed is tracked across revisions; the bench also asserts
 // that the parallel run reproduces the serial result bit-for-bit.
 //
-//   MSP <soc> <procs> <orders> <jobs> <wall_ms> <orders_per_sec> <best> <hw_threads> <strategy> <iters> <eval_mode>
+//   MSP <soc> <procs> <orders> <jobs> <wall_ms> <orders_per_sec> <best> <hw_threads> <strategy> <iters>
 //
 // (<hw_threads> is the recording machine's hardware concurrency —
 // multi-job rows only show real scaling when jobs <= hw_threads.
 // <strategy>/<iters> name the search strategy and its iteration budget
 // so planner_perf trajectories stay comparable across revisions that
 // change the search engine; this bench times the `restart` strategy,
-// the planner's raw orders/sec floor.  <eval_mode> is full|delta:
-// whether orders were priced by full plans or by suffix re-pricing in
-// the delta-evaluation kernel — restarts price every order in full, so
-// rows here say `full`; bench_delta_eval covers the delta lane.)
+// the planner's raw orders/sec floor.)
 //
 // It also prices the observability layer on the biggest paper system:
 // the same restart search A/B-timed with metrics collection off and
@@ -39,7 +36,7 @@ namespace {
 using namespace nocsched;
 
 /// The restart strategy: the deterministic pass plus `restarts` seeded
-/// tier-preserving shuffles, every order planned in full.
+/// tier-preserving shuffles, each priced by makespan.
 search::SearchResult restart_search(const core::SystemModel& sys, std::uint64_t restarts,
                                     unsigned jobs) {
   search::SearchOptions options;
@@ -99,7 +96,7 @@ int main() {
         std::cout << "MSP " << soc << " " << procs << " " << orders(r) << " " << jobs << " "
                   << ms << " " << 1000.0 * static_cast<double>(orders(r)) / ms << " "
                   << r.best.makespan << " " << hardware_jobs() << " restart " << kRestarts
-                  << " full\n";
+                  << "\n";
       }
     }
     {
@@ -119,7 +116,7 @@ int main() {
                 << moh.enabled_ms << " " << moh.overhead_pct << "\n";
     }
 
-    std::cout << "\n(orders/sec = full planner runs per second; MSP rows are parsed\n"
+    std::cout << "\n(orders/sec = planner runs per second; MSP rows are parsed\n"
                  "into BENCH_headline.json's planner_perf section, MOH rows into\n"
                  "metrics_overhead)\n";
     if (!identical) {

@@ -13,9 +13,7 @@
 # throughput), and bench_fault_stream's rows as a "fault_stream" array
 # (per-event replan-latency quantiles, cold vs incremental+warm, plus
 # coverage retained and makespan stretch over the timeline), and
-# bench_delta_eval's rows as a "delta_eval" array (orders/sec of the
-# delta-evaluation kernel vs from-scratch planning, suffix-length p50,
-# and the speedup the bench itself gates on), and bench_serve_fleet's
+# bench_serve_fleet's
 # row as a "serve" array (plan-server throughput: cold vs warm batch
 # over a mixed request fleet, the warm-cache speedup the bench gates
 # on, and serial per-request latency quantiles).  Used to record
@@ -23,19 +21,17 @@
 #   bench_headline_json.sh <path-to-bench_headline> [git-rev] \
 #     [path-to-bench_des_replay] [path-to-bench_multistart_perf] \
 #     [path-to-bench_search_quality] [path-to-bench_fault_sweep] \
-#     [path-to-bench_fault_stream] [path-to-bench_delta_eval] \
-#     [path-to-bench_serve_fleet]
+#     [path-to-bench_fault_stream] [path-to-bench_serve_fleet]
 set -eu
 
-bin=${1:?usage: bench_headline_json.sh <path-to-bench_headline> [git-rev] [path-to-bench_des_replay] [path-to-bench_multistart_perf] [path-to-bench_search_quality] [path-to-bench_fault_sweep] [path-to-bench_fault_stream] [path-to-bench_delta_eval] [path-to-bench_serve_fleet]}
+bin=${1:?usage: bench_headline_json.sh <path-to-bench_headline> [git-rev] [path-to-bench_des_replay] [path-to-bench_multistart_perf] [path-to-bench_search_quality] [path-to-bench_fault_sweep] [path-to-bench_fault_stream] [path-to-bench_serve_fleet]}
 rev=${2:-$(git rev-parse --short HEAD 2>/dev/null || echo unknown)}
 des_bin=${3:-}
 msp_bin=${4:-}
 sq_bin=${5:-}
 fs_bin=${6:-}
 fst_bin=${7:-}
-de_bin=${8:-}
-srv_bin=${9:-}
+srv_bin=${8:-}
 
 headline_out=$(mktemp)
 trap 'rm -f "$headline_out"' EXIT
@@ -83,12 +79,11 @@ if [ -n "$msp_bin" ]; then
   "$msp_bin" > "$msp_out"
   msp_json=$(awk '
     /^MSP / {
-      mode = ($12 == "") ? "full" : $12
       rows[++n] = sprintf(\
         "    {\"soc\": \"%s\", \"procs\": %s, \"orders\": %s, \"jobs\": %s, " \
         "\"wall_ms\": %s, \"orders_per_sec\": %s, \"best_makespan\": %s, \"hw_threads\": %s, " \
-        "\"strategy\": \"%s\", \"iters\": %s, \"eval_mode\": \"%s\"}",
-        $2, $3, $4, $5, $6, $7, $8, $9, $10, $11, mode)
+        "\"strategy\": \"%s\", \"iters\": %s}",
+        $2, $3, $4, $5, $6, $7, $8, $9, $10, $11)
     }
     END {
       if (n == 0) { print "bench_headline_json.sh: no MSP rows parsed" > "/dev/stderr"; exit 1 }
@@ -167,30 +162,10 @@ if [ -n "$fst_bin" ]; then
     }' "$fst_out")
 fi
 
-de_json=""
-if [ -n "$de_bin" ]; then
-  de_out=$(mktemp)
-  trap 'rm -f "$headline_out" "${des_out:-}" "${msp_out:-}" "${sq_out:-}" "${fs_out:-}" "${fst_out:-}" "$de_out"' EXIT
-  "$de_bin" > "$de_out"
-  de_json=$(awk '
-    /^DE [a-z]/ {
-      rows[++n] = sprintf(\
-        "    {\"soc\": \"%s\", \"procs\": %s, \"strategy\": \"%s\", \"iters\": %s, " \
-        "\"full_ms\": %s, \"delta_ms\": %s, \"full_orders_per_sec\": %s, " \
-        "\"delta_orders_per_sec\": %s, \"speedup\": %s, \"suffix_p50\": \"%s\", " \
-        "\"best_makespan\": %s}",
-        $2, $3, $4, $5, $6, $7, $8, $9, $10, $11, $12)
-    }
-    END {
-      if (n == 0) { print "bench_headline_json.sh: no DE rows parsed" > "/dev/stderr"; exit 1 }
-      for (i = 1; i <= n; i++) printf "%s%s\n", rows[i], (i < n ? "," : "")
-    }' "$de_out")
-fi
-
 srv_json=""
 if [ -n "$srv_bin" ]; then
   srv_out=$(mktemp)
-  trap 'rm -f "$headline_out" "${des_out:-}" "${msp_out:-}" "${sq_out:-}" "${fs_out:-}" "${fst_out:-}" "${de_out:-}" "$srv_out"' EXIT
+  trap 'rm -f "$headline_out" "${des_out:-}" "${msp_out:-}" "${sq_out:-}" "${fs_out:-}" "${fst_out:-}" "$srv_out"' EXIT
   "$srv_bin" > "$srv_out"
   srv_json=$(awk '
     /^SRV / {
@@ -226,9 +201,6 @@ if [ -n "$fs_json" ]; then
 fi
 if [ -n "$fst_json" ]; then
   printf ',\n  "fault_stream": [\n%s\n  ]' "$fst_json"
-fi
-if [ -n "$de_json" ]; then
-  printf ',\n  "delta_eval": [\n%s\n  ]' "$de_json"
 fi
 if [ -n "$srv_json" ]; then
   printf ',\n  "serve": [\n%s\n  ]' "$srv_json"

@@ -3,7 +3,7 @@
 # generated BENCH_headline.json document must report the same
 # best_makespan as the committed reference for the same (soc,
 # power_limit, strategy, iters) key.  Run after a change to the
-# evaluation path (e.g. the delta-evaluation kernel) to prove the
+# evaluation path (e.g. the planning kernel) to prove the
 # search still lands on identical plans — throughput work must never
 # move quality.  Usage:
 #   check_search_quality.sh <fresh-BENCH_headline.json> <reference-BENCH_headline.json>

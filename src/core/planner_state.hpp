@@ -4,18 +4,17 @@
 // Every booking the greedy planner consults — resource busy windows,
 // channel reservations or loads, the power envelope, per-processor
 // availability frontiers — lives here, and the planning kernel
-// (delta_planner.hpp) is its only mutator.  Delta evaluation needs the
-// state as an explicit *value*: cheap to snapshot, cheap to restore,
-// and cheap to re-initialise for the next plan.
+// (planner.hpp) is its only mutator.  The per-thread kernel
+// re-initialises it for every plan, so that must be cheap.
 //
 // Layout is structure-of-arrays: one flat vector per concern, indexed
 // by endpoint or channel id, instead of an array of per-resource
-// structs.  Restoring a checkpoint or re-running init() is then a
-// handful of vector assignments that reuse the destination's capacity
-// — no node churn.  The power envelopes use StepProfile, a flat
-// sorted-array step function whose query results (including every
-// floating-point comparison) are bit-identical to power::PowerProfile,
-// the std::map envelope the validator checks plans with.
+// structs.  Re-running init() is then a handful of vector assignments
+// that reuse the existing capacity — no node churn.  The power
+// envelopes use StepProfile, a flat sorted-array step function whose
+// query results (including every floating-point comparison) are
+// bit-identical to power::PowerProfile, the std::map envelope the
+// validator checks plans with.
 //
 // PlannerState is a D4 shared type: outside this file it may only be
 // taken by const reference (or && sink) — all mutation goes through the
@@ -177,7 +176,7 @@ class PlannerState {
 
   /// Bitset of endpoints genuinely free at `t` — available_from <= t
   /// AND not mid-session (bit r = endpoint r).  Only meaningful when
-  /// endpoints() fits in 64 bits — the delta planner disables mask
+  /// endpoints() fits in 64 bits — the planner disables mask
   /// filtering otherwise.
   [[nodiscard]] std::uint64_t avail_mask(std::uint64_t t) const;
 

@@ -4,27 +4,26 @@
 #include <span>
 
 #include "common/error.hpp"
-#include "core/delta_planner.hpp"
+#include "core/planner.hpp"
 #include "obs/metrics.hpp"
 
 namespace nocsched::core {
 
 namespace {
 
-/// The one planning entry behind every plan_tests* overload (inputs
-/// already checked).  Runs on a per-thread kernel that init()
-/// re-targets per call: its buffers keep their capacity, so a warm
-/// thread plans without allocating beyond the returned Schedule, and
-/// the result stays a pure function of the arguments — init() discards
-/// everything the previous plan left behind, even a plan that threw.
-Schedule run_planner(const SystemModel& sys, const power::PowerBudget& budget,
-                     const std::vector<int>& order, const PairTable& pairs,
-                     std::span<const int> pretested) {
-  thread_local DeltaPlanner kernel;
-  // Checkpoint spacing only matters to replans; plan_full takes none.
-  kernel.init(sys, budget, pairs, pretested, /*checkpoint_spacing=*/1);
+/// The one planning entry behind plan_tests* and plan_makespan (inputs
+/// already checked): plans `order` on a per-thread kernel that init()
+/// re-targets per call and returns the kernel holding the plan.  Its
+/// buffers keep their capacity, so a warm thread plans without
+/// allocating, and the result stays a pure function of the arguments —
+/// plan_full discards everything the previous plan left behind, even a
+/// plan that threw.
+const Planner& run_planner(const SystemModel& sys, const power::PowerBudget& budget,
+                           const std::vector<int>& order, const PairTable& pairs,
+                           std::span<const int> pretested) {
+  thread_local Planner kernel;
+  kernel.init(sys, budget, pairs, pretested);
   kernel.plan_full(order);
-  Schedule out = kernel.materialize();
 
   // Single flush per plan: the kernel's hot loops touch only its plain
   // tallies, so the disabled path costs one branch here.  The Counter&
@@ -39,23 +38,56 @@ Schedule run_planner(const SystemModel& sys, const power::PowerBudget& budget,
     static obs::Counter& advances = reg.counter("planner.time_advances");
     runs.inc();
     probes.add(kernel.stats().probes);
+    // A plan that returns has checked and committed every module once.
     prechecks.add(order.size());
-    commits.add(out.sessions.size());
+    commits.add(order.size());
     advances.add(kernel.stats().time_advances);
   }
-  return out;
+  return kernel;
+}
+
+/// plan_tests_with_order's order check: every module exactly once.
+void check_permutation(const SystemModel& sys, const std::vector<int>& order) {
+  std::vector<int> sorted = order;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<int> expected;
+  expected.reserve(sys.soc().modules.size());
+  for (const itc02::Module& m : sys.soc().modules) expected.push_back(m.id);
+  ensure(sorted == expected,
+         "plan_tests_with_order: order must be a permutation of all module ids");
+}
+
+/// plan_tests_subset's order and pretested checks.
+void check_subset(const SystemModel& sys, const std::vector<int>& order,
+                  std::span<const int> pretested) {
+  std::vector<int> sorted = order;
+  std::sort(sorted.begin(), sorted.end());
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    ensure(sorted[i] >= 1 && static_cast<std::size_t>(sorted[i]) <= sys.soc().modules.size(),
+           "plan_tests_subset: unknown module id ", sorted[i]);
+    ensure(i == 0 || sorted[i] != sorted[i - 1], "plan_tests_subset: module ", sorted[i],
+           " appears twice in the order");
+  }
+  for (std::size_t i = 0; i < pretested.size(); ++i) {
+    const int id = pretested[i];
+    ensure(id >= 1 && static_cast<std::size_t>(id) <= sys.soc().modules.size() &&
+               sys.soc().module(id).is_processor,
+           "plan_tests_subset: pretested id ", id, " is not a processor module");
+    ensure(i == 0 || pretested[i - 1] < id, "plan_tests_subset: pretested ids must be "
+           "ascending and unique, got ", id);
+    ensure(std::find(order.begin(), order.end(), id) == order.end(),
+           "plan_tests_subset: pretested processor ", id, " also appears in the order");
+  }
 }
 
 }  // namespace
 
-namespace {
-
-std::vector<bool> cpu_eligible_impl(const SystemModel& sys, const noc::FaultSet* faults) {
+std::vector<bool> cpu_eligible_modules(const SystemModel& sys, const noc::FaultSet& faults) {
   std::vector<bool> eligible(sys.soc().modules.size(), false);
   for (const itc02::Module& m : sys.soc().modules) {
     for (const Endpoint& ep : sys.endpoints()) {
       if (!ep.is_processor() || ep.processor_module == m.id) continue;
-      if (faults != nullptr && faults->processor_failed(ep.processor_module)) continue;
+      if (faults.processor_failed(ep.processor_module)) continue;
       if (fits_processor_memory(sys, m.id, ep.cpu)) {
         eligible[static_cast<std::size_t>(m.id - 1)] = true;  // ids are 1..N
         break;
@@ -63,16 +95,6 @@ std::vector<bool> cpu_eligible_impl(const SystemModel& sys, const noc::FaultSet*
     }
   }
   return eligible;
-}
-
-}  // namespace
-
-std::vector<bool> cpu_eligible_modules(const SystemModel& sys) {
-  return cpu_eligible_impl(sys, nullptr);
-}
-
-std::vector<bool> cpu_eligible_modules(const SystemModel& sys, const noc::FaultSet& faults) {
-  return cpu_eligible_impl(sys, &faults);
 }
 
 std::vector<int> priority_order(const SystemModel& sys, const std::vector<bool>& eligible,
@@ -138,44 +160,31 @@ std::vector<int> priority_order(const SystemModel& sys) {
 
 Schedule plan_tests(const SystemModel& sys, const power::PowerBudget& budget) {
   const PairTable pairs(sys);
-  return run_planner(sys, budget, priority_order(sys), pairs, {});
+  return run_planner(sys, budget, priority_order(sys), pairs, {}).materialize();
 }
 
 Schedule plan_tests_with_order(const SystemModel& sys, const power::PowerBudget& budget,
                                const std::vector<int>& order, const PairTable& pairs) {
-  // The order must name every module exactly once.
-  std::vector<int> sorted = order;
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<int> expected;
-  expected.reserve(sys.soc().modules.size());
-  for (const itc02::Module& m : sys.soc().modules) expected.push_back(m.id);
-  ensure(sorted == expected,
-         "plan_tests_with_order: order must be a permutation of all module ids");
-  return run_planner(sys, budget, order, pairs, {});
+  check_permutation(sys, order);
+  return run_planner(sys, budget, order, pairs, {}).materialize();
 }
 
 Schedule plan_tests_subset(const SystemModel& sys, const power::PowerBudget& budget,
                            const std::vector<int>& order, const PairTable& pairs,
                            std::span<const int> pretested) {
-  std::vector<int> sorted = order;
-  std::sort(sorted.begin(), sorted.end());
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    ensure(sorted[i] >= 1 && static_cast<std::size_t>(sorted[i]) <= sys.soc().modules.size(),
-           "plan_tests_subset: unknown module id ", sorted[i]);
-    ensure(i == 0 || sorted[i] != sorted[i - 1], "plan_tests_subset: module ", sorted[i],
-           " appears twice in the order");
+  check_subset(sys, order, pretested);
+  return run_planner(sys, budget, order, pairs, pretested).materialize();
+}
+
+std::uint64_t plan_makespan(const SystemModel& sys, const power::PowerBudget& budget,
+                            const std::vector<int>& order, const PairTable& pairs, bool subset,
+                            std::span<const int> pretested) {
+  if (!subset) {
+    check_permutation(sys, order);
+    return run_planner(sys, budget, order, pairs, {}).makespan();
   }
-  for (std::size_t i = 0; i < pretested.size(); ++i) {
-    const int id = pretested[i];
-    ensure(id >= 1 && static_cast<std::size_t>(id) <= sys.soc().modules.size() &&
-               sys.soc().module(id).is_processor,
-           "plan_tests_subset: pretested id ", id, " is not a processor module");
-    ensure(i == 0 || pretested[i - 1] < id, "plan_tests_subset: pretested ids must be "
-           "ascending and unique, got ", id);
-    ensure(std::find(order.begin(), order.end(), id) == order.end(),
-           "plan_tests_subset: pretested processor ", id, " also appears in the order");
-  }
-  return run_planner(sys, budget, order, pairs, pretested);
+  check_subset(sys, order, pretested);
+  return run_planner(sys, budget, order, pairs, pretested).makespan();
 }
 
 }  // namespace nocsched::core

@@ -19,6 +19,7 @@
 // planner books each core into the (pair, start time) combination that
 // finishes earliest, which removes the anomaly (ablation A1).
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -51,15 +52,12 @@ namespace nocsched::core {
 
 /// Per-module CPU-eligibility bitmap, indexed by module id - 1: true
 /// when at least one *other* processor has the memory to run the
-/// module's test.  Shared by priority_order's comparator and the
-/// restart strategy's tier partition, both of which used to rescan every
-/// endpoint per query.
-[[nodiscard]] std::vector<bool> cpu_eligible_modules(const SystemModel& sys);
-
-/// As above on the degraded system: processors named in `faults` are
-/// dead and count for no module's eligibility.
+/// module's test.  Processors named in `faults` are dead and count for
+/// no module's eligibility.  Shared by priority_order's comparator and
+/// the restart strategy's tier partition, both of which used to rescan
+/// every endpoint per query.
 [[nodiscard]] std::vector<bool> cpu_eligible_modules(const SystemModel& sys,
-                                                     const noc::FaultSet& faults);
+                                                     const noc::FaultSet& faults = {});
 
 /// Plan with an explicit module order (must be a permutation of all
 /// module ids); only the offer sequence changes, every feasibility rule
@@ -87,5 +85,15 @@ namespace nocsched::core {
                                          const power::PowerBudget& budget,
                                          const std::vector<int>& order, const PairTable& pairs,
                                          std::span<const int> pretested = {});
+
+/// The makespan of plan_tests_with_order(sys, budget, order, pairs) —
+/// or, with `subset` set, of plan_tests_subset(sys, budget, order,
+/// pairs, pretested); `pretested` is read only then — after the same
+/// checks, without building the Schedule.  The order search prices
+/// every candidate order this way and plans only the winner in full.
+[[nodiscard]] std::uint64_t plan_makespan(const SystemModel& sys,
+                                          const power::PowerBudget& budget,
+                                          const std::vector<int>& order, const PairTable& pairs,
+                                          bool subset, std::span<const int> pretested = {});
 
 }  // namespace nocsched::core

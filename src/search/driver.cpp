@@ -7,36 +7,11 @@
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
-#include "core/delta_planner.hpp"
 #include "obs/trace.hpp"
 
 namespace nocsched::search {
 
 namespace {
-
-/// Bucket bounds of the delta.suffix_commits histogram (re-priced
-/// commits per replan; suffixes longer than the largest bound land in
-/// the overflow bucket).
-const std::vector<std::uint64_t>& suffix_bounds() {
-  static const std::vector<std::uint64_t> kBounds = {1, 2, 4, 8, 16, 32, 64, 128, 256};
-  return kBounds;
-}
-
-/// Fold `lengths` into a hand-built histogram snapshot with the same
-/// bucket semantics as obs::Histogram (count <= bound, overflow last).
-obs::HistogramSnapshot suffix_histogram(const std::vector<std::uint32_t>& lengths) {
-  const std::vector<std::uint64_t>& bounds = suffix_bounds();
-  obs::HistogramSnapshot h;
-  h.bounds = bounds;
-  h.counts.assign(bounds.size() + 1, 0);
-  for (const std::uint32_t v : lengths) {
-    const auto it = std::lower_bound(bounds.begin(), bounds.end(), std::uint64_t{v});
-    ++h.counts[static_cast<std::size_t>(it - bounds.begin())];
-    h.sum += v;
-    ++h.count;
-  }
-  return h;
-}
 
 /// The per-run reduction totals, before they become a MetricsSnapshot.
 struct RunTotals {
@@ -51,9 +26,6 @@ struct RunTotals {
   std::uint64_t converged_chains = 0;
   std::uint64_t first_makespan = 0;
   std::uint64_t best_makespan = 0;
-  /// Delta-kernel tallies summed over chains in chain order (all zero,
-  /// suffix_lengths empty, when the delta lane never ran).
-  core::DeltaStats delta;
 };
 
 /// Build the per-run snapshot and, when the global registry is
@@ -72,20 +44,6 @@ obs::MetricsSnapshot publish(const RunTotals& t) {
   snap.counters["search.resets"] = t.resets;
   snap.counters["search.improvements"] = t.improvements;
   snap.counters["search.converged_chains"] = t.converged_chains;
-  // The delta lane reports only when it ran: greedy-only and delta-off
-  // runs keep the exact pre-delta snapshot shape.
-  const bool delta_ran = t.delta.full_plans > 0;
-  if (delta_ran) {
-    snap.counters["delta.full_plans"] = t.delta.full_plans;
-    snap.counters["delta.replans"] = t.delta.replans;
-    snap.counters["delta.noop_replans"] = t.delta.noop_replans;
-    snap.counters["delta.adoptions"] = t.delta.adoptions;
-    snap.counters["delta.reused_commits"] = t.delta.reused_commits;
-    snap.counters["delta.replayed_commits"] = t.delta.replayed_commits;
-    snap.counters["delta.repriced_commits"] = t.delta.repriced_commits;
-    snap.counters["delta.probes"] = t.delta.probes;
-    snap.histograms["delta.suffix_commits"] = suffix_histogram(t.delta.suffix_lengths);
-  }
 
   obs::MetricsRegistry& reg = obs::registry();
   if (reg.enabled()) {
@@ -104,29 +62,6 @@ obs::MetricsSnapshot publish(const RunTotals& t) {
     resets.add(t.resets);
     improvements.add(t.improvements);
     converged.add(t.converged_chains);
-    if (delta_ran) {
-      static obs::Counter& full_plans = reg.counter("delta.full_plans");
-      static obs::Counter& replans = reg.counter("delta.replans");
-      static obs::Counter& noop_replans = reg.counter("delta.noop_replans");
-      static obs::Counter& adoptions = reg.counter("delta.adoptions");
-      static obs::Counter& reused = reg.counter("delta.reused_commits");
-      static obs::Counter& replayed = reg.counter("delta.replayed_commits");
-      static obs::Counter& repriced = reg.counter("delta.repriced_commits");
-      static obs::Counter& probes = reg.counter("delta.probes");
-      static obs::Histogram& suffixes =
-          reg.histogram("delta.suffix_commits", suffix_bounds());
-      full_plans.add(t.delta.full_plans);
-      replans.add(t.delta.replans);
-      noop_replans.add(t.delta.noop_replans);
-      adoptions.add(t.delta.adoptions);
-      reused.add(t.delta.reused_commits);
-      replayed.add(t.delta.replayed_commits);
-      repriced.add(t.delta.repriced_commits);
-      probes.add(t.delta.probes);
-      // Chain order: suffix_lengths was concatenated by the serial
-      // reduction, so the histogram totals are jobs-independent.
-      for (const std::uint32_t len : t.delta.suffix_lengths) suffixes.observe(len);
-    }
     reg.gauge("search.iterations").set(static_cast<std::int64_t>(t.iters));
     reg.gauge("search.chains").set(static_cast<std::int64_t>(t.chains));
     reg.gauge("search.first_makespan").set(static_cast<std::int64_t>(t.first_makespan));
@@ -145,25 +80,16 @@ struct ChainOutcome {
   std::uint64_t accepted = 0;
   std::uint64_t resets = 0;
   bool converged = false;  ///< propose() ended the chain before its budget
-  core::DeltaStats delta;  ///< the chain's delta-kernel tallies (if it ran one)
 };
 
 ChainOutcome run_chain(const EvalContext& ctx, const Strategy& strategy,
                        const std::vector<int>& warm_order, std::uint64_t seed,
                        std::uint64_t chain, std::uint64_t budget,
-                       std::uint64_t base_makespan, bool use_delta,
-                       std::uint32_t delta_spacing, bool record_best_order) {
+                       std::uint64_t base_makespan, bool record_best_order) {
   Rng rng = EvalContext::chain_rng(seed, chain);
   ChainState state;
   state.budget = budget;
   const bool warm_start = strategy.init_chain(state, ctx, warm_order, chain, rng);
-
-  // One delta kernel per chain — it is stateful (incumbent trace and
-  // checkpoints), so chains never share one.  A single-evaluation
-  // chain (restart shuffles) has no incumbent to diff against; it
-  // keeps the plain from-scratch path.
-  std::optional<core::DeltaPlanner> delta;
-  if (use_delta && budget > 1) delta.emplace(ctx.make_delta_planner(delta_spacing));
 
   ChainOutcome out;
   if (warm_start) {
@@ -171,14 +97,8 @@ ChainOutcome run_chain(const EvalContext& ctx, const Strategy& strategy,
     // makespan the driver already knows — don't spend a budgeted
     // evaluation re-deriving it.
     state.makespan = base_makespan;
-    if (delta) {
-      // Seed the kernel's incumbent trace.  Unbudgeted, like the pass
-      // itself; the kernel's plan must agree with the driver's.
-      const std::uint64_t planned = delta->plan_full(state.order);
-      NOCSCHED_ASSERT(planned == base_makespan);
-    }
   } else {
-    state.makespan = delta ? delta->plan_full(state.order) : ctx.evaluate(state.order);
+    state.makespan = ctx.evaluate(state.order);
     out.evals = 1;
   }
   if (record_best_order) out.best_order = state.order;
@@ -192,8 +112,7 @@ ChainOutcome run_chain(const EvalContext& ctx, const Strategy& strategy,
     }
     ++state.step;
     ++out.proposals;
-    const std::uint64_t makespan =
-        delta ? delta->evaluate(p->order) : ctx.evaluate(p->order);
+    const std::uint64_t makespan = ctx.evaluate(p->order);
     ++out.evals;
     if (makespan < out.best_makespan) {
       out.best_makespan = makespan;
@@ -204,18 +123,15 @@ ChainOutcome run_chain(const EvalContext& ctx, const Strategy& strategy,
       state.makespan = makespan;
       state.since_accept = 0;
       ++out.resets;
-      if (delta) delta->adopt();
     } else if (strategy.accept(state, makespan, rng)) {
       state.order = std::move(p->order);
       state.makespan = makespan;
       state.since_accept = 0;
       ++out.accepted;
-      if (delta) delta->adopt();
     } else {
       ++state.since_accept;
     }
   }
-  if (delta) out.delta = delta->stats();
   return out;
 }
 
@@ -271,8 +187,7 @@ SearchResult search_orders(const EvalContext& ctx, const SearchOptions& options)
   parallel_for(chains, options.jobs, [&](std::size_t c) {
     const obs::Span chain_span("search.chain");
     outcomes[c] = run_chain(ctx, strategy, root, options.seed, c, budget_of(c),
-                            result.first_makespan, options.delta, options.delta_spacing,
-                            record_best_order);
+                            result.first_makespan, record_best_order);
   });
 
   // Serial reduction by (makespan, chain index): strictly-better chains
@@ -285,17 +200,6 @@ SearchResult search_orders(const EvalContext& ctx, const SearchOptions& options)
     totals.proposals += out.proposals;
     totals.accepted += out.accepted;
     totals.resets += out.resets;
-    totals.delta.full_plans += out.delta.full_plans;
-    totals.delta.replans += out.delta.replans;
-    totals.delta.noop_replans += out.delta.noop_replans;
-    totals.delta.adoptions += out.delta.adoptions;
-    totals.delta.reused_commits += out.delta.reused_commits;
-    totals.delta.replayed_commits += out.delta.replayed_commits;
-    totals.delta.repriced_commits += out.delta.repriced_commits;
-    totals.delta.probes += out.delta.probes;
-    totals.delta.suffix_lengths.insert(totals.delta.suffix_lengths.end(),
-                                       out.delta.suffix_lengths.begin(),
-                                       out.delta.suffix_lengths.end());
     if (out.converged) ++totals.converged_chains;
     if (out.best_makespan < best_makespan) {
       best_makespan = out.best_makespan;
@@ -309,7 +213,6 @@ SearchResult search_orders(const EvalContext& ctx, const SearchOptions& options)
       // recording on) recovers its best order.
       outcomes[best_chain] = run_chain(ctx, strategy, root, options.seed, best_chain,
                                        budget_of(best_chain), result.first_makespan,
-                                       options.delta, options.delta_spacing,
                                        /*record_best_order=*/true);
       NOCSCHED_ASSERT(outcomes[best_chain].best_makespan == best_makespan);
     }

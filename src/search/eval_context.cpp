@@ -99,16 +99,12 @@ void EvalContext::build_tiers() {
 }
 
 std::uint64_t EvalContext::evaluate(const std::vector<int>& order) const {
-  return plan(order).makespan;
+  return core::plan_makespan(sys_, budget_, order, pairs_, subset_, pretested_);
 }
 
 core::Schedule EvalContext::plan(const std::vector<int>& order) const {
   return subset_ ? core::plan_tests_subset(sys_, budget_, order, pairs_, pretested_)
                  : core::plan_tests_with_order(sys_, budget_, order, pairs_);
-}
-
-core::DeltaPlanner EvalContext::make_delta_planner(std::uint32_t checkpoint_spacing) const {
-  return core::DeltaPlanner(sys_, budget_, pairs_, pretested_, checkpoint_spacing);
 }
 
 std::vector<int> EvalContext::projected_order(const std::vector<int>& preferred) const {

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/delta_planner.hpp"
 #include "core/pair_table.hpp"
 #include "core/schedule.hpp"
 #include "core/system_model.hpp"
@@ -62,20 +61,13 @@ class EvalContext {
               core::PairTable&& table, const noc::FaultSet& faults,
               const std::vector<bool>& candidates, std::vector<int> pretested);
 
-  /// Makespan of planning `sys` with `order` (the search hot path: the
-  /// schedule itself is discarded; the driver re-plans the winner once).
+  /// Makespan of planning `sys` with `order` — the search hot path.
+  /// Runs plan()'s order checks and the same kernel, but never builds
+  /// the Schedule; the driver plans only the winner in full.
   [[nodiscard]] std::uint64_t evaluate(const std::vector<int>& order) const;
 
   /// Full schedule for `order` (deterministic pass and final winner).
   [[nodiscard]] core::Schedule plan(const std::vector<int>& order) const;
-
-  /// A delta-evaluation kernel over this context's system, budget, and
-  /// pair table: DeltaPlanner::evaluate prices any order this context's
-  /// evaluate() accepts, bit-identically, re-pricing only the schedule
-  /// suffix a move perturbs.  The kernel borrows this context's table —
-  /// it must not outlive the context.  One kernel per search chain: it
-  /// is stateful (incumbent trace + checkpoints) and single-threaded.
-  [[nodiscard]] core::DeltaPlanner make_delta_planner(std::uint32_t checkpoint_spacing) const;
 
   /// The deterministic priority order (concatenation of the tiers).
   [[nodiscard]] const std::vector<int>& base_order() const { return base_order_; }

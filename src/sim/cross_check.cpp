@@ -107,7 +107,7 @@ CrossCheckReport cross_check(const core::SystemModel& sys, const core::Schedule&
 
   // No resource may have served two overlapping sessions in observed
   // time either (the replay serializes endpoints; verify it did).
-  std::map<int, IntervalSet> busy;
+  std::vector<IntervalSet> busy(sys.endpoints().size());
   const auto resource_ok = [&](int r) {
     return r >= 0 && static_cast<std::size_t>(r) < sys.endpoints().size();
   };

@@ -48,16 +48,13 @@ class ModuleLut {
 
 }  // namespace
 
-namespace {
-
-template <typename BusyOf>
-std::vector<int> book_session_resources_impl(BusyOf&& busy_of, int source, int sink,
-                                             const Interval& iv) {
+std::vector<int> book_session_resources(std::span<IntervalSet> busy, int source, int sink,
+                                        const Interval& iv) {
   std::vector<int> conflicts;
   const int resources[] = {source, sink};
   const int roles = source == sink ? 1 : 2;
   for (int i = 0; i < roles; ++i) {
-    IntervalSet& set = busy_of(resources[i]);
+    IntervalSet& set = busy[static_cast<std::size_t>(resources[i])];
     if (set.conflicts(iv)) {
       conflicts.push_back(resources[i]);
     } else {
@@ -67,26 +64,10 @@ std::vector<int> book_session_resources_impl(BusyOf&& busy_of, int source, int s
   return conflicts;
 }
 
-}  // namespace
-
-std::vector<int> book_session_resources(std::map<int, IntervalSet>& busy, int source,
-                                        int sink, const Interval& iv) {
-  return book_session_resources_impl([&](int r) -> IntervalSet& { return busy[r]; }, source,
-                                     sink, iv);
-}
-
-std::vector<int> book_session_resources(std::span<IntervalSet> busy, int source, int sink,
-                                        const Interval& iv) {
-  return book_session_resources_impl(
-      [&](int r) -> IntervalSet& { return busy[static_cast<std::size_t>(r)]; }, source, sink,
-      iv);
-}
-
 namespace {
 
 ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedule& schedule,
-                               const noc::FaultSet* faults,
-                               std::span<const int> pretested = {}) {
+                               const noc::FaultSet* faults, std::span<const int> pretested) {
   ValidationReport report;
   auto violation = [&](auto&&... parts) {
     report.violations.push_back(cat(std::forward<decltype(parts)>(parts)...));
@@ -336,12 +317,7 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
 }  // namespace
 
 ValidationReport validate(const core::SystemModel& sys, const core::Schedule& schedule) {
-  return validate_impl(sys, schedule, nullptr);
-}
-
-ValidationReport validate(const core::SystemModel& sys, const core::Schedule& schedule,
-                          const noc::FaultSet& faults) {
-  return validate_impl(sys, schedule, &faults);
+  return validate_impl(sys, schedule, nullptr, {});
 }
 
 ValidationReport validate(const core::SystemModel& sys, const core::Schedule& schedule,
@@ -365,11 +341,6 @@ void throw_on_violations(const ValidationReport& report) {
 
 void validate_or_throw(const core::SystemModel& sys, const core::Schedule& schedule) {
   throw_on_violations(validate(sys, schedule));
-}
-
-void validate_or_throw(const core::SystemModel& sys, const core::Schedule& schedule,
-                       const noc::FaultSet& faults) {
-  throw_on_violations(validate(sys, schedule, faults));
 }
 
 void validate_or_throw(const core::SystemModel& sys, const core::Schedule& schedule,

@@ -20,7 +20,6 @@
 // (reservation tables, power profile), so planner bookkeeping bugs
 // cannot hide themselves.
 
-#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -37,19 +36,13 @@ struct ValidationReport {
   [[nodiscard]] bool ok() const { return violations.empty(); }
 };
 
-/// Book `iv` on a session's source and sink resources in `busy` — a
-/// processor playing both roles books exactly once.  Returns the
-/// resources that already held a conflicting interval (empty = clean);
-/// conflict-free resources are booked even when the other one clashes.
-/// Shared by the validator, the replay cross-check, and the property
-/// suites so all of them agree on what double-booking means.
-[[nodiscard]] std::vector<int> book_session_resources(std::map<int, IntervalSet>& busy,
-                                                      int source, int sink,
-                                                      const Interval& iv);
-
-/// As above over a dense per-endpoint table (indices must be in
-/// range) — the validator's own loop, which books every session, uses
-/// this form instead of growing a map.
+/// Book `iv` on a session's source and sink resources in `busy`, a
+/// dense per-endpoint table (indices must be in range) — a processor
+/// playing both roles books exactly once.  Returns the resources that
+/// already held a conflicting interval (empty = clean); conflict-free
+/// resources are booked even when the other one clashes.  Shared by
+/// the validator, the replay cross-check, and the property suites so
+/// all of them agree on what double-booking means.
 [[nodiscard]] std::vector<int> book_session_resources(std::span<IntervalSet> busy,
                                                       int source, int sink,
                                                       const Interval& iv);
@@ -63,24 +56,18 @@ struct ValidationReport {
 /// are legitimately absent — search::replan reports them), paths must
 /// be the deterministic fault-aware routes (so they never traverse a
 /// failed channel or router), no session may touch a failed processor,
-/// and recorded costs must match the fault-aware cost model.
-[[nodiscard]] ValidationReport validate(const core::SystemModel& sys,
-                                        const core::Schedule& schedule,
-                                        const noc::FaultSet& faults);
-
-/// As above for a mid-timeline epoch plan: processors in `pretested`
-/// completed their own test in an earlier epoch, so they are ready from
-/// instant 0 and need no session of their own here.
+/// and recorded costs must match the fault-aware cost model.  For a
+/// mid-timeline epoch plan, processors in `pretested` completed their
+/// own test in an earlier epoch, so they are ready from instant 0 and
+/// need no session of their own here.
 [[nodiscard]] ValidationReport validate(const core::SystemModel& sys,
                                         const core::Schedule& schedule,
                                         const noc::FaultSet& faults,
-                                        std::span<const int> pretested);
+                                        std::span<const int> pretested = {});
 
 /// Throw nocsched::Error listing the violations, if any.
 void validate_or_throw(const core::SystemModel& sys, const core::Schedule& schedule);
 void validate_or_throw(const core::SystemModel& sys, const core::Schedule& schedule,
-                       const noc::FaultSet& faults);
-void validate_or_throw(const core::SystemModel& sys, const core::Schedule& schedule,
-                       const noc::FaultSet& faults, std::span<const int> pretested);
+                       const noc::FaultSet& faults, std::span<const int> pretested = {});
 
 }  // namespace nocsched::sim

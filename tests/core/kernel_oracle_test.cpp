@@ -1,8 +1,9 @@
 // The planning kernel against the reference-planner oracle
 // (tests/support): every core::plan_tests* call must return the
 // oracle's Schedule bit for bit — sessions, makespan, peak power — or
-// throw the oracle's error text byte for byte.  Swept over the builtin
-// paper systems and hundreds of random systems, every ResourceChoice x
+// throw the oracle's error text byte for byte, and core::plan_makespan
+// must return the oracle's makespan.  Swept over the builtin paper
+// systems and hundreds of random systems, every ResourceChoice x
 // ChannelModel x PairOrder, loose and tight power budgets, and full,
 // shuffled, and subset-with-pretested orders.  The kernel runs on a
 // per-thread workspace reused across calls, so the suite also plans
@@ -63,6 +64,19 @@ bool expect_same(const Outcome& kernel, const Outcome& oracle) {
   return true;
 }
 
+/// plan_makespan agrees with the oracle's plan: its makespan, or its
+/// error text.
+void expect_same_makespan(const std::function<std::uint64_t()>& makespan,
+                          const Outcome& oracle) {
+  try {
+    const std::uint64_t got = makespan();
+    ASSERT_TRUE(oracle.schedule.has_value()) << "oracle threw: " << oracle.error;
+    EXPECT_EQ(got, oracle.schedule->makespan);
+  } catch (const std::exception& e) {
+    EXPECT_EQ(e.what(), oracle.error);
+  }
+}
+
 using support::params_variant;
 using support::random_system;
 
@@ -117,22 +131,30 @@ int compare_all_orders(const SystemModel& sys, Rng& rng) {
                     outcome_of([&] { return oracle::plan_tests(sys, budget); }))) {
       ++planned;
     }
+    const Outcome full = outcome_of(
+        [&] { return oracle::plan_tests_with_order(sys, budget, shuffled, pairs); });
     if (expect_same(
             outcome_of([&] { return plan_tests_with_order(sys, budget, shuffled, pairs); }),
-            outcome_of(
-                [&] { return oracle::plan_tests_with_order(sys, budget, shuffled, pairs); }))) {
+            full)) {
       ++planned;
     }
+    expect_same_makespan([&] { return plan_makespan(sys, budget, shuffled, pairs, false); },
+                         full);
+    const Outcome part = outcome_of([&] {
+      return oracle::plan_tests_subset(sys, budget, subset.order, pairs, subset.pretested);
+    });
     if (expect_same(outcome_of([&] {
                       return plan_tests_subset(sys, budget, subset.order, pairs,
                                                subset.pretested);
                     }),
-                    outcome_of([&] {
-                      return oracle::plan_tests_subset(sys, budget, subset.order, pairs,
-                                                       subset.pretested);
-                    }))) {
+                    part)) {
       ++planned;
     }
+    expect_same_makespan(
+        [&] {
+          return plan_makespan(sys, budget, subset.order, pairs, true, subset.pretested);
+        },
+        part);
   }
   return planned;
 }
@@ -248,6 +270,7 @@ TEST(KernelOracle, ErrorTextsMatch) {
         outcome_of([&] { return oracle::plan_tests_with_order(sys, budget, order, pairs); });
     EXPECT_FALSE(k.error.empty());
     expect_same(k, o);
+    expect_same_makespan([&] { return plan_makespan(sys, budget, order, pairs, false); }, o);
   };
   const auto both_subset = [&](const std::vector<int>& order, const std::vector<int>& pretested,
                                const PairTable& table) {
@@ -257,6 +280,8 @@ TEST(KernelOracle, ErrorTextsMatch) {
         [&] { return oracle::plan_tests_subset(sys, loose, order, table, pretested); });
     EXPECT_FALSE(k.error.empty());
     expect_same(k, o);
+    expect_same_makespan(
+        [&] { return plan_makespan(sys, loose, order, table, true, pretested); }, o);
   };
 
   // Precheck: a budget below some module's cheapest session.
@@ -309,8 +334,14 @@ TEST(KernelOracle, PlannerCountersFlushOncePerPlan) {
     const std::uint64_t runs_before = reg.snapshot().counter_or("planner.runs");
     const Schedule s = plan_tests(sys, power::PowerBudget::unconstrained());
     EXPECT_EQ(reg.snapshot().counter_or("planner.runs"), runs_before + 1) << soc;
-    sessions += s.sessions.size();
-    modules += sys.soc().modules.size();
+    // A makespan-only plan (a search evaluation) is a planner run too.
+    const PairTable pairs(sys);
+    EXPECT_EQ(plan_makespan(sys, power::PowerBudget::unconstrained(), priority_order(sys),
+                            pairs, false),
+              s.makespan);
+    EXPECT_EQ(reg.snapshot().counter_or("planner.runs"), runs_before + 2) << soc;
+    sessions += 2 * s.sessions.size();
+    modules += 2 * sys.soc().modules.size();
   }
   // A plan that throws publishes nothing.
   power::PowerBudget tiny;
@@ -321,7 +352,7 @@ TEST(KernelOracle, PlannerCountersFlushOncePerPlan) {
   const obs::MetricsSnapshot snap = reg.snapshot();
   reg.reset();
   reg.set_enabled(false);
-  EXPECT_EQ(snap.counter_or("planner.runs"), 3u);
+  EXPECT_EQ(snap.counter_or("planner.runs"), 6u);
   EXPECT_EQ(snap.counter_or("planner.commits"), sessions);
   EXPECT_EQ(snap.counter_or("planner.prechecks"), modules);
   EXPECT_GT(snap.counter_or("planner.probes"), 0u);

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/interval_set.hpp"
@@ -89,7 +89,7 @@ TEST(Replay, HonoursThePowerBudgetAtRuntime) {
 
 TEST(Replay, SerializesEndpointsInObservedTime) {
   Fixture f;
-  std::map<int, IntervalSet> busy;
+  std::vector<IntervalSet> busy(f.sys.endpoints().size());
   for (const SessionTrace& t : f.trace.sessions) {
     const Interval iv{t.observed_start, t.observed_end};
     EXPECT_TRUE(sim::book_session_resources(busy, t.source_resource, t.sink_resource, iv)

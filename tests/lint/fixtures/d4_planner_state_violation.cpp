@@ -1,5 +1,5 @@
-// Fixture: rule D4 violations for PlannerState — the delta kernel's
-// snapshot type is shared planning state; outside its owning files it
+// Fixture: rule D4 violations for PlannerState — the planning kernel's
+// state type is shared planning state; outside its owning files it
 // may only be taken by const reference (or && sink).
 
 namespace core {

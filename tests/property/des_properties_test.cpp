@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/interval_set.hpp"
@@ -77,7 +77,7 @@ TEST_P(DesProperties, ReplayNeverViolatesValidatorInvariants) {
   EXPECT_GE(trace.observed_makespan, plan.makespan);
 
   // Resource invariant: one session per endpoint at a time.
-  std::map<int, IntervalSet> busy;
+  std::vector<IntervalSet> busy(sys.endpoints().size());
   for (const des::SessionTrace& t : trace.sessions) {
     const Interval iv{t.observed_start, t.observed_end};
     EXPECT_TRUE(sim::book_session_resources(busy, t.source_resource, t.sink_resource, iv)

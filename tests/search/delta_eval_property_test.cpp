@@ -1,22 +1,27 @@
-// The delta-evaluation kernel's mandatory property: every order priced
-// through DeltaPlanner — suffix replans from any incumbent, any
-// checkpoint spacing — is *bit-identical* to the reference planner's
-// (tests/support oracle) plan of the same order: same makespan, same
-// sessions, same floating-point peak power.  Asserted over the builtin paper systems
-// and random SoCs across every planner parameter variant, plus the
-// search-level contracts: delta on/off gives the same SearchResult and
-// --jobs {1, 2, 8} stay bit-identical with delta on.
+// The order search's per-move evaluation property: every order the
+// search prices through EvalContext — a within-tier swap, a compound
+// move, a whole-tier reshuffle (the reset move), off an incumbent that
+// is replaced now and then — is *bit-identical* to the reference
+// planner's (tests/support oracle) plan of the same order: evaluate()
+// returns the oracle's makespan, and plan() its sessions, makespan and
+// floating-point peak power.  Asserted over the builtin paper systems
+// and random SoCs across every planner parameter variant, mid-timeline
+// contexts with pretested processors, plus the search-level contract
+// that --jobs {1, 2, 8} stay bit-identical under a power limit.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/delta_planner.hpp"
+#include "core/pair_table.hpp"
 #include "core/scheduler.hpp"
+#include "noc/fault.hpp"
 #include "search/driver.hpp"
 #include "search/eval_context.hpp"
 #include "support/random_system.hpp"
@@ -54,35 +59,35 @@ void random_swap(const EvalContext& ctx, Rng& rng, std::vector<int>& order) {
   std::swap(order[a], order[b]);
 }
 
-/// The reference planner's plan of `order` over `ctx`'s inputs.
-core::Schedule oracle_plan(const EvalContext& ctx, const power::PowerBudget& budget,
-                           const std::vector<int>& order) {
-  return core::oracle::plan_tests_with_order(ctx.system(), budget, order, ctx.pair_table());
+using OraclePlan = std::function<core::Schedule(const std::vector<int>&)>;
+
+/// The reference planner's plan of a full order over `ctx`'s inputs.
+OraclePlan full_order_oracle(const EvalContext& ctx, const power::PowerBudget& budget) {
+  return [&ctx, budget](const std::vector<int>& order) {
+    return core::oracle::plan_tests_with_order(ctx.system(), budget, order, ctx.pair_table());
+  };
 }
 
-/// Drives `steps` random swaps (occasionally multi-swap or a full
-/// tier shuffle, the reset move) against one DeltaPlanner, asserting
-/// bit-identity with the reference planner at every step.
-void run_sequence(const EvalContext& ctx, const power::PowerBudget& budget,
-                  core::DeltaPlanner& dp, Rng& rng, int steps) {
+/// Drives `steps` search moves from the context's base order, asserting
+/// bit-identity of evaluate() and plan() with the oracle at every step.
+void run_sequence(const EvalContext& ctx, const OraclePlan& oracle_plan, Rng& rng, int steps) {
   std::vector<int> incumbent = ctx.base_order();
-  ASSERT_EQ(dp.plan_full(incumbent), oracle_plan(ctx, budget, incumbent).makespan);
+  ASSERT_EQ(ctx.evaluate(incumbent), oracle_plan(incumbent).makespan);
   for (int step = 0; step < steps; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
     std::vector<int> order = incumbent;
     if (rng.chance(0.1)) {
-      order = ctx.shuffled_order(rng);  // reset move: replan from scratch
+      order = ctx.shuffled_order(rng);  // reset move: a whole-tier reshuffle
     } else {
       random_swap(ctx, rng, order);
       if (rng.chance(0.3)) random_swap(ctx, rng, order);  // compound move
     }
-    const std::uint64_t delta_makespan = dp.evaluate(order);
-    const std::uint64_t full_makespan = oracle_plan(ctx, budget, order).makespan;
-    ASSERT_EQ(delta_makespan, full_makespan) << "step " << step;
+    const core::Schedule want = oracle_plan(order);
+    ASSERT_EQ(ctx.evaluate(order), want.makespan);
     if (rng.chance(0.4)) {
       incumbent = order;
-      dp.adopt();
-      expect_schedules_identical(dp.materialize(), oracle_plan(ctx, budget, incumbent));
-      ASSERT_EQ(dp.base_makespan(), full_makespan);
+      expect_schedules_identical(ctx.plan(incumbent), want);
+      if (::testing::Test::HasFailure()) return;
     }
   }
 }
@@ -96,26 +101,9 @@ TEST(DeltaEvalProperty, BuiltinSystemsSwapSequencesBitIdentical) {
           constrained ? power::PowerBudget::fraction_of_total(sys.soc(), 0.5)
                       : power::PowerBudget::unconstrained();
       const EvalContext ctx(sys, budget);
-      core::DeltaPlanner dp = ctx.make_delta_planner(16);
       Rng rng = stream_rng(0xDE17A, constrained ? 1 : 0);
-      run_sequence(ctx, budget, dp, rng, 50);
+      run_sequence(ctx, full_order_oracle(ctx, budget), rng, 50);
     }
-  }
-}
-
-TEST(DeltaEvalProperty, CheckpointSpacingsAllAgree) {
-  const core::SystemModel sys = paper("p22810", 4);
-  const power::PowerBudget budget = power::PowerBudget::fraction_of_total(sys.soc(), 0.6);
-  const EvalContext ctx(sys, budget);
-  const std::uint32_t n = static_cast<std::uint32_t>(ctx.base_order().size());
-  for (const std::uint32_t spacing : {1u, 4u, 16u, n}) {
-    SCOPED_TRACE(spacing);
-    core::DeltaPlanner dp = ctx.make_delta_planner(spacing);
-    // Same RNG seed for every spacing: identical move sequences, so
-    // the spacings must agree step for step (each is checked against
-    // the reference anyway).
-    Rng rng = stream_rng(0xC0FFEE, 7);
-    run_sequence(ctx, budget, dp, rng, 40);
   }
 }
 
@@ -127,8 +115,7 @@ TEST(DeltaEvalProperty, RandomSystemsAllParamVariants) {
     power::PowerBudget budget = power::PowerBudget::unconstrained();
     if (rng.chance(0.5)) budget = power::PowerBudget::fraction_of_total(sys.soc(), 0.8);
     const EvalContext ctx(sys, budget);
-    core::DeltaPlanner dp = ctx.make_delta_planner(static_cast<std::uint32_t>(1 + seed % 5));
-    run_sequence(ctx, budget, dp, rng, 30);
+    run_sequence(ctx, full_order_oracle(ctx, budget), rng, 30);
   }
 }
 
@@ -138,54 +125,33 @@ TEST(DeltaEvalProperty, SubsetOrdersWithPretestedProcessors) {
     const core::SystemModel sys = random_system(rng, params_variant(seed % 2 ? 1 : 0));
     SCOPED_TRACE(seed);
     const power::PowerBudget budget = power::PowerBudget::unconstrained();
-    const core::PairTable table(sys);
 
-    // A random subset order: every plain core, each processor either
-    // pretested (serves from 0, not planned) or planned up front.
+    // A mid-timeline context: every processor either pretested (serves
+    // from 0, not planned) or a candidate, and some plain cores already
+    // tested in an earlier epoch.
     std::vector<int> pretested;
-    std::vector<int> order;
+    std::vector<bool> candidates(sys.soc().modules.size(), false);
     for (const itc02::Module& m : sys.soc().modules) {
       if (m.is_processor && rng.chance(0.5)) {
         pretested.push_back(m.id);
-      } else if (!m.is_processor && rng.chance(0.2)) {
-        continue;  // already tested in an earlier epoch
-      } else {
-        order.push_back(m.id);
+      } else if (m.is_processor || !rng.chance(0.2)) {
+        candidates[static_cast<std::size_t>(m.id - 1)] = true;
       }
     }
-    std::sort(order.begin(), order.end(),
-              [&](int a, int b) {
-                const bool pa = sys.soc().module(a).is_processor;
-                const bool pb = sys.soc().module(b).is_processor;
-                if (pa != pb) return pa;
-                return a < b;
-              });
-
-    core::DeltaPlanner dp(sys, budget, table, pretested, 4);
-    ASSERT_EQ(dp.plan_full(order),
-              core::oracle::plan_tests_subset(sys, budget, order, table, pretested).makespan);
-    for (int step = 0; step < 20; ++step) {
-      std::vector<int> perturbed = order;
-      if (perturbed.size() >= 2) {
-        const std::size_t a = rng.below(perturbed.size());
-        const std::size_t b = rng.below(perturbed.size());
-        std::swap(perturbed[a], perturbed[b]);
-      }
-      const std::uint64_t got = dp.evaluate(perturbed);
-      const std::uint64_t want =
-          core::oracle::plan_tests_subset(sys, budget, perturbed, table, pretested).makespan;
-      ASSERT_EQ(got, want) << "step " << step;
-      if (rng.chance(0.5)) {
-        order = perturbed;
-        dp.adopt();
-        expect_schedules_identical(dp.materialize(), core::oracle::plan_tests_subset(
-                                                         sys, budget, order, table, pretested));
-      }
-    }
+    const EvalContext ctx(sys, budget, core::PairTable(sys), noc::FaultSet{}, candidates,
+                          pretested);
+    run_sequence(
+        ctx,
+        [&](const std::vector<int>& order) {
+          return core::oracle::plan_tests_subset(sys, budget, order, ctx.pair_table(), pretested);
+        },
+        rng, 20);
   }
 }
 
 TEST(DeltaEvalProperty, JobsBitIdenticalWithDeltaOn) {
+  // Every search evaluation runs on the per-move path; under a power
+  // limit the anneal and local strategies must still not depend on jobs.
   for (const char* soc : {"d695", "p22810", "p93791"}) {
     const core::SystemModel sys = paper(soc, soc == std::string("d695") ? 6 : 8);
     const power::PowerBudget budget = power::PowerBudget::fraction_of_total(sys.soc(), 0.6);
@@ -194,7 +160,6 @@ TEST(DeltaEvalProperty, JobsBitIdenticalWithDeltaOn) {
       SearchOptions options;
       options.strategy = kind;
       options.iters = 64;
-      options.delta = true;
       std::optional<SearchResult> baseline;
       for (const unsigned jobs : {1u, 2u, 8u}) {
         options.jobs = jobs;
@@ -207,34 +172,6 @@ TEST(DeltaEvalProperty, JobsBitIdenticalWithDeltaOn) {
         EXPECT_EQ(result.best.sessions, baseline->best.sessions) << "jobs " << jobs;
         EXPECT_EQ(result.metrics.counters, baseline->metrics.counters) << "jobs " << jobs;
       }
-    }
-  }
-}
-
-TEST(DeltaEvalProperty, DeltaOnOffSameSearchResult) {
-  for (const char* soc : {"d695", "p22810", "p93791"}) {
-    const core::SystemModel sys = paper(soc, soc == std::string("d695") ? 6 : 8);
-    const power::PowerBudget budget = power::PowerBudget::unconstrained();
-    for (const StrategyKind kind : {StrategyKind::kAnneal, StrategyKind::kLocal}) {
-      SCOPED_TRACE(std::string(soc) + (kind == StrategyKind::kAnneal ? " anneal" : " local"));
-      SearchOptions options;
-      options.strategy = kind;
-      options.iters = 48;
-      options.delta = false;
-      const SearchResult full = search_orders(sys, budget, options);
-      options.delta = true;
-      const SearchResult delta = search_orders(sys, budget, options);
-      // Same search trajectory move for move: identical best schedule
-      // and identical search.* accounting (the delta run additionally
-      // reports its delta.* tallies).
-      EXPECT_EQ(delta.best.makespan, full.best.makespan);
-      EXPECT_EQ(delta.best.sessions, full.best.sessions);
-      EXPECT_EQ(delta.first_makespan, full.first_makespan);
-      for (const auto& [name, value] : full.metrics.counters) {
-        EXPECT_EQ(delta.metrics.counter_or(name), value) << name;
-      }
-      EXPECT_GT(delta.metrics.counter_or("delta.replans"), 0u);
-      EXPECT_EQ(full.metrics.counter_or("delta.replans"), 0u);
     }
   }
 }

@@ -1,6 +1,6 @@
 #pragma once
 // Seeded random systems and planner-parameter sweeps shared by the
-// planner property suites (kernel vs oracle, delta re-pricing).
+// planner property suites (kernel vs oracle).
 
 #include <cstdint>
 
