@@ -19,14 +19,14 @@ LowerBounds makespan_lower_bounds(const SystemModel& sys) {
   }
 
   for (const itc02::Module& m : sys.soc().modules) {
-    const std::uint64_t external = plan_session(sys, m.id, ate_in, ate_out).duration;
+    const std::uint64_t external = plan_session(sys, m.id, ate_in, ate_out)->duration;
     std::uint64_t fastest = external;
     bool cpu_eligible = false;
     for (const Endpoint& ep : endpoints) {
       if (!ep.is_processor() || ep.processor_module == m.id) continue;
       if (!fits_processor_memory(sys, m.id, ep.cpu)) continue;
       cpu_eligible = true;
-      fastest = std::min(fastest, plan_session(sys, m.id, ep, ep).duration);
+      fastest = std::min(fastest, plan_session(sys, m.id, ep, ep)->duration);
     }
     bounds.critical_session = std::max(bounds.critical_session, fastest);
     if (!cpu_eligible) bounds.ate_only_work += external;

@@ -43,38 +43,34 @@ void flush_build(const std::vector<std::vector<PairChoice>>& by_module) {
 }  // namespace
 
 void PairTable::build_module(const SystemModel& sys, const itc02::Module& m,
-                             const noc::FaultSet* faults) {
+                             const noc::FaultSet& faults) {
   std::vector<PairChoice>& pairs = by_module_[static_cast<std::size_t>(m.id - 1)];
   pairs.clear();
   const std::vector<Endpoint>& eps = sys.endpoints();
   const bool cross = sys.params().allow_cross_pairing;
-  const bool dead = faults != nullptr && m.is_processor && faults->processor_failed(m.id);
+  const bool dead = m.is_processor && faults.processor_failed(m.id);
   for (std::size_t s = 0; !dead && s < eps.size(); ++s) {
     const Endpoint& src = eps[s];
     if (!src.can_source()) continue;
     if (src.is_processor() && src.processor_module == m.id) continue;
     if (src.is_processor() && !fits_processor_memory(sys, m.id, src.cpu)) continue;
-    if (faults != nullptr && endpoint_failed(src, *faults)) continue;
+    if (endpoint_failed(src, faults)) continue;
     for (std::size_t k = 0; k < eps.size(); ++k) {
       const Endpoint& snk = eps[k];
       if (!snk.can_sink()) continue;
       if (snk.is_processor() && snk.processor_module == m.id) continue;
       if (snk.is_processor() && !fits_processor_memory(sys, m.id, snk.cpu)) continue;
-      if (faults != nullptr && endpoint_failed(snk, *faults)) continue;
+      if (endpoint_failed(snk, faults)) continue;
       if (s == k && !src.is_processor()) continue;  // only a CPU plays both roles
       if (!cross && s != k && (src.is_processor() || snk.is_processor())) {
         continue;  // default: ATE pair or one self-contained processor
       }
+      std::optional<SessionPlan> plan = plan_session(sys, m.id, src, snk, faults);
+      if (!plan) continue;  // no surviving route under the faults
       PairChoice choice;
       choice.source = s;
       choice.sink = k;
-      if (faults != nullptr) {
-        std::optional<SessionPlan> plan = plan_session(sys, m.id, src, snk, *faults);
-        if (!plan) continue;  // no surviving route under the faults
-        choice.plan = std::move(*plan);
-      } else {
-        choice.plan = plan_session(sys, m.id, src, snk);
-      }
+      choice.plan = std::move(*plan);
       // Route hops, not Manhattan distance: identical for XY routes,
       // and the honest locality metric for fault detours.
       choice.hops =
@@ -97,21 +93,12 @@ void PairTable::summarize(std::size_t i) {
   cheapest_[i] = cheapest;
 }
 
-PairTable::PairTable(const SystemModel& sys) {
-  const obs::Span span("pair_table_build");
-  by_module_.resize(sys.soc().modules.size());
-  cheapest_.resize(sys.soc().modules.size());
-  masks_.resize(sys.soc().modules.size());
-  for (const itc02::Module& m : sys.soc().modules) build_module(sys, m, nullptr);
-  flush_build(by_module_);
-}
-
 PairTable::PairTable(const SystemModel& sys, const noc::FaultSet& faults) {
   const obs::Span span("pair_table_build");
   by_module_.resize(sys.soc().modules.size());
   cheapest_.resize(sys.soc().modules.size());
   masks_.resize(sys.soc().modules.size());
-  for (const itc02::Module& m : sys.soc().modules) build_module(sys, m, &faults);
+  for (const itc02::Module& m : sys.soc().modules) build_module(sys, m, faults);
   flush_build(by_module_);
 }
 
@@ -184,11 +171,6 @@ std::size_t PairTable::apply_faults(const SystemModel& sys, const noc::FaultSet&
     stale_pairs.add(stale);
   }
   return rebuilt;
-}
-
-std::vector<bool> PairTable::testable_modules(const SystemModel& sys,
-                                              double power_limit) const {
-  return testable_modules(sys, power_limit, {});
 }
 
 std::vector<bool> PairTable::testable_modules(const SystemModel& sys, double power_limit,

@@ -11,13 +11,14 @@
 // serves any number of planner runs over the same system, including
 // concurrent multistart restarts: it is immutable while shared.
 //
-// Fault-aware replanning builds the same table over a degraded system:
-// pairs whose endpoints died or whose routes cannot survive the fault
-// set disappear, and surviving pairs are priced over their fault-aware
-// (possibly detoured) routes.  apply_faults is the incremental path —
-// only modules whose existing pairs touch the fault set are
-// re-enumerated, and the result is bit-identical to a from-scratch
-// degraded build (asserted by the tests/fault property suite).
+// Every table is built over a fault set — the pristine system is the
+// empty one: pairs whose endpoints died or whose routes cannot survive
+// the fault set disappear, and surviving pairs are priced over their
+// fault-aware (possibly detoured) routes.  apply_faults is the
+// incremental path — only modules whose existing pairs touch the fault
+// set are re-enumerated, and the result is bit-identical to a
+// from-scratch degraded build (asserted by the tests/fault property
+// suite).
 
 #include <cstdint>
 #include <span>
@@ -42,11 +43,10 @@ struct PairChoice {
 
 class PairTable {
  public:
-  /// Pairs of the pristine system (XY routes, every endpoint alive).
-  explicit PairTable(const SystemModel& sys);
-
-  /// Pairs of the degraded system: from-scratch build under `faults`.
-  PairTable(const SystemModel& sys, const noc::FaultSet& faults);
+  /// Pairs of `sys` degraded by `faults`, built from scratch.  The
+  /// default empty set is the pristine system (XY routes, every
+  /// endpoint alive).
+  explicit PairTable(const SystemModel& sys, const noc::FaultSet& faults = {});
 
   /// Incrementally degrade this table to `faults`: re-enumerate only
   /// the modules whose current pairs touch the fault set (a failed
@@ -94,18 +94,15 @@ class PairTable {
   /// served through each other never bootstrap, and neither do the
   /// cores they exclusively serve).  The fault-aware replanner plans
   /// exactly this set and reports the complement instead of letting the
-  /// planner get stuck.
-  [[nodiscard]] std::vector<bool> testable_modules(const SystemModel& sys,
-                                                   double power_limit) const;
-
-  /// As above for mid-timeline replans: processors named in `pretested`
-  /// (ascending module ids) already passed their own test in an earlier
-  /// epoch, so they serve unconditionally — a pair through a pretested
-  /// processor is usable even though that processor's test is absent
-  /// from the current plan.  A pretested processor that later died
-  /// contributes nothing (apply_faults already dropped its pairs).
+  /// planner get stuck.  For mid-timeline replans, processors named in
+  /// `pretested` (ascending module ids) already passed their own test
+  /// in an earlier epoch, so they serve unconditionally — a pair
+  /// through a pretested processor is usable even though that
+  /// processor's test is absent from the current plan.  A pretested
+  /// processor that later died contributes nothing (apply_faults
+  /// already dropped its pairs).
   [[nodiscard]] std::vector<bool> testable_modules(const SystemModel& sys, double power_limit,
-                                                   std::span<const int> pretested) const;
+                                                   std::span<const int> pretested = {}) const;
 
  private:
   // Inline: the planning kernel looks pairs up on every probe.
@@ -117,7 +114,7 @@ class PairTable {
   }
   [[noreturn]] static void unknown_module(int module_id);
   void build_module(const SystemModel& sys, const itc02::Module& m,
-                    const noc::FaultSet* faults);
+                    const noc::FaultSet& faults);
   /// Refresh the per-module summaries (cheapest_, masks_) of module
   /// index `i` from its pair list.
   void summarize(std::size_t i);

@@ -7,10 +7,11 @@
 
 namespace nocsched::core {
 
-SessionPlan plan_session_with_paths(const SystemModel& sys, int module_id,
-                                    const Endpoint& source, const Endpoint& sink,
-                                    std::vector<noc::ChannelId> path_in,
-                                    std::vector<noc::ChannelId> path_out) {
+namespace {
+
+SessionPlan plan_over_paths(const SystemModel& sys, int module_id, const Endpoint& source,
+                            const Endpoint& sink, std::vector<noc::ChannelId> path_in,
+                            std::vector<noc::ChannelId> path_out) {
   ensure(source.can_source(), "plan_session: ", source.name(), " cannot act as a source");
   ensure(sink.can_sink(), "plan_session: ", sink.name(), " cannot act as a sink");
   const itc02::Module& module = sys.soc().module(module_id);
@@ -88,13 +89,7 @@ SessionPlan plan_session_with_paths(const SystemModel& sys, int module_id,
   return plan;
 }
 
-SessionPlan plan_session(const SystemModel& sys, int module_id, const Endpoint& source,
-                         const Endpoint& sink) {
-  const noc::RouterId at = sys.router_of(module_id);
-  return plan_session_with_paths(sys, module_id, source, sink,
-                                 noc::xy_route(sys.mesh(), source.router, at),
-                                 noc::xy_route(sys.mesh(), at, sink.router));
-}
+}  // namespace
 
 std::optional<SessionPlan> plan_session(const SystemModel& sys, int module_id,
                                         const Endpoint& source, const Endpoint& sink,
@@ -112,8 +107,8 @@ std::optional<SessionPlan> plan_session(const SystemModel& sys, int module_id,
   if (!path_in) return std::nullopt;
   auto path_out = noc::fault_route(sys.mesh(), faults, at, sink.router);
   if (!path_out) return std::nullopt;
-  return plan_session_with_paths(sys, module_id, source, sink, std::move(*path_in),
-                                 std::move(*path_out));
+  return plan_over_paths(sys, module_id, source, sink, std::move(*path_in),
+                         std::move(*path_out));
 }
 
 std::uint64_t bist_memory_bytes(const SystemModel& sys, int module_id,

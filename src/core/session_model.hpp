@@ -3,7 +3,7 @@
 // (one core tested from one source to one sink).
 //
 // Timing model (DESIGN.md §2/3):
-//   duration = path setup (both XY paths)
+//   duration = path setup (both routes)
 //            + BIST program prologue (when a processor participates)
 //            + per phase: ceil(per_pattern) * patterns + tail scan-out
 // where per_pattern is the bottleneck of
@@ -31,8 +31,8 @@ namespace nocsched::core {
 struct SessionPlan {
   std::uint64_t duration = 0;  ///< cycles from start to completion
   double power = 0.0;          ///< constant draw while active
-  std::vector<noc::ChannelId> path_in;   ///< XY route source -> core
-  std::vector<noc::ChannelId> path_out;  ///< XY route core -> sink
+  std::vector<noc::ChannelId> path_in;   ///< route source -> core
+  std::vector<noc::ChannelId> path_out;  ///< route core -> sink
   /// Fraction of each path channel's bandwidth the stream occupies
   /// (flits per cycle, worst phase), for ChannelModel::kMultiplexed.
   double bandwidth_in = 0.0;
@@ -41,28 +41,20 @@ struct SessionPlan {
   friend bool operator==(const SessionPlan&, const SessionPlan&) = default;
 };
 
-/// Compute the plan for testing `module_id` from `source` to `sink`.
+/// Compute the plan for testing `module_id` from `source` to `sink`
+/// over the mesh degraded by `faults`: both legs follow
+/// noc::fault_route, which is the XY route whenever it survives, so the
+/// fault-free system is exactly the empty FaultSet.  The cost model
+/// depends on routes only through their length, so a detour lengthens
+/// setup and transport power consistently.  Returns nullopt when the
+/// session cannot exist under `faults` — the module under test, the
+/// source, or the sink is a failed processor, or no surviving route
+/// connects the endpoints (never, for an empty set).
 /// `source.can_source()` and `sink.can_sink()` must hold.
-[[nodiscard]] SessionPlan plan_session(const SystemModel& sys, int module_id,
-                                       const Endpoint& source, const Endpoint& sink);
-
-/// As above, but priced over explicit NoC paths instead of the XY
-/// routes (the cost model depends on routes only through their length,
-/// so detours lengthen setup and transport power consistently).  The
-/// pristine plan_session is exactly this with the two XY routes.
-[[nodiscard]] SessionPlan plan_session_with_paths(const SystemModel& sys, int module_id,
-                                                  const Endpoint& source, const Endpoint& sink,
-                                                  std::vector<noc::ChannelId> path_in,
-                                                  std::vector<noc::ChannelId> path_out);
-
-/// Fault-aware session plan: routes via noc::fault_route over the
-/// degraded mesh.  Returns nullopt when the session cannot exist under
-/// `faults` — the module under test, the source, or the sink is a
-/// failed processor, or no surviving route connects the endpoints.
 [[nodiscard]] std::optional<SessionPlan> plan_session(const SystemModel& sys, int module_id,
                                                       const Endpoint& source,
                                                       const Endpoint& sink,
-                                                      const noc::FaultSet& faults);
+                                                      const noc::FaultSet& faults = {});
 
 /// Local memory the software-BIST application needs on a processor of
 /// `kind` to test `module_id`: the kernel program, its parameter block,

@@ -9,7 +9,6 @@
 #include "common/error.hpp"
 #include "core/session_model.hpp"
 #include "des/event_queue.hpp"
-#include "noc/routing.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "power/budget.hpp"
@@ -71,7 +70,7 @@ struct SessionState {
   std::vector<noc::ChannelId> path_out;
   std::vector<PhaseCost> phases;
   std::uint64_t total_patterns = 0;
-  std::uint64_t setup = 0;     ///< one-time circuit setup of both XY paths
+  std::uint64_t setup = 0;     ///< one-time circuit setup of both paths
   std::uint64_t prologue = 0;  ///< BIST kernel startup before the first pattern
   std::uint64_t teardown = 0;  ///< wrapper drain before the interfaces release
   bool same_cpu = false;       ///< one processor plays both roles
@@ -136,12 +135,12 @@ std::uint64_t ceil_cycles(double v) {
 class Replayer {
  public:
   Replayer(const core::SystemModel& sys, const core::Schedule& schedule,
-           const noc::FaultSet* faults, std::span<const int> pretested = {})
-      : sys_(sys), schedule_(schedule), faults_(faults),
+           const noc::FaultSet& faults, std::span<const int> pretested)
+      : sys_(sys), schedule_(schedule),
         pretested_(pretested.begin(), pretested.end()),
         channels_(sys.mesh().channel_count()) {
     endpoint_busy_.assign(sys_.endpoints().size(), false);
-    build_sessions();
+    build_sessions(faults);
   }
 
   [[nodiscard]] std::vector<LostSession> take_lost() { return std::move(lost_); }
@@ -180,26 +179,27 @@ class Replayer {
   /// processor, or a leg has no surviving route.  The transitive
   /// serving-processor losses are cascaded by build_sessions after
   /// every direct loss is known.
-  std::string direct_loss_reason(const core::Session& planned, FaultRoutes& routes) const {
+  std::string direct_loss_reason(const core::Session& planned, const noc::FaultSet& faults,
+                                 FaultRoutes& routes) const {
     const auto& endpoints = sys_.endpoints();
     const core::Endpoint& src = endpoints[static_cast<std::size_t>(planned.source_resource)];
     const core::Endpoint& snk = endpoints[static_cast<std::size_t>(planned.sink_resource)];
-    if (sys_.soc().module(planned.module_id).is_processor &&
-        faults_->processor_failed(planned.module_id)) {
+    if (faults.processor_failed(planned.module_id) &&
+        sys_.soc().module(planned.module_id).is_processor) {
       return cat("module ", planned.module_id, " is a failed processor");
     }
-    if (src.is_processor() && faults_->processor_failed(src.processor_module)) {
+    if (src.is_processor() && faults.processor_failed(src.processor_module)) {
       return cat("source processor ", src.processor_module, " failed");
     }
-    if (snk.is_processor() && faults_->processor_failed(snk.processor_module)) {
+    if (snk.is_processor() && faults.processor_failed(snk.processor_module)) {
       return cat("sink processor ", snk.processor_module, " failed");
     }
     const noc::RouterId at = sys_.router_of(planned.module_id);
-    auto in = noc::fault_route(sys_.mesh(), *faults_, src.router, at);
+    auto in = noc::fault_route(sys_.mesh(), faults, src.router, at);
     if (!in) {
       return cat("no surviving route from ", src.name(), " to the core");
     }
-    auto out = noc::fault_route(sys_.mesh(), *faults_, at, snk.router);
+    auto out = noc::fault_route(sys_.mesh(), faults, at, snk.router);
     if (!out) {
       return cat("no surviving route from the core to ", snk.name());
     }
@@ -208,7 +208,7 @@ class Replayer {
     return {};
   }
 
-  void build_sessions() {
+  void build_sessions(const noc::FaultSet& faults) {
     const auto& endpoints = sys_.endpoints();
     const noc::Characterization& nc = sys_.params().noc;
     const double fc = static_cast<double>(nc.flow_control_latency);
@@ -228,42 +228,36 @@ class Replayer {
     // Which planned sessions the faults kill: the direct losses, then
     // the cascade — a session whose serving processor lost its own test
     // can never launch (the replay gates on processor_done).
-    std::map<int, std::string> lost_reason;   // module id -> why
-    std::map<int, FaultRoutes> fault_routes;  // module id -> surviving legs
-    if (faults_ != nullptr) {
+    std::map<int, std::string> lost_reason;  // module id -> why
+    std::vector<FaultRoutes> routes(schedule_.sessions.size());  // by plan position
+    for (std::size_t i = 0; i < schedule_.sessions.size(); ++i) {
+      const core::Session& planned = schedule_.sessions[i];
+      std::string reason = direct_loss_reason(planned, faults, routes[i]);
+      if (!reason.empty()) lost_reason.emplace(planned.module_id, std::move(reason));
+    }
+    for (bool changed = true; changed;) {
+      changed = false;
       for (const core::Session& planned : schedule_.sessions) {
-        FaultRoutes routes;
-        std::string reason = direct_loss_reason(planned, routes);
-        if (!reason.empty()) {
-          lost_reason.emplace(planned.module_id, std::move(reason));
-        } else {
-          fault_routes.emplace(planned.module_id, std::move(routes));
-        }
-      }
-      for (bool changed = true; changed;) {
-        changed = false;
-        for (const core::Session& planned : schedule_.sessions) {
-          if (lost_reason.count(planned.module_id) != 0) continue;
-          for (int r : {planned.source_resource, planned.sink_resource}) {
-            const core::Endpoint& ep = endpoints[static_cast<std::size_t>(r)];
-            if (ep.is_processor() && lost_reason.count(ep.processor_module) != 0) {
-              lost_reason.emplace(planned.module_id,
-                                  cat("serving processor ", ep.processor_module,
-                                      " lost its own test"));
-              changed = true;
-              break;
-            }
+        if (lost_reason.count(planned.module_id) != 0) continue;
+        for (int r : {planned.source_resource, planned.sink_resource}) {
+          const core::Endpoint& ep = endpoints[static_cast<std::size_t>(r)];
+          if (ep.is_processor() && lost_reason.count(ep.processor_module) != 0) {
+            lost_reason.emplace(planned.module_id,
+                                cat("serving processor ", ep.processor_module,
+                                    " lost its own test"));
+            changed = true;
+            break;
           }
         }
       }
-      for (const core::Session& planned : schedule_.sessions) {
-        const auto it = lost_reason.find(planned.module_id);
-        if (it != lost_reason.end()) lost_.push_back({planned.module_id, it->second});
-      }
     }
 
-    for (const core::Session& planned : schedule_.sessions) {
-      if (faults_ != nullptr && lost_reason.count(planned.module_id) != 0) continue;
+    for (std::size_t i = 0; i < schedule_.sessions.size(); ++i) {
+      const core::Session& planned = schedule_.sessions[i];
+      if (const auto it = lost_reason.find(planned.module_id); it != lost_reason.end()) {
+        lost_.push_back({planned.module_id, it->second});
+        continue;
+      }
       const core::Endpoint& src = endpoints[static_cast<std::size_t>(planned.source_resource)];
       const core::Endpoint& snk = endpoints[static_cast<std::size_t>(planned.sink_resource)];
 
@@ -274,16 +268,9 @@ class Replayer {
       s.planned_start = planned.start;
       s.planned_end = planned.end;
       s.power = planned.power;
-      const noc::RouterId at = sys_.router_of(planned.module_id);
-      if (faults_ != nullptr) {
-        // Present by construction: unroutable sessions were lost above.
-        FaultRoutes& routes = fault_routes.at(planned.module_id);
-        s.path_in = std::move(routes.in);
-        s.path_out = std::move(routes.out);
-      } else {
-        s.path_in = noc::xy_route(sys_.mesh(), src.router, at);
-        s.path_out = noc::xy_route(sys_.mesh(), at, snk.router);
-      }
+      // Present by construction: unroutable sessions were lost above.
+      s.path_in = std::move(routes[i].in);
+      s.path_out = std::move(routes[i].out);
       s.setup = nc.path_setup_cycles(static_cast<int>(s.path_in.size())) +
                 nc.path_setup_cycles(static_cast<int>(s.path_out.size()));
       s.same_cpu = src.is_processor() && snk.is_processor() &&
@@ -407,7 +394,7 @@ class Replayer {
     endpoint_busy_[static_cast<std::size_t>(s.snk)] = true;
     active_power_ += s.power;
 
-    // Circuit setup of both XY paths, then the BIST prologue, before the
+    // Circuit setup of both paths, then the BIST prologue, before the
     // first pattern — the session protocol the analytical model prices.
     const std::uint64_t first_ready = now_ + s.setup + s.prologue;
     if (s.same_cpu) {
@@ -754,7 +741,6 @@ class Replayer {
 
   const core::SystemModel& sys_;
   const core::Schedule& schedule_;
-  const noc::FaultSet* faults_ = nullptr;
   std::vector<int> pretested_;
   std::vector<LostSession> lost_;
   std::vector<SessionState> sessions_;
@@ -773,12 +759,12 @@ class Replayer {
 }  // namespace
 
 SimTrace replay(const core::SystemModel& sys, const core::Schedule& schedule) {
-  return Replayer(sys, schedule, nullptr).run();
+  return replay_degraded(sys, schedule, {}).trace;
 }
 
 DegradedReplay replay_degraded(const core::SystemModel& sys, const core::Schedule& schedule,
                                const noc::FaultSet& faults, std::span<const int> pretested) {
-  Replayer replayer(sys, schedule, &faults, pretested);
+  Replayer replayer(sys, schedule, faults, pretested);
   DegradedReplay result;
   result.trace = replayer.run();
   result.lost = replayer.take_lost();

@@ -53,7 +53,9 @@
 
 namespace nocsched::des {
 
-/// Replay `schedule` on `sys` and return the observed trace.
+/// Replay `schedule` on the fault-free `sys` and return the observed
+/// trace: replay_degraded under the empty FaultSet, which loses no
+/// session and routes every packet over its XY route.
 [[nodiscard]] SimTrace replay(const core::SystemModel& sys, const core::Schedule& schedule);
 
 /// A planned session the degraded mesh cannot run at all.

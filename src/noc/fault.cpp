@@ -64,6 +64,7 @@ bool FaultSet::channel_usable(const Mesh& mesh, ChannelId c) const {
 }
 
 bool FaultSet::route_usable(const Mesh& mesh, std::span<const ChannelId> path) const {
+  if (channels_.empty() && routers_.empty()) return true;  // no channel or router is down
   for (ChannelId c : path) {
     if (!channel_usable(mesh, c)) return false;
   }

@@ -19,10 +19,11 @@ void json_int_array(std::ostringstream& out, const std::vector<T>& v) {
   out << "]";
 }
 
-/// The increment that opened epoch `e` (epoch 0 opens fault-free).
-const noc::FaultSet* increment_of(const search::FaultStream& stream, std::size_t e) {
-  if (e == 0 || e > stream.events.size()) return nullptr;
-  return &stream.events[e - 1].increment;
+/// The increment that opened epoch `e`: the empty set for epoch 0,
+/// which opens fault-free (every stream event breaks something).
+const noc::FaultSet& increment_of(const search::FaultStream& stream, std::size_t e) {
+  static const noc::FaultSet kPristine;
+  return e == 0 || e > stream.events.size() ? kPristine : stream.events[e - 1].increment;
 }
 
 }  // namespace
@@ -38,7 +39,7 @@ std::string timeline_table(const core::SystemModel& sys, const search::FaultStre
       << "drain" << std::setw(9) << "lost" << std::setw(9) << "cancel" << std::setw(9)
       << "rebuilt" << std::setw(14) << "makespan" << "  increment\n";
   for (const sim::EpochRecord& epoch : result.epochs) {
-    const noc::FaultSet* inc = increment_of(stream, epoch.index);
+    const noc::FaultSet& inc = increment_of(stream, epoch.index);
     out << std::setw(6) << epoch.index << std::setw(14) << with_commas(epoch.start_cycle)
         << std::setw(14)
         << (epoch.index < stream.events.size()
@@ -48,7 +49,7 @@ std::string timeline_table(const core::SystemModel& sys, const search::FaultStre
         << epoch.completed << std::setw(9) << epoch.drained << std::setw(9) << epoch.lost
         << std::setw(9) << epoch.cancelled << std::setw(9) << epoch.pairs_rebuilt
         << std::setw(14) << with_commas(epoch.replan.schedule.makespan) << "  "
-        << (inc != nullptr ? inc->describe() : std::string("(pristine)")) << "\n";
+        << (inc.empty() ? std::string("(pristine)") : inc.describe()) << "\n";
   }
 
   out << "coverage: " << result.covered_modules.size() << "/"
@@ -85,20 +86,18 @@ std::string timeline_csv(const core::SystemModel& sys, const search::FaultStream
                       "planned", "completed", "drained", "lost", "cancelled",
                       "pairs_rebuilt", "plan_makespan"});
   for (const sim::EpochRecord& epoch : result.epochs) {
-    const noc::FaultSet* inc = increment_of(stream, epoch.index);
+    const noc::FaultSet& inc = increment_of(stream, epoch.index);
     std::string links;
     std::string routers;
     std::string procs;
-    if (inc != nullptr) {
-      for (const noc::ChannelId c : inc->failed_channels()) {
-        links += links.empty() ? cat(c) : cat(" ", c);
-      }
-      for (const noc::RouterId r : inc->failed_routers()) {
-        routers += routers.empty() ? cat(r) : cat(" ", r);
-      }
-      for (const int p : inc->failed_processors()) {
-        procs += procs.empty() ? cat(p) : cat(" ", p);
-      }
+    for (const noc::ChannelId c : inc.failed_channels()) {
+      links += links.empty() ? cat(c) : cat(" ", c);
+    }
+    for (const noc::RouterId r : inc.failed_routers()) {
+      routers += routers.empty() ? cat(r) : cat(" ", r);
+    }
+    for (const int p : inc.failed_processors()) {
+      procs += procs.empty() ? cat(p) : cat(" ", p);
     }
     csv.row_of(epoch.index, epoch.start_cycle,
                epoch.index < stream.events.size()

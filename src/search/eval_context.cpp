@@ -9,13 +9,7 @@
 namespace nocsched::search {
 
 EvalContext::EvalContext(const core::SystemModel& sys, const power::PowerBudget& budget)
-    : sys_(sys),
-      budget_(budget),
-      pairs_(sys),
-      eligible_(core::cpu_eligible_modules(sys)),
-      base_order_(core::priority_order(sys)) {
-  build_tiers();
-}
+    : EvalContext(sys, budget, core::PairTable(sys)) {}
 
 EvalContext::EvalContext(const core::SystemModel& sys, const power::PowerBudget& budget,
                          core::PairTable&& table)
@@ -24,22 +18,6 @@ EvalContext::EvalContext(const core::SystemModel& sys, const power::PowerBudget&
       pairs_(std::move(table)),
       eligible_(core::cpu_eligible_modules(sys)),
       base_order_(core::priority_order(sys)) {
-  build_tiers();
-}
-
-EvalContext::EvalContext(const core::SystemModel& sys, const power::PowerBudget& budget,
-                         core::PairTable&& table, const noc::FaultSet& faults)
-    : sys_(sys),
-      budget_(budget),
-      pairs_(std::move(table)),
-      subset_(true),
-      eligible_(core::cpu_eligible_modules(sys, faults)) {
-  // Only modules the degraded table can actually serve are planned;
-  // the rest (dead processors, unroutable or power-infeasible cores,
-  // and the cores stranded transitively when their only serving
-  // processor lost its own test) are the replan's reported losses.
-  base_order_ =
-      core::priority_order(sys, eligible_, pairs_.testable_modules(sys, budget.limit));
   build_tiers();
 }
 
@@ -57,7 +35,10 @@ EvalContext::EvalContext(const core::SystemModel& sys, const power::PowerBudget&
          sys.soc().modules.size(), " modules");
   // Plannable = still wanted (a candidate) AND servable by the degraded
   // table, where pretested processors count as servers without needing
-  // their own (already completed) test in this plan.
+  // their own (already completed) test in this plan.  The rest (dead
+  // processors, unroutable or power-infeasible cores, and the cores
+  // stranded transitively when their only serving processor lost its
+  // own test) are the replan's reported losses.
   std::vector<bool> include = pairs_.testable_modules(sys, budget.limit, pretested_);
   for (std::size_t i = 0; i < include.size(); ++i) {
     if (!candidates[i]) include[i] = false;

@@ -26,6 +26,7 @@ namespace nocsched::search {
 
 class EvalContext {
  public:
+  /// Context over the pristine PairTable of `sys`, built here.
   EvalContext(const core::SystemModel& sys, const power::PowerBudget& budget);
 
   /// As the two-argument form, with the pristine PairTable moved in
@@ -42,21 +43,17 @@ class EvalContext {
   /// be the PairTable of `sys` under `faults` (from-scratch or via
   /// apply_faults — the caller picks the build path, which is what the
   /// fault-sweep bench measures).  Dead processors are masked out of
-  /// the eligibility bitmap, modules with no surviving pair are
-  /// excluded from the base order (search::replan reports them), and
-  /// evaluation plans the surviving subset only.  The table is an
-  /// owning sink (rvalue reference per rule D4): callers move a table
-  /// in rather than copying one that is shared elsewhere.
-  EvalContext(const core::SystemModel& sys, const power::PowerBudget& budget,
-              core::PairTable&& table, const noc::FaultSet& faults);
-
-  /// Mid-timeline degraded context: on top of the fault masking above,
-  /// only modules whose `candidates` bit (by module id - 1) is set are
-  /// planned — modules already tested in earlier epochs are not — and
-  /// processors in `pretested` completed their own test in an earlier
-  /// epoch, so they serve from instant 0 and never strand a client in
-  /// the testability fixpoint.  `pretested` must be ascending, unique,
-  /// live (not in `faults`) processor module ids.
+  /// the eligibility bitmap, and evaluation plans the surviving subset
+  /// only: modules whose `candidates` bit (by module id - 1) is set and
+  /// that the degraded table can serve (search::replan reports the
+  /// rest).  A whole-plan replan sets every bit; a mid-timeline one
+  /// clears the modules already tested in earlier epochs.  Processors
+  /// in `pretested` completed their own test in an earlier epoch, so
+  /// they serve from instant 0 and never strand a client in the
+  /// testability fixpoint.  `pretested` must be ascending, unique, live
+  /// (not in `faults`) processor module ids.  The table is an owning
+  /// sink (rvalue reference per rule D4): callers move a table in
+  /// rather than copying one that is shared elsewhere.
   EvalContext(const core::SystemModel& sys, const power::PowerBudget& budget,
               core::PairTable&& table, const noc::FaultSet& faults,
               const std::vector<bool>& candidates, std::vector<int> pretested);

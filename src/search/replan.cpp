@@ -6,13 +6,10 @@
 
 namespace nocsched::search {
 
-namespace {
-
-ReplanResult replan_with_table(const core::SystemModel& sys, const power::PowerBudget& budget,
-                               const noc::FaultSet& faults, const SearchOptions& options,
-                               core::PairTable&& table, std::size_t pairs_rebuilt,
-                               const std::vector<bool>* candidates,
-                               std::vector<int> pretested) {
+ReplanResult replan_subset(const core::SystemModel& sys, const power::PowerBudget& budget,
+                           const noc::FaultSet& faults, const SearchOptions& options,
+                           core::PairTable&& table, std::size_t pairs_rebuilt,
+                           const std::vector<bool>& candidates, std::vector<int> pretested) {
   // Replan latency shows up as one "replan" span (the nested search /
   // pair-table spans decompose it) and the coverage outcome as fault.*
   // counters when the registry is collecting.
@@ -24,7 +21,7 @@ ReplanResult replan_with_table(const core::SystemModel& sys, const power::PowerB
     // Non-candidates (modules already tested in earlier epochs) are not
     // this replan's problem: they classify as nothing at all, so the
     // timeline's per-epoch coverage sums never double-count.
-    if (candidates != nullptr && !(*candidates)[static_cast<std::size_t>(m.id - 1)]) continue;
+    if (!candidates[static_cast<std::size_t>(m.id - 1)]) continue;
     if (m.is_processor && faults.processor_failed(m.id)) {
       result.dead_modules.push_back(m.id);
     } else if (!testable[static_cast<std::size_t>(m.id - 1)]) {
@@ -33,11 +30,7 @@ ReplanResult replan_with_table(const core::SystemModel& sys, const power::PowerB
       result.planned_modules.push_back(m.id);
     }
   }
-  const EvalContext ctx =
-      candidates == nullptr
-          ? EvalContext(sys, budget, std::move(table), faults)
-          : EvalContext(sys, budget, std::move(table), faults, *candidates,
-                        std::move(pretested));
+  const EvalContext ctx(sys, budget, std::move(table), faults, candidates, std::move(pretested));
   SearchResult search = search_orders(ctx, options);
   result.schedule = std::move(search.best);
   result.metrics = std::move(search.metrics);
@@ -58,12 +51,10 @@ ReplanResult replan_with_table(const core::SystemModel& sys, const power::PowerB
   return result;
 }
 
-}  // namespace
-
 ReplanResult replan(const core::SystemModel& sys, const power::PowerBudget& budget,
                     const noc::FaultSet& faults, const SearchOptions& options) {
-  return replan_with_table(sys, budget, faults, options, core::PairTable(sys, faults), 0,
-                           nullptr, {});
+  return replan_subset(sys, budget, faults, options, core::PairTable(sys, faults), 0,
+                       std::vector<bool>(sys.soc().modules.size(), true), {});
 }
 
 ReplanResult replan(const core::SystemModel& sys, const power::PowerBudget& budget,
@@ -71,16 +62,8 @@ ReplanResult replan(const core::SystemModel& sys, const power::PowerBudget& budg
                     const core::PairTable& pristine) {
   core::PairTable degraded = pristine;
   const std::size_t rebuilt = degraded.apply_faults(sys, faults);
-  return replan_with_table(sys, budget, faults, options, std::move(degraded), rebuilt,
-                           nullptr, {});
-}
-
-ReplanResult replan_subset(const core::SystemModel& sys, const power::PowerBudget& budget,
-                           const noc::FaultSet& faults, const SearchOptions& options,
-                           core::PairTable&& table, std::size_t pairs_rebuilt,
-                           const std::vector<bool>& candidates, std::vector<int> pretested) {
-  return replan_with_table(sys, budget, faults, options, std::move(table), pairs_rebuilt,
-                           &candidates, std::move(pretested));
+  return replan_subset(sys, budget, faults, options, std::move(degraded), rebuilt,
+                       std::vector<bool>(sys.soc().modules.size(), true), {});
 }
 
 }  // namespace nocsched::search

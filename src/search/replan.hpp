@@ -67,6 +67,8 @@ struct ReplanResult {
 /// dead/untestable/planned classify the candidates only, so coverage
 /// accounting across epochs never double-counts a module.  Inherits the
 /// full determinism contract; options.warm_start_order seeds chain 0.
+/// The whole-plan replans above are this with every candidate bit set
+/// and nothing pretested.
 [[nodiscard]] ReplanResult replan_subset(const core::SystemModel& sys,
                                          const power::PowerBudget& budget,
                                          const noc::FaultSet& faults,

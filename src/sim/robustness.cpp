@@ -20,11 +20,6 @@ std::string_view to_string(SessionFate fate) {
 }
 
 RobustnessReport assess_robustness(const core::SystemModel& sys, const core::Schedule& plan,
-                                   const noc::FaultSet& faults) {
-  return assess_robustness(sys, plan, faults, des::replay(sys, plan));
-}
-
-RobustnessReport assess_robustness(const core::SystemModel& sys, const core::Schedule& plan,
                                    const noc::FaultSet& faults,
                                    const des::SimTrace& baseline) {
   des::DegradedReplay degraded = des::replay_degraded(sys, plan, faults);

@@ -1,11 +1,11 @@
 #pragma once
 // Schedule robustness under faults.
 //
-// Given a plan made for the pristine system and a FaultSet describing
-// what died, this module replays the plan twice — once on the pristine
-// mesh (the baseline the degraded run is judged against, so ordinary
-// replay conservatism never counts as fault damage) and once on the
-// degraded mesh — and classifies every planned session:
+// Given a plan made for the pristine system, its pristine replay (the
+// baseline the degraded run is judged against, so ordinary replay
+// conservatism never counts as fault damage), and a FaultSet describing
+// what died, this module replays the plan on the degraded mesh and
+// classifies every planned session:
 //
 //   * unaffected — ran with exactly the baseline launch and completion,
 //   * delayed    — still ran, but its observed window moved (detour
@@ -58,14 +58,10 @@ struct RobustnessReport {
   std::size_t lost = 0;  ///< unroutable sessions
 };
 
-/// Replay `plan` pristine and under `faults`, and line the two up.
-[[nodiscard]] RobustnessReport assess_robustness(const core::SystemModel& sys,
-                                                 const core::Schedule& plan,
-                                                 const noc::FaultSet& faults);
-
-/// As above with a precomputed pristine replay of the same plan — a
-/// fault sweep assesses many scenarios against one unchanged baseline
-/// and must not re-simulate it per scenario.
+/// Replay `plan` under `faults` and line it up against `baseline`, the
+/// pristine replay of the same plan (des::replay).  The caller owns the
+/// baseline: a fault sweep assesses many scenarios against one
+/// unchanged baseline and must not re-simulate it per scenario.
 [[nodiscard]] RobustnessReport assess_robustness(const core::SystemModel& sys,
                                                  const core::Schedule& plan,
                                                  const noc::FaultSet& faults,

@@ -9,7 +9,6 @@
 #include "common/error.hpp"
 #include "common/strings.hpp"
 #include "core/session_model.hpp"
-#include "noc/routing.hpp"
 #include "power/budget.hpp"
 #include "power/profile.hpp"
 
@@ -66,8 +65,12 @@ std::vector<int> book_session_resources(std::span<IntervalSet> busy, int source,
 
 namespace {
 
+/// `complete`: every module must be tested exactly once (a full plan);
+/// otherwise at most once (a replan, whose dead or unroutable modules
+/// are legitimately absent — search::replan reports the losses).
 ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedule& schedule,
-                               const noc::FaultSet* faults, std::span<const int> pretested) {
+                               const noc::FaultSet& faults, std::span<const int> pretested,
+                               bool complete) {
   ValidationReport report;
   auto violation = [&](auto&&... parts) {
     report.violations.push_back(cat(std::forward<decltype(parts)>(parts)...));
@@ -77,10 +80,9 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
   auto endpoint_ok = [&](int r) { return r >= 0 && static_cast<std::size_t>(r) < endpoints.size(); };
   const ModuleLut modules(sys.soc());
 
-  // 1. Coverage: each module exactly once — at most once for a
-  // fault-aware replan, whose dead/unroutable modules are legitimately
-  // absent (search::replan reports the losses explicitly).  Counts are
-  // dense per module id; ids outside the SoC's range spill to `stray`.
+  // 1. Coverage: each module exactly once, or at most once unless
+  // `complete`.  Counts are dense per module id; ids outside the SoC's
+  // range spill to `stray`.
   std::vector<int> seen(modules.id_bound(), 0);
   std::map<int, int> stray;
   for (const core::Session& s : schedule.sessions) {
@@ -92,10 +94,9 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
   }
   for (const itc02::Module& m : sys.soc().modules) {
     int& count = seen[static_cast<std::size_t>(m.id)];
-    const int expected_min = faults == nullptr ? 1 : 0;
-    if (count < expected_min || count > 1) {
+    if ((complete && count < 1) || count > 1) {
       violation("module ", m.id, " ('", m.name, "') tested ", count, " times (expected ",
-                faults == nullptr ? "1" : "at most 1", ")");
+                complete ? "1" : "at most 1", ")");
     }
     count = 0;  // consumed: what remains non-zero has no module
   }
@@ -160,15 +161,13 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
     if (!snk.can_sink()) {
       violation("module ", s.module_id, ": ", snk.name(), " cannot sink");
     }
-    if (faults != nullptr) {
-      if (const itc02::Module* m = modules.find(s.module_id);
-          m != nullptr && m->is_processor && faults->processor_failed(s.module_id)) {
-        violation("module ", s.module_id, " is a failed processor but is scheduled");
-      }
-      for (const core::Endpoint* ep : {&src, &snk}) {
-        if (ep->is_processor() && faults->processor_failed(ep->processor_module)) {
-          violation("module ", s.module_id, " uses failed processor ", ep->processor_module);
-        }
+    if (const itc02::Module* m = modules.find(s.module_id);
+        m != nullptr && m->is_processor && faults.processor_failed(s.module_id)) {
+      violation("module ", s.module_id, " is a failed processor but is scheduled");
+    }
+    for (const core::Endpoint* ep : {&src, &snk}) {
+      if (ep->is_processor() && faults.processor_failed(ep->processor_module)) {
+        violation("module ", s.module_id, " uses failed processor ", ep->processor_module);
       }
     }
     for (const core::Endpoint* ep : {&src, &snk}) {
@@ -206,32 +205,24 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
     const core::Endpoint& snk = endpoints[static_cast<std::size_t>(s.sink_resource)];
     if (modules.find(s.module_id) == nullptr) continue;
     const noc::RouterId at = sys.router_of(s.module_id);
-    if (faults == nullptr) {
-      if (s.path_in != noc::xy_route(sys.mesh(), src.router, at)) {
-        violation("module ", s.module_id, ": recorded stimulus path is not the XY route");
-      }
-      if (s.path_out != noc::xy_route(sys.mesh(), at, snk.router)) {
-        violation("module ", s.module_id, ": recorded response path is not the XY route");
-      }
-    } else {
-      const auto in = noc::fault_route(sys.mesh(), *faults, src.router, at);
-      if (!in || s.path_in != *in) {
-        violation("module ", s.module_id,
-                  ": recorded stimulus path is not the fault-aware route");
-      }
-      const auto out = noc::fault_route(sys.mesh(), *faults, at, snk.router);
-      if (!out || s.path_out != *out) {
-        violation("module ", s.module_id,
-                  ": recorded response path is not the fault-aware route");
-      }
-      // Belt and braces: the route contract says this can never happen,
-      // and a schedule that crosses dead silicon must fail loudly even
-      // if the route comparison above is someday relaxed.
-      for (const auto* path : {&s.path_in, &s.path_out}) {
-        for (noc::ChannelId c : *path) {
-          if (!faults->channel_usable(sys.mesh(), c)) {
-            violation("module ", s.module_id, ": path traverses failed channel ", c);
-          }
+    const auto in = noc::fault_route(sys.mesh(), faults, src.router, at);
+    if (!in || s.path_in != *in) {
+      violation("module ", s.module_id,
+                ": recorded stimulus path is not the XY route or its fault-aware detour");
+    }
+    const auto out = noc::fault_route(sys.mesh(), faults, at, snk.router);
+    if (!out || s.path_out != *out) {
+      violation("module ", s.module_id,
+                ": recorded response path is not the XY route or its fault-aware detour");
+    }
+    // Belt and braces: the route contract says this can never happen,
+    // and a schedule that crosses dead silicon must fail loudly even if
+    // the route comparison above is someday relaxed.
+    for (const auto* path : {&s.path_in, &s.path_out}) {
+      if (faults.route_usable(sys.mesh(), *path)) continue;
+      for (noc::ChannelId c : *path) {
+        if (!faults.channel_usable(sys.mesh(), c)) {
+          violation("module ", s.module_id, ": path traverses failed channel ", c);
         }
       }
     }
@@ -278,28 +269,22 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
     if (!src.can_source() || !snk.can_sink()) continue;
     if (src.is_processor() && src.processor_module == s.module_id) continue;
     if (snk.is_processor() && snk.processor_module == s.module_id) continue;
-    core::SessionPlan plan;
-    if (faults == nullptr) {
-      plan = core::plan_session(sys, s.module_id, src, snk);
-    } else {
-      std::optional<core::SessionPlan> degraded =
-          core::plan_session(sys, s.module_id, src, snk, *faults);
-      if (!degraded) {
-        violation("module ", s.module_id,
-                  ": scheduled but the fault-aware cost model finds no route");
-        continue;
-      }
-      plan = std::move(*degraded);
+    const std::optional<core::SessionPlan> plan =
+        core::plan_session(sys, s.module_id, src, snk, faults);
+    if (!plan) {
+      violation("module ", s.module_id,
+                ": scheduled but the fault-aware cost model finds no route");
+      continue;
     }
-    if (plan.duration != s.duration()) {
+    if (plan->duration != s.duration()) {
       violation("module ", s.module_id, ": recorded duration ", s.duration(),
-                " != cost model ", plan.duration);
+                " != cost model ", plan->duration);
     }
-    if (!near(plan.power, s.power)) {
+    if (!near(plan->power, s.power)) {
       violation("module ", s.module_id, ": recorded power ", s.power, " != cost model ",
-                plan.power);
+                plan->power);
     }
-    if (!near(plan.bandwidth_in, s.bandwidth_in) || !near(plan.bandwidth_out, s.bandwidth_out)) {
+    if (!near(plan->bandwidth_in, s.bandwidth_in) || !near(plan->bandwidth_out, s.bandwidth_out)) {
       violation("module ", s.module_id, ": recorded channel bandwidth != cost model");
     }
   }
@@ -317,12 +302,12 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
 }  // namespace
 
 ValidationReport validate(const core::SystemModel& sys, const core::Schedule& schedule) {
-  return validate_impl(sys, schedule, nullptr, {});
+  return validate_impl(sys, schedule, {}, {}, /*complete=*/true);
 }
 
 ValidationReport validate(const core::SystemModel& sys, const core::Schedule& schedule,
                           const noc::FaultSet& faults, std::span<const int> pretested) {
-  return validate_impl(sys, schedule, &faults, pretested);
+  return validate_impl(sys, schedule, faults, pretested, /*complete=*/false);
 }
 
 namespace {

@@ -10,7 +10,8 @@
 //      sessions, and ATE ports only play their legal role;
 //   4. a processor serves sessions only after its own test completed;
 //   5. no directed NoC channel carries two overlapping sessions, and
-//      every recorded path is the XY route the mesh would produce;
+//      every recorded path is the XY route the mesh would produce (or
+//      its fault-aware detour; the fault-free mesh is the empty set);
 //   6. the summed power never exceeds the budget, and the recorded
 //      per-session power and duration match the cost model;
 //   7. sources can source, sinks can sink, and a module never tests
@@ -47,7 +48,8 @@ struct ValidationReport {
                                                       int source, int sink,
                                                       const Interval& iv);
 
-/// Collect all violations (empty report = valid plan).
+/// Collect all violations of a complete fault-free plan (every module
+/// exactly once; empty report = valid plan).
 [[nodiscard]] ValidationReport validate(const core::SystemModel& sys,
                                         const core::Schedule& schedule);
 

@@ -66,7 +66,7 @@ void expect_table_matches_legacy(const SystemModel& sys) {
       EXPECT_EQ(pairs[i].sink, expected[i].second) << "module " << m.id << " pair " << i;
       // The attached plan must be the exact plan_session result.
       const SessionPlan fresh = plan_session(sys, m.id, sys.endpoints()[pairs[i].source],
-                                             sys.endpoints()[pairs[i].sink]);
+                                             sys.endpoints()[pairs[i].sink]).value();
       EXPECT_EQ(pairs[i].plan.duration, fresh.duration);
       EXPECT_EQ(pairs[i].plan.power, fresh.power);
       EXPECT_EQ(pairs[i].plan.path_in, fresh.path_in);

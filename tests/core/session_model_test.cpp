@@ -20,7 +20,7 @@ TEST(PlanSession, AteSessionMatchesHandComputation) {
   // c6288 (module 1): combinational, 32 in / 32 out, 12 patterns, Wp=4:
   // si = so = 8, shift = 9 per pattern; transport: 1 flit each way at
   // FC=1 -> max(9, 1, 1) = 9; tail = min(si,so) = 8.
-  const SessionPlan plan = plan_session(sys, 1, ate_in(sys), ate_out(sys));
+  const SessionPlan plan = plan_session(sys, 1, ate_in(sys), ate_out(sys)).value();
   const auto h_in = static_cast<std::uint64_t>(plan.path_in.size());
   const auto h_out = static_cast<std::uint64_t>(plan.path_out.size());
   const std::uint64_t setup = (h_in + h_out) * (3 + 1);  // routing + fc per hop
@@ -29,7 +29,7 @@ TEST(PlanSession, AteSessionMatchesHandComputation) {
 
 TEST(PlanSession, PathsFollowXyRoutes) {
   const SystemModel sys = d695_system(2);
-  const SessionPlan plan = plan_session(sys, 5, ate_in(sys), ate_out(sys));
+  const SessionPlan plan = plan_session(sys, 5, ate_in(sys), ate_out(sys)).value();
   EXPECT_EQ(plan.path_in,
             noc::xy_route(sys.mesh(), ate_in(sys).router, sys.router_of(5)));
   EXPECT_EQ(plan.path_out,
@@ -40,8 +40,8 @@ TEST(PlanSession, CpuSessionsAreSlowerThanAte) {
   const SystemModel sys = d695_system(2);
   const Endpoint& cpu = sys.endpoints()[2];
   for (int module : {5, 6, 7, 10}) {  // the scan-heavy d695 cores
-    const std::uint64_t ate = plan_session(sys, module, ate_in(sys), ate_out(sys)).duration;
-    const std::uint64_t on_cpu = plan_session(sys, module, cpu, cpu).duration;
+    const std::uint64_t ate = plan_session(sys, module, ate_in(sys), ate_out(sys)).value().duration;
+    const std::uint64_t on_cpu = plan_session(sys, module, cpu, cpu).value().duration;
     EXPECT_GT(on_cpu, 2 * ate) << "module " << module;
     EXPECT_LT(on_cpu, 6 * ate) << "module " << module;
   }
@@ -52,9 +52,9 @@ TEST(PlanSession, SameCpuSerializesBothStreams) {
   const Endpoint& cpu = sys.endpoints()[2];
   // Cross sessions only load one direction on the CPU, so using the
   // same CPU for both roles must cost at least as much per pattern.
-  const std::uint64_t both = plan_session(sys, 7, cpu, cpu).duration;
-  const std::uint64_t source_only = plan_session(sys, 7, cpu, ate_out(sys)).duration;
-  const std::uint64_t sink_only = plan_session(sys, 7, ate_in(sys), cpu).duration;
+  const std::uint64_t both = plan_session(sys, 7, cpu, cpu).value().duration;
+  const std::uint64_t source_only = plan_session(sys, 7, cpu, ate_out(sys)).value().duration;
+  const std::uint64_t sink_only = plan_session(sys, 7, ate_in(sys), cpu).value().duration;
   EXPECT_GT(both, source_only);
   EXPECT_GT(both, sink_only);
 }
@@ -62,12 +62,12 @@ TEST(PlanSession, SameCpuSerializesBothStreams) {
 TEST(PlanSession, PowerAddsCoreTransportAndCpu) {
   const SystemModel sys = d695_system(2);
   const itc02::Module& m = sys.soc().module(5);
-  const SessionPlan ate = plan_session(sys, 5, ate_in(sys), ate_out(sys));
+  const SessionPlan ate = plan_session(sys, 5, ate_in(sys), ate_out(sys)).value();
   const double hops = static_cast<double>(ate.path_in.size() + ate.path_out.size());
   EXPECT_DOUBLE_EQ(ate.power, m.test_power + hops * sys.params().noc.hop_power);
 
   const Endpoint& cpu = sys.endpoints()[2];
-  const SessionPlan on_cpu = plan_session(sys, 5, cpu, cpu);
+  const SessionPlan on_cpu = plan_session(sys, 5, cpu, cpu).value();
   const double cpu_hops =
       static_cast<double>(on_cpu.path_in.size() + on_cpu.path_out.size());
   EXPECT_DOUBLE_EQ(on_cpu.power, m.test_power + cpu_hops * sys.params().noc.hop_power +
@@ -78,7 +78,7 @@ TEST(PlanSession, CrossCpuPairCountsBothActivePowers) {
   const SystemModel sys = d695_system(2);
   const Endpoint& cpu1 = sys.endpoints()[2];
   const Endpoint& cpu2 = sys.endpoints()[3];
-  const SessionPlan plan = plan_session(sys, 7, cpu1, cpu2);
+  const SessionPlan plan = plan_session(sys, 7, cpu1, cpu2).value();
   const double hops = static_cast<double>(plan.path_in.size() + plan.path_out.size());
   EXPECT_DOUBLE_EQ(plan.power, sys.soc().module(7).test_power +
                                    hops * sys.params().noc.hop_power +
@@ -88,7 +88,7 @@ TEST(PlanSession, CrossCpuPairCountsBothActivePowers) {
 TEST(PlanSession, BandwidthWithinUnitCapacity) {
   const SystemModel sys = d695_system(2);
   for (const itc02::Module& m : sys.soc().modules) {
-    const SessionPlan plan = plan_session(sys, m.id, ate_in(sys), ate_out(sys));
+    const SessionPlan plan = plan_session(sys, m.id, ate_in(sys), ate_out(sys)).value();
     EXPECT_GT(plan.bandwidth_in, 0.0);
     EXPECT_LE(plan.bandwidth_in, 1.0);
     EXPECT_GT(plan.bandwidth_out, 0.0);
@@ -101,8 +101,8 @@ TEST(PlanSession, CpuFedStreamsUseLessBandwidth) {
   // each channel than the ATE's.
   const SystemModel sys = d695_system(2);
   const Endpoint& cpu = sys.endpoints()[2];
-  const SessionPlan ate = plan_session(sys, 6, ate_in(sys), ate_out(sys));
-  const SessionPlan on_cpu = plan_session(sys, 6, cpu, cpu);
+  const SessionPlan ate = plan_session(sys, 6, ate_in(sys), ate_out(sys)).value();
+  const SessionPlan on_cpu = plan_session(sys, 6, cpu, cpu).value();
   EXPECT_LT(on_cpu.bandwidth_in, ate.bandwidth_in);
 }
 

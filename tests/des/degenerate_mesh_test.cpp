@@ -79,7 +79,7 @@ TEST(DegenerateMesh, SingleRouterFaultsOnlyKillProcessors) {
   // degradation and must classify cleanly.
   noc::FaultSet faults;
   faults.fail_processor(sys.soc().processor_ids().front());
-  const sim::RobustnessReport report = sim::assess_robustness(sys, plan, faults);
+  const sim::RobustnessReport report = sim::assess_robustness(sys, plan, faults, replay(sys, plan));
   EXPECT_GT(report.lost, 0u);
   EXPECT_EQ(report.unaffected + report.delayed + report.lost, plan.sessions.size());
 }

@@ -96,7 +96,7 @@ TEST(Robustness, ClassifiesEverySessionExactlyOnce) {
   noc::FaultSet faults;
   faults.fail_channel(sys.mesh().channel_count() / 2);
   faults.fail_processor(sys.soc().processor_ids().front());
-  const sim::RobustnessReport report = sim::assess_robustness(sys, plan, faults);
+  const sim::RobustnessReport report = sim::assess_robustness(sys, plan, faults, replay(sys, plan));
 
   EXPECT_EQ(report.sessions.size(), plan.sessions.size());
   EXPECT_EQ(report.unaffected + report.delayed + report.lost, plan.sessions.size());
@@ -129,7 +129,8 @@ TEST(Robustness, ClassifiesEverySessionExactlyOnce) {
 TEST(Robustness, NoFaultsMeansEverySessionUnaffected) {
   const SystemModel sys = leon_d695(2);
   const core::Schedule plan = core::plan_tests(sys, power::PowerBudget::unconstrained());
-  const sim::RobustnessReport report = sim::assess_robustness(sys, plan, noc::FaultSet{});
+  const sim::RobustnessReport report =
+      sim::assess_robustness(sys, plan, noc::FaultSet{}, replay(sys, plan));
   EXPECT_EQ(report.unaffected, plan.sessions.size());
   EXPECT_EQ(report.delayed, 0u);
   EXPECT_EQ(report.lost, 0u);

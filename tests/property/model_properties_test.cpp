@@ -120,7 +120,7 @@ TEST_P(ModelProperties, SessionDurationMonotoneInDistance) {
   std::uint64_t prev = 0;
   for (int x = 1; x < 6; ++x) {
     core::Endpoint src{core::EndpointKind::kAteInput, mesh.router_at(x, 0), -1, {}};
-    const core::SessionPlan plan = core::plan_session(sys, 1, src, sys.endpoints()[1]);
+    const core::SessionPlan plan = core::plan_session(sys, 1, src, sys.endpoints()[1]).value();
     EXPECT_GE(plan.duration, prev);
     prev = plan.duration;
   }
@@ -143,8 +143,8 @@ TEST_P(ModelProperties, CpuRatesOnlySlowSessionsDown) {
   for (const itc02::Module& m : sys.soc().modules) {
     if (m.is_processor) continue;
     const std::uint64_t ate =
-        core::plan_session(sys, m.id, sys.endpoints()[0], sys.endpoints()[1]).duration;
-    const std::uint64_t on_cpu = core::plan_session(sys, m.id, cpu, cpu).duration;
+        core::plan_session(sys, m.id, sys.endpoints()[0], sys.endpoints()[1]).value().duration;
+    const std::uint64_t on_cpu = core::plan_session(sys, m.id, cpu, cpu).value().duration;
     // Hop-count differences can shave a few setup cycles, so compare
     // with a small allowance.
     EXPECT_GE(on_cpu + 64, ate) << m.name;

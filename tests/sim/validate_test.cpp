@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "common/error.hpp"
 #include "core/scheduler.hpp"
+#include "noc/routing.hpp"
+#include "power/profile.hpp"
+#include "search/replan.hpp"
 
 namespace nocsched::sim {
 namespace {
@@ -285,6 +291,132 @@ TEST(Validate, ReportsUnknownModulesInAscendingIdOrder) {
   EXPECT_NE(unknown[0].find("module -3 "), std::string::npos);
   EXPECT_NE(unknown[1].find("module 0 "), std::string::npos);
   EXPECT_NE(unknown[2].find("module 999 "), std::string::npos);
+}
+
+/// A valid fault-aware replan to tamper with: d695 with two Leon
+/// processors, the first one dead, and the first stimulus hop of the
+/// pristine plan's first ATE-sourced session cut, so ATE sessions that
+/// crossed that hop now detour.
+struct FaultFixture {
+  FaultFixture()
+      : sys(SystemModel::paper_system("d695", itc02::ProcessorKind::kLeon, 2,
+                                      PlannerParams::paper())),
+        budget(power::PowerBudget::fraction_of_total(sys.soc(), 0.5)),
+        dead(sys.soc().processor_ids().front()) {
+    faults.fail_processor(dead);
+    for (const Session& s : core::plan_tests(sys, budget).sessions) {
+      if (!s.path_in.empty() && !endpoint(s.source_resource).is_processor()) {
+        cut = s.path_in.front();
+        break;
+      }
+    }
+    faults.fail_channel(cut);
+    schedule = search::replan(sys, budget, faults, search::SearchOptions{}).schedule;
+  }
+
+  [[nodiscard]] const core::Endpoint& endpoint(int r) const {
+    return sys.endpoints()[static_cast<std::size_t>(r)];
+  }
+
+  SystemModel sys;
+  power::PowerBudget budget;
+  int dead = 0;
+  noc::ChannelId cut = -1;
+  noc::FaultSet faults;
+  Schedule schedule;
+};
+
+TEST(ValidateFaults, AcceptsReplanOutput) {
+  FaultFixture f;
+  const ValidationReport report = validate(f.sys, f.schedule, f.faults);
+  EXPECT_TRUE(report.ok()) << (report.violations.empty() ? "" : report.violations[0]);
+}
+
+TEST(ValidateFaults, DetectsSessionServedByFailedProcessor) {
+  FaultFixture f;
+  int dead_endpoint = -1;
+  for (std::size_t r = 0; r < f.sys.endpoints().size(); ++r) {
+    const core::Endpoint& ep = f.sys.endpoints()[r];
+    if (ep.is_processor() && ep.processor_module == f.dead) dead_endpoint = static_cast<int>(r);
+  }
+  ASSERT_GE(dead_endpoint, 0);
+  Session& s = f.schedule.sessions.back();
+  s.source_resource = dead_endpoint;
+  s.sink_resource = dead_endpoint;
+  EXPECT_TRUE(has_violation(validate(f.sys, f.schedule, f.faults),
+                            "uses failed processor " + std::to_string(f.dead)));
+}
+
+TEST(ValidateFaults, DetectsScheduledFailedProcessor) {
+  FaultFixture f;
+  Session ghost = f.schedule.sessions.back();
+  ghost.module_id = f.dead;
+  f.schedule.sessions.push_back(ghost);
+  EXPECT_TRUE(has_violation(validate(f.sys, f.schedule, f.faults),
+                            "module " + std::to_string(f.dead) +
+                                " is a failed processor but is scheduled"));
+}
+
+TEST(ValidateFaults, DetectsXyPathThroughFailedChannel) {
+  // Undo one detour: the recorded path becomes the XY route the fault
+  // cut, which is both the wrong route and a path over dead silicon.
+  FaultFixture f;
+  ASSERT_GE(f.cut, 0);
+  Session* detoured = nullptr;
+  for (Session& s : f.schedule.sessions) {
+    const std::vector<noc::ChannelId> xy = noc::xy_route(
+        f.sys.mesh(), f.endpoint(s.source_resource).router, f.sys.router_of(s.module_id));
+    if (xy != s.path_in) {
+      s.path_in = xy;
+      detoured = &s;
+      break;
+    }
+  }
+  ASSERT_NE(detoured, nullptr) << "no session of the replan detours around the cut";
+  const ValidationReport report = validate(f.sys, f.schedule, f.faults);
+  EXPECT_TRUE(has_violation(
+      report, "recorded stimulus path is not the XY route or its fault-aware detour"));
+  EXPECT_TRUE(has_violation(report, "path traverses failed channel " + std::to_string(f.cut)));
+}
+
+TEST(ValidateFaults, DetectsResponsePathMismatch) {
+  FaultFixture f;
+  for (Session& s : f.schedule.sessions) {
+    if (!s.path_out.empty()) {
+      s.path_out.pop_back();
+      break;
+    }
+  }
+  EXPECT_TRUE(has_violation(
+      validate(f.sys, f.schedule, f.faults),
+      "recorded response path is not the XY route or its fault-aware detour"));
+}
+
+TEST(ValidateFaults, CoverageIsTheOnlyRuleTheTwoFormsDisagreeOn) {
+  // One consistent fault-free plan that omits a module nothing depends
+  // on: the complete-plan form reports the gap, the replan form under
+  // the empty fault set accepts it.
+  Fixture f;
+  const auto omitted = std::find_if(
+      f.schedule.sessions.begin(), f.schedule.sessions.end(),
+      [&](const Session& s) { return !f.sys.soc().module(s.module_id).is_processor; });
+  ASSERT_NE(omitted, f.schedule.sessions.end());
+  const int module_id = omitted->module_id;
+  f.schedule.sessions.erase(omitted);
+  power::PowerProfile profile;
+  f.schedule.makespan = 0;
+  for (const Session& s : f.schedule.sessions) {
+    profile.add({s.start, s.end}, s.power);
+    f.schedule.makespan = std::max(f.schedule.makespan, s.end);
+  }
+  f.schedule.peak_power = profile.peak();
+
+  const ValidationReport complete = validate(f.sys, f.schedule);
+  ASSERT_EQ(complete.violations.size(), 1u);
+  EXPECT_TRUE(has_violation(complete, "module " + std::to_string(module_id)));
+  EXPECT_TRUE(has_violation(complete, "tested 0 times (expected 1)"));
+  const ValidationReport replan = validate(f.sys, f.schedule, noc::FaultSet{});
+  EXPECT_TRUE(replan.ok()) << (replan.violations.empty() ? "" : replan.violations[0]);
 }
 
 }  // namespace

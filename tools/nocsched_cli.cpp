@@ -343,7 +343,8 @@ int run_fault_scenario(const Options& opt, const core::SystemModel& sys,
                        const power::PowerBudget& budget, const core::Schedule& schedule,
                        const search::SearchOptions& ropts, bool all) {
   const noc::FaultSet faults = opt.faults.resolve(sys, "--fail-");
-  const sim::RobustnessReport robustness = sim::assess_robustness(sys, schedule, faults);
+  const sim::RobustnessReport robustness =
+      sim::assess_robustness(sys, schedule, faults, des::replay(sys, schedule));
   const search::ReplanResult replanned = search::replan(sys, budget, faults, ropts);
   sim::validate_or_throw(sys, replanned.schedule, faults);
   if (opt.format == "table" || all) {
