@@ -1,15 +1,21 @@
 // Speed of the discrete-event replay itself: every paper system is
-// planned once and then replayed repeatedly; we report simulated
-// cycles, events, wall time and event throughput.  The simulator is a
+// planned once and then replayed in 5 timed batches; we report
+// simulated cycles, events, the median batch's wall time per replay and
+// event throughput.  Every timed replay's trace_json must equal the
+// warm-up's byte for byte (compared after each batch's clock stops).  The simulator is a
 // validation tool — it must stay fast enough to cross-check every plan
 // a sweep produces (hundreds per experiment), so its own speed is a
 // tracked headline number (rows feed scripts/bench_headline_json.sh).
 
+#include <algorithm>
 #include <chrono>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "core/scheduler.hpp"
 #include "des/replay.hpp"
+#include "report/trace_report.hpp"
 #include "sim/cross_check.hpp"
 #include "sim/validate.hpp"
 
@@ -28,8 +34,9 @@ int main() {
             core::plan_tests(sys, power::PowerBudget::unconstrained());
         sim::validate_or_throw(sys, plan);
 
-        // Warm up once (and keep the trace for the stats), then time a
-        // batch large enough to dominate clock noise.
+        // Warm up once (and keep the trace for the stats and as the
+        // determinism reference), then time batches large enough to
+        // dominate clock noise and report the median one.
         const des::SimTrace trace = des::replay(sys, plan);
         const sim::CrossCheckReport check = sim::cross_check(sys, plan, trace);
         if (!check.ok()) {
@@ -37,18 +44,28 @@ int main() {
                     << "\n";
           return 1;
         }
-        constexpr int kRuns = 20;
-        const auto begin = clock::now();
-        for (int i = 0; i < kRuns; ++i) {
-          const des::SimTrace t = des::replay(sys, plan);
-          if (t.observed_makespan != trace.observed_makespan) {
-            std::cerr << "nondeterministic replay on " << soc << "\n";
-            return 1;
+        const std::string reference = report::trace_json(sys, trace, check);
+        constexpr int kBatches = 5;
+        constexpr int kRunsPerBatch = 10;
+        std::vector<double> batch_ms;
+        std::vector<des::SimTrace> runs;
+        runs.reserve(kRunsPerBatch);
+        for (int b = 0; b < kBatches; ++b) {
+          runs.clear();
+          const auto begin = clock::now();
+          for (int i = 0; i < kRunsPerBatch; ++i) runs.push_back(des::replay(sys, plan));
+          batch_ms.push_back(
+              std::chrono::duration<double, std::milli>(clock::now() - begin).count() /
+              kRunsPerBatch);
+          for (const des::SimTrace& t : runs) {
+            if (report::trace_json(sys, t, sim::cross_check(sys, plan, t)) != reference) {
+              std::cerr << "nondeterministic replay on " << soc << "\n";
+              return 1;
+            }
           }
         }
-        const double ms = std::chrono::duration<double, std::milli>(clock::now() - begin)
-                              .count() /
-                          kRuns;
+        std::sort(batch_ms.begin(), batch_ms.end());
+        const double ms = batch_ms[kBatches / 2];
         const double events_per_sec =
             ms > 0.0 ? static_cast<double>(trace.events_processed) / (ms / 1000.0) : 0.0;
         const std::string cpu{itc02::to_string(kind)};

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <limits>
 #include <map>
 
@@ -101,8 +100,9 @@ struct SessionState {
   // same-CPU single server
   bool cpu_busy = false;
   CpuJob cpu_job = CpuJob::kNone;
-  std::deque<std::uint64_t> chk_ready;  ///< delivery times of unchecked responses
-  bool gen_allowed = false;             ///< previous stimulus worm cleared hop 0
+  std::vector<std::uint64_t> chk_ready;  ///< delivery times of responses, from chk_head
+  std::size_t chk_head = 0;              ///< first unchecked entry of chk_ready
+  bool gen_allowed = false;              ///< previous stimulus worm cleared hop 0
   std::uint64_t gen_ready_time = 0;
 
   // local-port streaming for zero-hop paths (source or sink on the
@@ -118,12 +118,30 @@ struct Worm {
   std::uint64_t flits = 0;
   int next_hop = 0;  ///< index of the channel being requested/held last
   std::uint64_t request_time = 0;
+  int next_waiter = -1;  ///< next worm queued on the channel this one waits for
   std::vector<std::uint64_t> grants;  ///< grant time per acquired channel
 };
 
+/// Who holds a channel, and whether its release is queued as an event.
+enum class Hold : std::uint8_t {
+  kFree,       ///< no holder
+  kAcquiring,  ///< the holder's head is still acquiring its path
+  kLazy,       ///< release slot (release_time, release_seq) reserved, nothing queued
+  kQueued,     ///< a kRelease event sits on the release slot
+};
+
+/// A directed channel.  Its release is lazy: when the holder acquires
+/// its whole path, the release gets its time and a reserved event slot,
+/// but a kRelease event goes on that slot only once a worm waits for
+/// the channel.  A request handled at event (now, seq) finds a kLazy
+/// channel free iff the slot orders before (now, seq): exactly when a
+/// kRelease queued at reservation time would already have popped.
 struct ChannelState {
-  bool busy = false;
-  std::deque<int> waiters;  ///< worm ids, FIFO
+  Hold hold = Hold::kFree;
+  std::uint64_t release_time = 0;
+  std::uint64_t release_seq = 0;
+  int waiter_head = -1;  ///< worm ids, FIFO through Worm::next_waiter
+  int waiter_tail = -1;
   std::uint64_t busy_cycles = 0;
   std::uint64_t packets = 0;
 };
@@ -154,7 +172,7 @@ class Replayer {
     while (!queue_.empty()) {
       const auto e = queue_.pop();
       now_ = e.time;
-      ++events_;
+      now_seq_ = e.seq;
       dispatch(e.payload);
     }
     for (const SessionState& s : sessions_) {
@@ -359,22 +377,15 @@ class Replayer {
 
   void try_pending_launches() {
     // Deterministic order: pending_ holds session indices in plan order
-    // (sorted by planned start, then module id).
-    for (auto it = pending_.begin(); it != pending_.end();) {
-      SessionState& s = sessions_[static_cast<std::size_t>(*it)];
-      if (s.planned_start > now_) {
-        // Later sessions in the list can still be eligible (equal-start
-        // groups), but launching out of plan order would be
-        // nondeterministic policy; a kLaunch event is already scheduled.
-        ++it;
-        continue;
-      }
-      if (try_launch(s, *it)) {
-        it = pending_.erase(it);
-      } else {
-        ++it;
-      }
+    // (sorted by planned start, then module id); launched ones drop out.
+    // A session whose planned start is still ahead waits for its own
+    // kLaunch event, while later ones in the list can still be eligible.
+    std::size_t kept = 0;
+    for (const int index : pending_) {
+      SessionState& s = sessions_[static_cast<std::size_t>(index)];
+      if (s.planned_start > now_ || !try_launch(s, index)) pending_[kept++] = index;
     }
+    pending_.resize(kept);
   }
 
   bool try_launch(SessionState& s, int index) {
@@ -480,15 +491,18 @@ class Replayer {
   /// (FIFO across generate/check; ties favour draining responses).
   void dispatch_cpu(SessionState& s, int index) {
     if (s.cpu_busy || s.done) return;
-    const bool chk_avail = !s.chk_ready.empty();
+    const bool chk_avail = s.chk_head < s.chk_ready.size();
     const bool gen_avail = s.gen_allowed && !exhausted(s.gen_cursor, s);
     if (!chk_avail && !gen_avail) return;
     bool pick_chk = chk_avail;
-    if (chk_avail && gen_avail) pick_chk = s.chk_ready.front() <= s.gen_ready_time;
+    if (chk_avail && gen_avail) pick_chk = s.chk_ready[s.chk_head] <= s.gen_ready_time;
     s.cpu_busy = true;
     if (pick_chk) {
       s.cpu_job = CpuJob::kChk;
-      s.chk_ready.pop_front();
+      if (++s.chk_head == s.chk_ready.size()) {
+        s.chk_ready.clear();
+        s.chk_head = 0;
+      }
       const std::uint64_t service = s.phases[s.chk_cursor.phase].chk_service;
       advance(s.chk_cursor, s);
       queue_.push(now_ + service, {Ev::kSinkDone, index});
@@ -502,11 +516,16 @@ class Replayer {
 
   // ----- network --------------------------------------------------------
 
+  /// A reset worm; a recycled one keeps its grants capacity.
   int alloc_worm() {
     if (!free_worms_.empty()) {
       const int id = free_worms_.back();
       free_worms_.pop_back();
-      worms_[static_cast<std::size_t>(id)] = Worm{};
+      Worm& w = worms_[static_cast<std::size_t>(id)];
+      std::vector<std::uint64_t> grants = std::move(w.grants);
+      grants.clear();
+      w = Worm{};
+      w.grants = std::move(grants);
       return id;
     }
     worms_.emplace_back();
@@ -551,15 +570,32 @@ class Replayer {
     request_channel(id);
   }
 
+  /// Whether a slot orders before the event being handled, i.e. an
+  /// event queued on it would already have popped.
+  bool before_now(std::uint64_t time, std::uint64_t seq) const {
+    return time < now_ || (time == now_ && seq < now_seq_);
+  }
+
   void request_channel(int worm_id) {
     Worm& w = worms_[static_cast<std::size_t>(worm_id)];
     const noc::ChannelId c = path_of(w)[static_cast<std::size_t>(w.next_hop)];
     ChannelState& ch = channels_[static_cast<std::size_t>(c)];
-    if (ch.busy) {
-      ch.waiters.push_back(worm_id);
-    } else {
+    if (ch.hold == Hold::kFree ||
+        (ch.hold == Hold::kLazy && before_now(ch.release_time, ch.release_seq))) {
       start_hold(worm_id);
+      return;
     }
+    if (ch.hold == Hold::kLazy) {
+      queue_.push_at(ch.release_time, ch.release_seq, {Ev::kRelease, c});
+      ch.hold = Hold::kQueued;
+    }
+    w.next_waiter = -1;
+    if (ch.waiter_tail < 0) {
+      ch.waiter_head = worm_id;
+    } else {
+      worms_[static_cast<std::size_t>(ch.waiter_tail)].next_waiter = worm_id;
+    }
+    ch.waiter_tail = worm_id;
   }
 
   /// Grant the channel at index `next_hop` to the worm at time `now_`.
@@ -570,7 +606,7 @@ class Replayer {
     const std::uint64_t hop = static_cast<std::uint64_t>(w.next_hop);
     const noc::ChannelId c = path[hop];
     ChannelState& ch = channels_[static_cast<std::size_t>(c)];
-    ch.busy = true;
+    ch.hold = Hold::kAcquiring;
     ++ch.packets;
     s.blocked_cycles += now_ - w.request_time;
     w.grants.push_back(now_);
@@ -591,41 +627,56 @@ class Replayer {
     //   T[j] = max(g[j] + rl + F*fc, T[j+1] - fc)
     // (never before "now" — a short packet that was long blocked
     // downstream conservatively keeps its upstream holds until freed).
+    // Each release reserves its event slot in hop order; the kRelease
+    // is queued now only for a channel that already has a waiter.
     const std::uint64_t H = path.size();
     const std::uint64_t stream = rl + w.flits * fc;
     const std::uint64_t delivered = now_ + stream;
-    std::vector<std::uint64_t> release(H);
-    release[H - 1] = delivered;
+    release_.resize(H);
+    release_[H - 1] = delivered;
     for (std::size_t j = H - 1; j-- > 0;) {
-      release[j] = std::max({w.grants[j] + stream, release[j + 1] - fc, now_});
+      release_[j] = std::max({w.grants[j] + stream, release_[j + 1] - fc, now_});
     }
     for (std::size_t j = 0; j < H; ++j) {
       ChannelState& held = channels_[static_cast<std::size_t>(path[j])];
-      held.busy_cycles += release[j] - w.grants[j];
-      queue_.push(release[j], {Ev::kRelease, path[j]});
+      held.busy_cycles += release_[j] - w.grants[j];
+      held.release_time = release_[j];
+      held.release_seq = queue_.reserve();
+      if (held.waiter_head < 0) {
+        held.hold = Hold::kLazy;
+      } else {
+        queue_.push_at(held.release_time, held.release_seq, {Ev::kRelease, path[j]});
+        held.hold = Hold::kQueued;
+      }
     }
     queue_.push(delivered, {Ev::kDelivered, worm_id});
   }
 
+  /// A queued release pops only for a channel with a waiter: grant the
+  /// first one.
   void on_release(int channel) {
     ChannelState& ch = channels_[static_cast<std::size_t>(channel)];
-    ch.busy = false;
-    if (ch.waiters.empty()) return;
-    const int next = ch.waiters.front();
-    ch.waiters.pop_front();
+    NOCSCHED_ASSERT(ch.hold == Hold::kQueued && ch.waiter_head >= 0);
+    const int next = ch.waiter_head;
+    ch.waiter_head = worms_[static_cast<std::size_t>(next)].next_waiter;
+    if (ch.waiter_head < 0) ch.waiter_tail = -1;
     start_hold(next);
   }
 
   // ----- core and sink ---------------------------------------------------
 
   void on_delivered(int worm_id) {
-    Worm w = worms_[static_cast<std::size_t>(worm_id)];
+    const Worm& w = worms_[static_cast<std::size_t>(worm_id)];
+    const int session = w.session;
+    const bool response = w.response;
+    const bool notify_inject = w.notify_inject_on_delivery;
+    const std::uint64_t flits = w.flits;
     free_worms_.push_back(worm_id);
     ++packets_;
-    SessionState& s = sessions_[static_cast<std::size_t>(w.session)];
-    if (!w.response) {
-      s.flits_in += w.flits;
-      if (w.notify_inject_on_delivery) on_stimulus_injected(s, w.session);
+    SessionState& s = sessions_[static_cast<std::size_t>(session)];
+    if (!response) {
+      s.flits_in += flits;
+      if (notify_inject) on_stimulus_injected(s, session);
       // The wrapper shifts patterns in arrival order, one at a time; a
       // pattern's response has fully scanned out `drain` cycles after
       // its own shift completes (overlapping the next shift-in), and
@@ -637,23 +688,23 @@ class Replayer {
       advance(s.core_cursor, s);
       s.core_free = std::max(now_, s.core_free) + pc.core_service;
       s.emit_prev = std::max(s.core_free + pc.drain, s.emit_prev);
-      queue_.push(s.emit_prev, {Ev::kEmitResponse, w.session});
+      queue_.push(s.emit_prev, {Ev::kEmitResponse, session});
       return;
     }
-    s.flits_out += w.flits;
+    s.flits_out += flits;
     if (s.same_cpu) {
       s.chk_ready.push_back(now_);
-      dispatch_cpu(s, w.session);
+      dispatch_cpu(s, session);
     } else if (s.snk_is_cpu) {
       const std::uint64_t service = s.phases[s.sink_cursor.phase].snk_service;
       advance(s.sink_cursor, s);
       s.sink_free = std::max(now_, s.sink_free) + service;
-      queue_.push(s.sink_free, {Ev::kSinkDone, w.session});
+      queue_.push(s.sink_free, {Ev::kSinkDone, session});
     } else {
       // ATE output port absorbs at line rate: the stream cycles were
       // already paid crossing the mesh.
       ++s.completed;
-      if (s.completed == s.total_patterns) begin_close(s, w.session);
+      if (s.completed == s.total_patterns) begin_close(s, session);
     }
   }
 
@@ -712,7 +763,7 @@ class Replayer {
       trace.channels.push_back(
           {static_cast<noc::ChannelId>(c), ch.busy_cycles, ch.packets});
     }
-    trace.events_processed = events_;
+    trace.events_processed = queue_.pushed();
     trace.packets_delivered = packets_;
     trace.peak_power = observed_peak_power(trace);
 
@@ -728,7 +779,7 @@ class Replayer {
       static obs::Counter& sessions = reg.counter("des.sessions_replayed");
       static obs::Histogram& busy = reg.histogram(
           "des.channel_busy_cycles", {100, 1000, 10000, 100000, 1000000, 10000000});
-      events.add(events_);
+      events.add(trace.events_processed);
       packets.add(packets_);
       sessions.add(trace.sessions.size());
       std::uint64_t blocked_total = 0;
@@ -748,10 +799,11 @@ class Replayer {
   std::vector<Worm> worms_;
   std::vector<int> free_worms_;
   std::vector<bool> endpoint_busy_;
-  std::deque<int> pending_;  ///< unlaunched session indices, plan order
+  std::vector<int> pending_;  ///< unlaunched session indices, plan order
+  std::vector<std::uint64_t> release_;  ///< start_hold scratch: release time per hop
   EventQueue<Payload> queue_;
-  std::uint64_t now_ = 0;
-  std::uint64_t events_ = 0;
+  std::uint64_t now_ = 0;      ///< time of the event being handled
+  std::uint64_t now_seq_ = 0;  ///< its sequence
   std::uint64_t packets_ = 0;
   double active_power_ = 0.0;
 };

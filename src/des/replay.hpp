@@ -33,7 +33,13 @@
 //
 // The replay is exactly deterministic: integer event times with FIFO
 // tie-breaking (see EventQueue), so identical inputs give byte-identical
-// traces.  Model simplifications are conservative where it matters —
+// traces.  Channel releases are lazy: a worm that has acquired its
+// whole path reserves one event slot per hop for its releases, and a
+// release event is queued on a slot only once another worm waits for
+// that channel.  A request finds the channel free iff the slot orders
+// before the event being handled, so every event fires in the order it
+// would if each release were queued when reserved, and
+// SimTrace::events_processed counts the reserved slots as events.  Model simplifications are conservative where it matters —
 // observed timing never undercuts the analytical plan (asserted by the
 // test suite; sim::cross_check reports the deltas).
 //

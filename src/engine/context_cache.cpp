@@ -91,7 +91,17 @@ ContextCache::SlotHandle ContextCache::reserve(const SystemSpec& spec) {
 
 ContextCache::Handle ContextCache::context(const SlotHandle& slot) {
   ensure(slot != nullptr, "ContextCache::context: null slot");
-  std::call_once(slot->once, [&] { slot->context = std::make_shared<const PlanContext>(slot->spec); });
+  const std::lock_guard<std::mutex> lock(slot->build);
+  if (slot->state == Slot::State::kUnbuilt) {
+    try {
+      slot->context = std::make_shared<const PlanContext>(slot->spec);
+      slot->state = Slot::State::kBuilt;
+    } catch (const Error& e) {
+      slot->error = e.what();
+      slot->state = Slot::State::kFailed;
+    }
+  }
+  if (slot->state == Slot::State::kFailed) throw Error(slot->error);
   return slot->context;
 }
 

@@ -70,14 +70,18 @@ class ContextCache {
   using Handle = std::shared_ptr<const PlanContext>;
 
   /// One cache slot: reserved serially (deterministic recency and
-  /// eviction), built at most once (call_once), shared by every request
-  /// naming the same key.
+  /// eviction), built at most once, shared by every request naming the
+  /// same key.  The first caller builds while holding `build`; callers
+  /// arriving meanwhile wait on it and then read the outcome.
   struct Slot {
+    enum class State : std::uint8_t { kUnbuilt, kBuilt, kFailed };
     SystemSpec spec;
     std::string key;
     std::uint64_t seq = 0;  ///< last reservation, the LRU recency stamp
-    std::once_flag once;
-    Handle context;  ///< set exactly once, under `once`
+    std::mutex build;       ///< guards state, context and error
+    State state = State::kUnbuilt;
+    Handle context;     ///< kBuilt: the context
+    std::string error;  ///< kFailed: the build's diagnostic
   };
   using SlotHandle = std::shared_ptr<Slot>;
 
@@ -98,9 +102,10 @@ class ContextCache {
 
   /// The built context for a reserved slot, building it on first use.
   /// Thread-safe: concurrent callers of the same slot build once and
-  /// share the result.  A build failure propagates to every concurrent
-  /// caller and is retried on the next materialize (errors are
-  /// deterministic, so retrying reproduces the same diagnostic).
+  /// share the result.  A build that throws nocsched::Error fails the
+  /// slot: every later caller gets an Error with the same diagnostic,
+  /// and nothing is rebuilt (no file is opened again).  Any other
+  /// exception leaves the slot unbuilt, so the next caller retries.
   [[nodiscard]] Handle context(const SlotHandle& slot);
 
   /// reserve + context in one step.

@@ -121,7 +121,7 @@ std::vector<PlanResult> Engine::run_batch(const std::vector<PlanRequest>& reques
   slots.reserve(requests.size());
   for (const PlanRequest& request : requests) slots.push_back(cache_.reserve(request.system));
   // Phase 2, parallel: whole requests on the work queue.  Missing
-  // contexts are built once (call_once per slot) by whichever worker
+  // contexts are built once (under the slot's mutex) by whichever worker
   // arrives first; every result is a pure function of its request.
   std::vector<PlanResult> results(requests.size());
   parallel_for(requests.size(), options_.jobs, [&](std::size_t i) {

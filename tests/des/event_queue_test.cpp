@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
+
+#include "common/error.hpp"
+#include "common/rng.hpp"
 
 namespace nocsched::des {
 namespace {
@@ -57,6 +62,103 @@ TEST(EventQueue, ReportsEventTimeAndSequence) {
   EXPECT_EQ(first.time, 4u);
   EXPECT_EQ(second.time, 4u);
   EXPECT_LT(first.seq, second.seq);
+}
+
+TEST(EventQueue, LateQueuedReservationPopsWhereAnEagerPushWould) {
+  // Same instant on both sides of the reserved slot: 'a' before it,
+  // 'c' and 'e' after it, and it is queued only after 'a' popped.
+  EventQueue<char> eager;
+  for (const char c : {'a', 'b', 'c'}) eager.push(5, c);
+  eager.push(7, 'd');
+  eager.push(5, 'e');
+
+  EventQueue<char> lazy;
+  lazy.push(5, 'a');
+  const std::uint64_t slot = lazy.reserve();
+  lazy.push(5, 'c');
+  lazy.push(7, 'd');
+  lazy.push(5, 'e');
+  std::string eager_order;
+  std::string lazy_order;
+  eager_order += eager.pop().payload;
+  lazy_order += lazy.pop().payload;
+  lazy.push_at(5, slot, 'b');
+  while (!eager.empty()) eager_order += eager.pop().payload;
+  while (!lazy.empty()) lazy_order += lazy.pop().payload;
+  EXPECT_EQ(eager_order, "abced");
+  EXPECT_EQ(lazy_order, eager_order);
+  EXPECT_EQ(lazy.pushed(), eager.pushed());
+}
+
+TEST(EventQueue, UnqueuedReservationStillCounts) {
+  EventQueue<int> q;
+  q.push(1, 1);
+  (void)q.reserve();
+  q.push(2, 2);
+  (void)q.reserve();
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.pushed(), 4u);
+  EXPECT_EQ(q.pop().payload, 1);
+  EXPECT_EQ(q.pop().payload, 2);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.pushed(), 4u);
+}
+
+TEST(EventQueue, PushAtRejectsUnissuedSequencesAndThePast) {
+  EventQueue<int> q;
+  EXPECT_THROW(q.push_at(1, 0, 0), Error);  // nothing issued yet
+  const std::uint64_t early = q.reserve();
+  q.push(10, 1);
+  const std::uint64_t late = q.reserve();
+  EXPECT_THROW(q.push_at(10, late + 1, 0), Error);
+  EXPECT_EQ(q.pop().payload, 1);
+  EXPECT_THROW(q.push_at(9, late, 0), Error);    // before the last popped time
+  EXPECT_THROW(q.push_at(10, early, 0), Error);  // same time, ordered before the pop
+  q.push_at(10, late, 2);
+  EXPECT_EQ(q.pop().payload, 2);
+}
+
+TEST(EventQueue, RandomInterleaveMatchesSortedReference) {
+  using Key = std::tuple<std::uint64_t, std::uint64_t, int>;  // time, seq, payload
+  Rng rng(0xE7E47);
+  EventQueue<int> q;
+  std::set<Key> reference;
+  std::vector<std::uint64_t> reserved;
+  std::uint64_t last_time = 0;
+  std::uint64_t last_seq = 0;
+  int payload = 0;
+  const auto expect_pop = [&] {
+    ASSERT_FALSE(reference.empty());
+    const auto e = q.pop();
+    const Key want = *reference.begin();
+    reference.erase(reference.begin());
+    ASSERT_EQ(Key(e.time, e.seq, e.payload), want);
+    last_time = e.time;
+    last_seq = e.seq;
+  };
+  for (int op = 0; op < 10000; ++op) {
+    const std::uint64_t roll = rng.below(10);
+    if (roll < 3) {
+      const std::uint64_t time = last_time + rng.below(4);
+      reference.emplace(time, q.pushed(), ++payload);
+      q.push(time, payload);
+    } else if (roll < 5) {
+      reserved.push_back(q.reserve());
+    } else if (roll < 7 && !reserved.empty()) {
+      const std::size_t i = static_cast<std::size_t>(rng.below(reserved.size()));
+      const std::uint64_t seq = reserved[i];
+      reserved.erase(reserved.begin() + static_cast<std::ptrdiff_t>(i));
+      std::uint64_t time = last_time + rng.below(4);
+      if (time == last_time && seq < last_seq) ++time;
+      reference.emplace(time, seq, ++payload);
+      q.push_at(time, seq, payload);
+    } else if (!reference.empty()) {
+      expect_pop();
+    }
+    ASSERT_EQ(q.size(), reference.size());
+  }
+  while (!reference.empty()) expect_pop();
+  EXPECT_TRUE(q.empty());
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,8 @@
 #include "engine/context_cache.hpp"
 #include "engine/engine.hpp"
 #include "engine/serve.hpp"
+#include "itc02/builtin.hpp"
+#include "itc02/writer.hpp"
 #include "noc/fault.hpp"
 #include "power/budget.hpp"
 #include "search/replan.hpp"
@@ -262,6 +266,28 @@ TEST(Engine, FailuresAreInBandNeverThrown) {
   EXPECT_FALSE(second.ok);
   EXPECT_EQ(first.error, second.error);
   EXPECT_NE(first.error.find("/nonexistent/fleet.soc"), std::string::npos);
+}
+
+TEST(ContextCacheTest, FailedBuildReplaysItsDiagnosticWithoutRebuilding) {
+  const std::string path = ::testing::TempDir() + "nocsched_failed_build.soc";
+  std::ofstream(path) << "not a soc file\n";
+  engine::Engine eng;
+  engine::PlanRequest req = request("from-file", "d695", 2);
+  req.system.soc_file = path;
+  req.system.mesh_cols = 4;
+  req.system.mesh_rows = 4;
+  const engine::PlanResult first = eng.run(req);
+  ASSERT_FALSE(first.ok);
+
+  // Repair the file: the failed slot still answers with its first
+  // diagnostic and never reads the file again, while a fresh cache
+  // builds the repaired file.
+  std::ofstream(path) << itc02::to_text(itc02::builtin_d695());
+  const engine::PlanResult again = eng.run(req);
+  EXPECT_FALSE(again.ok);
+  EXPECT_EQ(again.error, first.error);
+  EXPECT_TRUE(engine::Engine().run(req).ok);
+  std::remove(path.c_str());
 }
 
 }  // namespace
