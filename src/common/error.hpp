@@ -47,6 +47,11 @@ template <typename... Args>
 }
 
 /// Throw nocsched::Error with message `args...` unless `cond` holds.
+/// Like any function argument, `args...` are evaluated on every call,
+/// even when `cond` holds: pass only cheap values (literals, numbers).
+/// A message that needs string building (`.name()`, `cat(...)`,
+/// `describe()`) belongs in `if (!cond) fail(...)`, which formats only
+/// on failure — nocsched-lint rule P1 flags the eager form in src/.
 template <typename... Args>
 void ensure(bool cond, const Args&... args) {
   if (!cond) fail(args...);

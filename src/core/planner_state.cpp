@@ -4,7 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#include "common/error.hpp"
+#include "power/profile.hpp"
 
 namespace nocsched::core {
 
@@ -42,7 +42,7 @@ void StepProfile::add_delta(std::uint64_t t, double v) {
 }
 
 void StepProfile::add(const Interval& iv, double value) {
-  ensure(std::isfinite(value) && value >= 0.0, "PowerProfile: bad power value ", value);
+  power::require_valid_draw(value);
   if (iv.empty() || value == 0.0) return;
   add_delta(iv.start, value);
   add_delta(iv.end, -value);

@@ -7,28 +7,25 @@
 
 namespace nocsched::core {
 
-namespace {
-
-SessionPlan plan_over_paths(const SystemModel& sys, int module_id, const Endpoint& source,
-                            const Endpoint& sink, std::vector<noc::ChannelId> path_in,
-                            std::vector<noc::ChannelId> path_out) {
-  ensure(source.can_source(), "plan_session: ", source.name(), " cannot act as a source");
-  ensure(sink.can_sink(), "plan_session: ", sink.name(), " cannot act as a sink");
+SessionPlan price_session(const SystemModel& sys, int module_id, const Endpoint& source,
+                          const Endpoint& sink, int h_in, int h_out) {
+  // Messages are built only on failure: this runs once per candidate
+  // pair of every PairTable build and once per validated session.
+  if (!source.can_source()) fail("plan_session: ", source.name(), " cannot act as a source");
+  if (!sink.can_sink()) fail("plan_session: ", sink.name(), " cannot act as a sink");
   const itc02::Module& module = sys.soc().module(module_id);
-  ensure(!source.is_processor() || source.processor_module != module_id,
-         "plan_session: processor ", module_id, " cannot source its own test");
-  ensure(!sink.is_processor() || sink.processor_module != module_id,
-         "plan_session: processor ", module_id, " cannot sink its own test");
+  if (source.is_processor() && source.processor_module == module_id) {
+    fail("plan_session: processor ", module_id, " cannot source its own test");
+  }
+  if (sink.is_processor() && sink.processor_module == module_id) {
+    fail("plan_session: processor ", module_id, " cannot sink its own test");
+  }
 
   const noc::Characterization& nc = sys.params().noc;
   const bool same_cpu = source.is_processor() && sink.is_processor() &&
                         source.processor_module == sink.processor_module;
 
   SessionPlan plan;
-  plan.path_in = std::move(path_in);
-  plan.path_out = std::move(path_out);
-  const int h_in = static_cast<int>(plan.path_in.size());
-  const int h_out = static_cast<int>(plan.path_out.size());
 
   double duration = static_cast<double>(nc.path_setup_cycles(h_in)) +
                     static_cast<double>(nc.path_setup_cycles(h_out));
@@ -81,7 +78,7 @@ SessionPlan plan_over_paths(const SystemModel& sys, int module_id, const Endpoin
   }
 
   plan.duration = static_cast<std::uint64_t>(std::llround(std::ceil(duration)));
-  ensure(plan.duration > 0, "plan_session: zero-length session for module ", module_id);
+  if (plan.duration == 0) fail("plan_session: zero-length session for module ", module_id);
 
   plan.power = module.test_power + nc.transport_power(h_in, h_out);
   if (source.is_processor()) plan.power += sys.params().rates(source.cpu).active_power;
@@ -89,26 +86,32 @@ SessionPlan plan_over_paths(const SystemModel& sys, int module_id, const Endpoin
   return plan;
 }
 
-}  // namespace
+bool session_dead(const SystemModel& sys, int module_id, const Endpoint& source,
+                  const Endpoint& sink, const noc::FaultSet& faults) {
+  if (faults.processor_failed(module_id) && sys.soc().module(module_id).is_processor) {
+    return true;  // the module itself is dead — nothing to test
+  }
+  for (const Endpoint* ep : {&source, &sink}) {
+    if (ep->is_processor() && faults.processor_failed(ep->processor_module)) return true;
+  }
+  return false;
+}
 
 std::optional<SessionPlan> plan_session(const SystemModel& sys, int module_id,
                                         const Endpoint& source, const Endpoint& sink,
                                         const noc::FaultSet& faults) {
-  if (faults.processor_failed(module_id) && sys.soc().module(module_id).is_processor) {
-    return std::nullopt;  // the module itself is dead — nothing to test
-  }
-  for (const Endpoint* ep : {&source, &sink}) {
-    if (ep->is_processor() && faults.processor_failed(ep->processor_module)) {
-      return std::nullopt;
-    }
-  }
+  if (session_dead(sys, module_id, source, sink, faults)) return std::nullopt;
   const noc::RouterId at = sys.router_of(module_id);
   auto path_in = noc::fault_route(sys.mesh(), faults, source.router, at);
   if (!path_in) return std::nullopt;
   auto path_out = noc::fault_route(sys.mesh(), faults, at, sink.router);
   if (!path_out) return std::nullopt;
-  return plan_over_paths(sys, module_id, source, sink, std::move(*path_in),
-                         std::move(*path_out));
+  SessionPlan plan = price_session(sys, module_id, source, sink,
+                                   static_cast<int>(path_in->size()),
+                                   static_cast<int>(path_out->size()));
+  plan.path_in = std::move(*path_in);
+  plan.path_out = std::move(*path_out);
+  return plan;
 }
 
 std::uint64_t bist_memory_bytes(const SystemModel& sys, int module_id,

@@ -56,6 +56,26 @@ struct SessionPlan {
                                                       const Endpoint& sink,
                                                       const noc::FaultSet& faults = {});
 
+/// The pricing half of plan_session: duration, power and bandwidths of
+/// testing `module_id` from `source` to `sink` over a stimulus route of
+/// `h_in` channels and a response route of `h_out` — the cost model
+/// depends on routes only through their length.  The paths of the
+/// returned plan are left empty: plan_session fills in the two
+/// noc::fault_route legs it priced, and a caller that has already
+/// routed a session (the validator) prices it here without routing
+/// again.  Throws nocsched::Error when `source` cannot source, `sink`
+/// cannot sink, or either is the processor under test.
+[[nodiscard]] SessionPlan price_session(const SystemModel& sys, int module_id,
+                                        const Endpoint& source, const Endpoint& sink, int h_in,
+                                        int h_out);
+
+/// True when `faults` rule the session out before any routing: the
+/// module under test, the source, or the sink is a failed processor
+/// (plan_session returns nullopt for exactly these, and for a missing
+/// route).
+[[nodiscard]] bool session_dead(const SystemModel& sys, int module_id, const Endpoint& source,
+                                const Endpoint& sink, const noc::FaultSet& faults);
+
 /// Local memory the software-BIST application needs on a processor of
 /// `kind` to test `module_id`: the kernel program, its parameter block,
 /// and per-pattern response mask/expected-signature data (paper step 2

@@ -12,8 +12,12 @@ namespace {
 double slack(double limit) { return 1e-9 * (std::abs(limit) + 1.0); }
 }  // namespace
 
-void PowerProfile::add(const Interval& iv, double value) {
+void require_valid_draw(double value) {
   ensure(std::isfinite(value) && value >= 0.0, "PowerProfile: bad power value ", value);
+}
+
+void PowerProfile::add(const Interval& iv, double value) {
+  require_valid_draw(value);
   if (iv.empty() || value == 0.0) return;
   deltas_[iv.start] += value;
   deltas_[iv.end] -= value;

@@ -14,6 +14,10 @@
 
 namespace nocsched::power {
 
+/// Throw nocsched::Error unless `value` is a legal constant draw
+/// (finite and non-negative) — the check every profile's add() applies.
+void require_valid_draw(double value);
+
 class PowerProfile {
  public:
   /// Add a constant draw of `value` power units over `iv` (no-op for an

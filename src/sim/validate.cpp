@@ -45,6 +45,107 @@ class ModuleLut {
   std::vector<const itc02::Module*> by_id_;
 };
 
+/// Channel counts of a session's two fault-aware routes (-1: no
+/// surviving route), all the cost model needs of them.
+struct RouteHops {
+  int in = -1;
+  int out = -1;
+};
+
+/// Peak multiplexed load of every directed channel the `loaded`
+/// sessions cross (each with start < end and valid bandwidths), as
+/// (channel, peak) in ascending channel order.
+///
+/// One sweep over the sessions' start/end events in (time, session
+/// index) order, into one dense (step, level, peak) lane per channel.  The
+/// deltas landing on a channel at one instant are summed first (in
+/// session order, stimulus leg before response leg) and only then added
+/// to its level — the arithmetic of one power::PowerProfile per
+/// channel, so every peak is bit-identical to it.  Recorded ids outside
+/// the mesh (hostile input) get extra slots ordered around the mesh's
+/// own, keeping slot order equal to channel order.
+std::vector<std::pair<noc::ChannelId, double>> peak_channel_loads(
+    std::span<const core::Session> sessions, std::span<const std::size_t> loaded,
+    int mesh_channels) {
+  std::vector<noc::ChannelId> outside;  // sorted, unique
+  for (const std::size_t i : loaded) {
+    for (const auto* path : {&sessions[i].path_in, &sessions[i].path_out}) {
+      for (const noc::ChannelId c : *path) {
+        if (c < 0 || c >= mesh_channels) outside.push_back(c);
+      }
+    }
+  }
+  std::sort(outside.begin(), outside.end());
+  outside.erase(std::unique(outside.begin(), outside.end()), outside.end());
+  const auto below = static_cast<std::size_t>(
+      std::lower_bound(outside.begin(), outside.end(), 0) - outside.begin());
+  const auto mesh = static_cast<std::size_t>(mesh_channels);
+  auto slot_of = [&](noc::ChannelId c) -> std::size_t {
+    if (c >= 0 && c < mesh_channels) return below + static_cast<std::size_t>(c);
+    const auto k = static_cast<std::size_t>(
+        std::lower_bound(outside.begin(), outside.end(), c) - outside.begin());
+    return c < 0 ? k : mesh + k;
+  };
+  auto channel_of = [&](std::size_t slot) -> noc::ChannelId {
+    if (slot < below) return outside[slot];
+    if (slot < below + mesh) return static_cast<noc::ChannelId>(slot - below);
+    return outside[slot - mesh];
+  };
+
+  std::vector<std::pair<std::uint64_t, std::size_t>> events;  // (time, session index)
+  events.reserve(2 * loaded.size());
+  for (const std::size_t i : loaded) {
+    events.emplace_back(sessions[i].start, i);
+    events.emplace_back(sessions[i].end, i);
+  }
+  std::sort(events.begin(), events.end());
+
+  // Per channel: `step` sums the deltas landing at instant `at`; it is
+  // folded into `level` when a later instant reaches the channel (a
+  // fold of a zero step changes nothing), and once more after the last
+  // event.
+  struct Lane {
+    std::uint64_t at = 0;
+    double step = 0.0;
+    double level = 0.0;
+    double peak = 0.0;
+    void fold() {
+      level += step;
+      peak = level > peak ? level : peak;
+      step = 0.0;
+    }
+  };
+  std::vector<Lane> lanes(mesh + outside.size());
+  for (const auto& [t, i] : events) {
+    const core::Session& s = sessions[i];
+    // An end adds -bw, which is exactly PowerProfile's `-= bw`.
+    const double sign = s.start == t ? 1.0 : -1.0;
+    const double bws[] = {s.bandwidth_in, s.bandwidth_out};
+    int side = 0;
+    for (const auto* path : {&s.path_in, &s.path_out}) {
+      const double bw = bws[side++];
+      if (bw == 0.0) continue;  // a zero draw books nothing
+      const double delta = sign * bw;
+      for (const noc::ChannelId c : *path) {
+        Lane& lane = lanes[slot_of(c)];
+        if (lane.at != t) {
+          lane.fold();
+          lane.at = t;
+        }
+        lane.step += delta;
+      }
+    }
+  }
+
+  std::vector<std::pair<noc::ChannelId, double>> out;
+  out.reserve(lanes.size());
+  for (std::size_t k = 0; k < lanes.size(); ++k) {
+    lanes[k].fold();
+    if (lanes[k].peak > 0.0) out.emplace_back(channel_of(k), lanes[k].peak);
+  }
+  return out;
+}
+
 }  // namespace
 
 std::vector<int> book_session_resources(std::span<IntervalSet> busy, int source, int sink,
@@ -134,17 +235,22 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
   // Processor completion times (for precedence checks).  Pretested
   // processors finished their own test in an earlier timeline epoch —
   // ready from instant 0 even though this plan has no session for them.
-  std::map<int, std::uint64_t> processor_ready;  // module id -> own test end
+  // Dense by module id; nullopt = the processor was never tested.
+  std::vector<std::optional<std::uint64_t>> processor_ready(modules.id_bound());
   for (const int id : pretested) {
     if (const itc02::Module* m = modules.find(id); m != nullptr && m->is_processor) {
-      processor_ready[id] = 0;
+      processor_ready[static_cast<std::size_t>(id)] = 0;
     }
   }
   for (const core::Session& s : schedule.sessions) {
     if (const itc02::Module* m = modules.find(s.module_id); m != nullptr && m->is_processor) {
-      processor_ready[s.module_id] = s.end;
+      processor_ready[static_cast<std::size_t>(s.module_id)] = s.end;
     }
   }
+  auto ready_at = [&](int id) -> std::optional<std::uint64_t> {
+    if (id < 0 || static_cast<std::size_t>(id) >= processor_ready.size()) return std::nullopt;
+    return processor_ready[static_cast<std::size_t>(id)];
+  };
 
   // 3/4/7. Resource usage.
   std::vector<IntervalSet> resource_busy(endpoints.size());
@@ -174,13 +280,12 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
       if (ep->is_processor()) {
         if (ep->processor_module == s.module_id) {
           violation("module ", s.module_id, " is tested through itself");
-        } else if (const auto it = processor_ready.find(ep->processor_module);
-                   it == processor_ready.end()) {
+        } else if (const auto ready = ready_at(ep->processor_module); !ready) {
           violation("module ", s.module_id, " uses untested processor ",
                     ep->processor_module);
-        } else if (s.start < it->second) {
+        } else if (s.start < *ready) {
           violation("module ", s.module_id, " starts at ", s.start, " on processor ",
-                    ep->processor_module, " which is only ready at ", it->second);
+                    ep->processor_module, " which is only ready at ", *ready);
         }
       }
     }
@@ -195,22 +300,27 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
   }
 
   // 5. Channel usage (per the system's channel model) and path
-  // correctness.
+  // correctness.  The routes computed here are what check 6 prices.
   const bool circuit = sys.params().channel_model == core::ChannelModel::kCircuit;
+  std::vector<RouteHops> hops(schedule.sessions.size());
   std::map<noc::ChannelId, IntervalSet> channel_busy;
-  std::map<noc::ChannelId, power::PowerProfile> channel_load;
-  for (const core::Session& s : schedule.sessions) {
+  std::vector<std::size_t> loaded;  // sessions booked as multiplexed channel load
+  loaded.reserve(schedule.sessions.size());
+  for (std::size_t i = 0; i < schedule.sessions.size(); ++i) {
+    const core::Session& s = schedule.sessions[i];
     if (!endpoint_ok(s.source_resource) || !endpoint_ok(s.sink_resource)) continue;
     const core::Endpoint& src = endpoints[static_cast<std::size_t>(s.source_resource)];
     const core::Endpoint& snk = endpoints[static_cast<std::size_t>(s.sink_resource)];
     if (modules.find(s.module_id) == nullptr) continue;
     const noc::RouterId at = sys.router_of(s.module_id);
     const auto in = noc::fault_route(sys.mesh(), faults, src.router, at);
+    if (in) hops[i].in = static_cast<int>(in->size());
     if (!in || s.path_in != *in) {
       violation("module ", s.module_id,
                 ": recorded stimulus path is not the XY route or its fault-aware detour");
     }
     const auto out = noc::fault_route(sys.mesh(), faults, at, snk.router);
+    if (out) hops[i].out = static_cast<int>(out->size());
     if (!out || s.path_out != *out) {
       violation("module ", s.module_id,
                 ": recorded response path is not the XY route or its fault-aware detour");
@@ -227,37 +337,38 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
       }
     }
     if (s.end <= s.start) continue;
+    if (!circuit) {
+      // A leg's bandwidth is a draw on every channel it crosses.
+      if (!s.path_in.empty()) power::require_valid_draw(s.bandwidth_in);
+      if (!s.path_out.empty()) power::require_valid_draw(s.bandwidth_out);
+      loaded.push_back(i);
+      continue;
+    }
     const Interval iv{s.start, s.end};
-    const double bws[] = {s.bandwidth_in, s.bandwidth_out};
-    int side = 0;
     for (const auto* path : {&s.path_in, &s.path_out}) {
-      const double bw = bws[side++];
       for (noc::ChannelId c : *path) {
-        if (circuit) {
-          IntervalSet& busy = channel_busy[c];
-          if (busy.conflicts(iv)) {
-            violation("channel ", c, " double-booked around [", s.start, ", ", s.end,
-                      ") by module ", s.module_id);
-          } else {
-            busy.insert(iv);
-          }
+        IntervalSet& busy = channel_busy[c];
+        if (busy.conflicts(iv)) {
+          violation("channel ", c, " double-booked around [", s.start, ", ", s.end,
+                    ") by module ", s.module_id);
         } else {
-          channel_load[c].add(iv, bw);
+          busy.insert(iv);
         }
       }
     }
   }
-  for (const auto& [channel, load] : channel_load) {
-    const double peak_load = load.peak();
+  for (const auto& [channel, peak_load] :
+       peak_channel_loads(schedule.sessions, loaded, sys.mesh().channel_count())) {
     if (peak_load > 1.0 + 1e-9) {
       violation("channel ", channel, " oversubscribed: peak bandwidth ", peak_load);
     }
   }
 
   // 6. Power: recomputed profile within budget; recorded values match
-  // the cost model.
+  // the cost model, priced over the routes check 5 computed.
   power::PowerProfile profile;
-  for (const core::Session& s : schedule.sessions) {
+  for (std::size_t i = 0; i < schedule.sessions.size(); ++i) {
+    const core::Session& s = schedule.sessions[i];
     if (s.end <= s.start) continue;
     profile.add({s.start, s.end}, s.power);
     if (!endpoint_ok(s.source_resource) || !endpoint_ok(s.sink_resource)) continue;
@@ -269,22 +380,22 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
     if (!src.can_source() || !snk.can_sink()) continue;
     if (src.is_processor() && src.processor_module == s.module_id) continue;
     if (snk.is_processor() && snk.processor_module == s.module_id) continue;
-    const std::optional<core::SessionPlan> plan =
-        core::plan_session(sys, s.module_id, src, snk, faults);
-    if (!plan) {
+    const RouteHops& h = hops[i];
+    if (core::session_dead(sys, s.module_id, src, snk, faults) || h.in < 0 || h.out < 0) {
       violation("module ", s.module_id,
                 ": scheduled but the fault-aware cost model finds no route");
       continue;
     }
-    if (plan->duration != s.duration()) {
+    const core::SessionPlan plan = core::price_session(sys, s.module_id, src, snk, h.in, h.out);
+    if (plan.duration != s.duration()) {
       violation("module ", s.module_id, ": recorded duration ", s.duration(),
-                " != cost model ", plan->duration);
+                " != cost model ", plan.duration);
     }
-    if (!near(plan->power, s.power)) {
+    if (!near(plan.power, s.power)) {
       violation("module ", s.module_id, ": recorded power ", s.power, " != cost model ",
-                plan->power);
+                plan.power);
     }
-    if (!near(plan->bandwidth_in, s.bandwidth_in) || !near(plan->bandwidth_out, s.bandwidth_out)) {
+    if (!near(plan.bandwidth_in, s.bandwidth_in) || !near(plan.bandwidth_out, s.bandwidth_out)) {
       violation("module ", s.module_id, ": recorded channel bandwidth != cost model");
     }
   }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
 #include "common/error.hpp"
 
 namespace nocsched::core {
@@ -112,6 +115,29 @@ TEST(PlanSession, RoleChecks) {
   // A processor cannot test itself.
   const Endpoint& cpu = sys.endpoints()[2];
   EXPECT_THROW(plan_session(sys, cpu.processor_module, cpu, cpu), Error);
+}
+
+std::string thrown_text(const std::function<void()>& call) {
+  try {
+    call();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "<no throw>";
+}
+
+TEST(PlanSession, PreconditionMessagesNameTheOffendingRole) {
+  const SystemModel sys = d695_system(2);
+  const Endpoint& cpu = sys.endpoints()[2];
+  const int self = cpu.processor_module;
+  EXPECT_EQ(thrown_text([&] { (void)plan_session(sys, 1, ate_out(sys), ate_out(sys)); }),
+            "plan_session: ATE-out cannot act as a source");
+  EXPECT_EQ(thrown_text([&] { (void)plan_session(sys, 1, ate_in(sys), ate_in(sys)); }),
+            "plan_session: ATE-in cannot act as a sink");
+  EXPECT_EQ(thrown_text([&] { (void)plan_session(sys, self, cpu, ate_out(sys)); }),
+            "plan_session: processor " + std::to_string(self) + " cannot source its own test");
+  EXPECT_EQ(thrown_text([&] { (void)plan_session(sys, self, ate_in(sys), cpu); }),
+            "plan_session: processor " + std::to_string(self) + " cannot sink its own test");
 }
 
 TEST(BistMemory, GrowsWithPatternsTimesResponse) {

@@ -92,6 +92,8 @@ const Fixture kFixtures[] = {
     {"d5_clean.cpp", "src/itc02/d5_clean.cpp"},
     {"d6_violation.cpp", "src/search/d6_violation.cpp"},
     {"d6_clean.cpp", "src/core/d6_clean.cpp"},
+    {"p1_violation.cpp", "src/core/p1_violation.cpp"},
+    {"p1_clean.cpp", "src/core/p1_clean.cpp"},
     {"suppress.cpp", "src/itc02/suppress.cpp"},
     {"s1_zone.cpp", "src/core/s1_zone.cpp"},
 };
@@ -111,7 +113,8 @@ TEST(LintGolden, FixturesMatchExpectMarkers) {
 TEST(LintGolden, CleanTwinsProduceNoFindings) {
   for (const char* name :
        {"d1_clean.cpp", "d2_clean.cpp", "d3_clean.cpp", "d4_clean.cpp",
-        "d4_planner_state_clean.cpp", "d4_engine_clean.cpp", "d5_clean.cpp", "d6_clean.cpp"}) {
+        "d4_planner_state_clean.cpp", "d4_engine_clean.cpp", "d5_clean.cpp", "d6_clean.cpp",
+        "p1_clean.cpp"}) {
     SCOPED_TRACE(name);
     EXPECT_TRUE(parse_expects(read_fixture(name)).empty())
         << "clean fixtures must not carry expect markers";
@@ -158,10 +161,24 @@ TEST(LintScoping, RuleAppliesMatchesTheCatalogue) {
   EXPECT_FALSE(rule_applies("D2", "src/obs/clock.cpp"));  // the sanctioned clock
   EXPECT_TRUE(rule_applies("D2", "src/obs/metrics.cpp"));
   EXPECT_TRUE(rule_applies("D4", "src/engine/engine.cpp"));
+  EXPECT_TRUE(rule_applies("P1", "src/core/session_model.cpp"));
+  EXPECT_TRUE(rule_applies("P1", "src/sim/validate.cpp"));
+  EXPECT_FALSE(rule_applies("P1", "tools/nocsched_cli.cpp"));
   EXPECT_TRUE(rule_applies("S1", "src/core/schedule.cpp"));
   EXPECT_TRUE(rule_applies("S1", "src/search/driver.cpp"));
   EXPECT_TRUE(rule_applies("S1", "src/engine/serve.cpp"));
   EXPECT_FALSE(rule_applies("S1", "src/itc02/parser.cpp"));
+}
+
+TEST(LintRules, P1FlagsEagerMessageFormattingOnlyInSrc) {
+  const std::string text = read_fixture("p1_violation.cpp");
+  const auto in_src = nocsched::lint::lint_source("src/sim/p1.cpp", text);
+  EXPECT_EQ(found_set(in_src), parse_expects(text)) << describe(found_set(in_src));
+  for (const Diagnostic& d : in_src) {
+    EXPECT_NE(d.message.find("fail("), std::string::npos) << d.message;
+  }
+  EXPECT_TRUE(nocsched::lint::lint_source("tests/sim/p1.cpp", text).empty());
+  EXPECT_TRUE(nocsched::lint::lint_source("tools/p1.cpp", text).empty());
 }
 
 TEST(LintSuppression, AllowedRulesAreSilencedOnlyWhereScoped) {

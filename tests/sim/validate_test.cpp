@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 
 #include "common/error.hpp"
@@ -291,6 +292,84 @@ TEST(Validate, ReportsUnknownModulesInAscendingIdOrder) {
   EXPECT_NE(unknown[0].find("module -3 "), std::string::npos);
   EXPECT_NE(unknown[1].find("module 0 "), std::string::npos);
   EXPECT_NE(unknown[2].find("module 999 "), std::string::npos);
+}
+
+std::string thrown_text(const core::SystemModel& sys, const Schedule& schedule) {
+  try {
+    (void)validate(sys, schedule);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "<no throw>";
+}
+
+Session& first_with_both_paths(Schedule& schedule) {
+  for (Session& s : schedule.sessions) {
+    if (!s.path_in.empty() && !s.path_out.empty()) return s;
+  }
+  throw Error("plan has no session with two non-empty paths");
+}
+
+TEST(Validate, RejectsNonFiniteOrNegativeBandwidth) {
+  // A multiplexed-model leg books its bandwidth as channel load, which
+  // must be a finite, non-negative draw.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  {
+    Fixture f;
+    first_with_both_paths(f.schedule).bandwidth_in = nan;
+    EXPECT_EQ(thrown_text(f.sys, f.schedule), "PowerProfile: bad power value nan");
+  }
+  {
+    Fixture f;
+    first_with_both_paths(f.schedule).bandwidth_out = -0.25;
+    EXPECT_EQ(thrown_text(f.sys, f.schedule), "PowerProfile: bad power value -0.25");
+  }
+}
+
+TEST(Validate, RejectsNonFiniteOrNegativePower) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  {
+    Fixture f;
+    f.schedule.sessions.front().power = nan;
+    EXPECT_EQ(thrown_text(f.sys, f.schedule), "PowerProfile: bad power value nan");
+  }
+  {
+    Fixture f;
+    f.schedule.sessions.back().power = -1.0;
+    EXPECT_EQ(thrown_text(f.sys, f.schedule), "PowerProfile: bad power value -1");
+  }
+}
+
+TEST(Validate, BandwidthFaultThrowsBeforePowerFault) {
+  // Channel load is booked before the power profile is summed, so a bad
+  // bandwidth on a late session wins over a bad power on the first.
+  Fixture f;
+  f.schedule.sessions.front().power = -2.0;
+  Session* late = nullptr;
+  for (Session& s : f.schedule.sessions) {
+    if (!s.path_out.empty()) late = &s;
+  }
+  ASSERT_NE(late, nullptr);
+  ASSERT_NE(late, &f.schedule.sessions.front());
+  late->bandwidth_out = -0.5;
+  EXPECT_EQ(thrown_text(f.sys, f.schedule), "PowerProfile: bad power value -0.5");
+}
+
+TEST(Validate, BadBandwidthOnAnEmptyPathBooksNothing) {
+  // No channel carries the leg, so its bandwidth is only compared with
+  // the cost model.
+  Fixture f;
+  Session* local = nullptr;
+  for (Session& s : f.schedule.sessions) {
+    if (s.path_in.empty()) local = &s;
+  }
+  ASSERT_NE(local, nullptr) << "no session with an empty stimulus path";
+  local->bandwidth_in = -1.0;
+  const ValidationReport report = validate(f.sys, f.schedule);
+  ASSERT_EQ(report.violations.size(), 1u);
+  EXPECT_EQ(report.violations[0],
+            "module " + std::to_string(local->module_id) +
+                ": recorded channel bandwidth != cost model");
 }
 
 /// A valid fault-aware replan to tamper with: d695 with two Leon

@@ -31,6 +31,10 @@
 //       may be recorded (obs::Span, "wall." metrics, via src/obs/'s
 //       sanctioned clock) but never branched on in the deterministic
 //       zones
+//   P1  no string building (`.name()`, `cat(...)`, `describe()`) in
+//       the message arguments of nocsched::ensure in src/ — they are
+//       evaluated even when the condition holds; hot preconditions
+//       format only on failure (`if (!cond) fail(...)`)
 //   S1  `nocsched-lint: allow(...)` suppressions are banned in
 //       src/core/ and src/search/ (the determinism-critical zones);
 //       S1 itself cannot be suppressed
@@ -50,7 +54,7 @@ struct Diagnostic {
   std::string file;  ///< repo-relative path with '/' separators
   int line = 0;
   int col = 0;
-  std::string rule;     ///< "D1".."D6", "S1"
+  std::string rule;     ///< "D1".."D6", "P1", "S1"
   std::string message;  ///< human-readable explanation
 };
 

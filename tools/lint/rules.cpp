@@ -61,6 +61,7 @@ bool rule_applies(std::string_view rule, std::string_view rel_path) {
   if (rule == "D6") {
     return starts_with(rel_path, "src/core/") || starts_with(rel_path, "src/search/");
   }
+  if (rule == "P1") return starts_with(rel_path, "src/");
   if (rule == "S1") {
     return starts_with(rel_path, "src/core/") || starts_with(rel_path, "src/search/") ||
            starts_with(rel_path, "src/engine/");
@@ -676,6 +677,50 @@ void rule_d6(const Stream& s, const Sink& sink) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// P1 — no string building in ensure(...) message arguments.
+// nocsched::ensure is a function, so every message argument is evaluated
+// before the condition is tested: a `.name()`, `cat(...)` or
+// `describe()` there allocates and formats a string on every passing
+// call of a hot precondition.  Only the message arguments (after the
+// first top-level comma) count; the condition is evaluated anyway.
+
+void rule_p1(const Stream& s, const Sink& sink) {
+  for (std::size_t i = 0; i + 1 < s.size(); ++i) {
+    if (!s.ident(i, "ensure") || !s.is(i + 1, "(")) continue;
+    if (i > 0 && (s.is(i - 1, ".") || s.is(i - 1, "->"))) continue;
+    const std::size_t close = s.match(i + 1);
+    if (close == npos) continue;
+    std::size_t message = npos;  // first token after the top-level comma
+    for (std::size_t j = i + 2; j < close; ++j) {
+      if (s.is(j, "(") || s.is(j, "[") || s.is(j, "{")) {
+        const std::size_t m = s.match(j);
+        if (m == npos || m > close) break;
+        j = m;
+        continue;
+      }
+      if (s.is(j, ",")) {
+        message = j + 1;
+        break;
+      }
+    }
+    if (message == npos) continue;
+    for (std::size_t j = message; j < close; ++j) {
+      if (!s.ident(j) || !s.is(j + 1, "(")) continue;
+      const std::string_view name = s.at(j).text;
+      const bool member = s.is(j - 1, ".") || s.is(j - 1, "->");
+      if ((member && name == "name") || (!member && name == "cat") || name == "describe") {
+        sink.add(s.at(j), "P1",
+                 "'" + std::string(name) +
+                     "(...)' in an ensure() message is evaluated even when the condition "
+                     "holds: build the message only on failure, "
+                     "`if (!cond) fail(...)`");
+        break;  // one finding per ensure call
+      }
+    }
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -697,6 +742,7 @@ std::vector<Diagnostic> lint_source(std::string_view rel_path, std::string_view 
   if (rule_applies("D4", rel_path)) rule_d4(s, rel_path, sink);
   if (rule_applies("D5", rel_path)) rule_d5(s, sink);
   if (rule_applies("D6", rel_path)) rule_d6(s, sink);
+  if (rule_applies("P1", rel_path)) rule_p1(s, sink);
 
   const std::vector<Suppression> sups = parse_suppressions(lexed.comments);
   const auto by_line = suppression_map(sups);
