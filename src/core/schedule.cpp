@@ -13,33 +13,14 @@ const Session& Schedule::session_for(int module_id) const {
   fail("Schedule: no session for module ", module_id);
 }
 
-std::size_t Schedule::sessions_using(int resource) const {
-  std::size_t n = 0;
-  for (const Session& s : sessions) {
-    if (s.source_resource == resource || s.sink_resource == resource) ++n;
-  }
-  return n;
-}
-
 ScheduleIndex::ScheduleIndex(const Schedule& schedule) : schedule_(schedule) {
   int max_module = -1;
-  int max_resource = -1;
-  for (const Session& s : schedule.sessions) {
-    max_module = std::max(max_module, s.module_id);
-    max_resource = std::max({max_resource, s.source_resource, s.sink_resource});
-  }
+  for (const Session& s : schedule.sessions) max_module = std::max(max_module, s.module_id);
   by_module_.assign(static_cast<std::size_t>(max_module + 1), knone);
-  use_counts_.assign(static_cast<std::size_t>(max_resource + 1), 0);
   for (std::size_t i = 0; i < schedule.sessions.size(); ++i) {
     const Session& s = schedule.sessions[i];
     if (s.module_id >= 0 && by_module_[static_cast<std::size_t>(s.module_id)] == knone) {
       by_module_[static_cast<std::size_t>(s.module_id)] = static_cast<std::uint32_t>(i);
-    }
-    if (s.source_resource >= 0) {
-      ++use_counts_[static_cast<std::size_t>(s.source_resource)];
-    }
-    if (s.sink_resource >= 0 && s.sink_resource != s.source_resource) {
-      ++use_counts_[static_cast<std::size_t>(s.sink_resource)];
     }
   }
 }
@@ -53,11 +34,6 @@ const Session& ScheduleIndex::session_for(int module_id) const {
   const std::uint32_t i = by_module_[static_cast<std::size_t>(module_id)];
   if (i == knone) fail("Schedule: no session for module ", module_id);
   return schedule_.sessions[i];
-}
-
-std::size_t ScheduleIndex::sessions_using(int resource) const {
-  if (resource < 0 || static_cast<std::size_t>(resource) >= use_counts_.size()) return 0;
-  return use_counts_[static_cast<std::size_t>(resource)];
 }
 
 }  // namespace nocsched::core

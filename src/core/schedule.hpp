@@ -36,18 +36,12 @@ struct Schedule {
   /// Session testing `module_id`; throws if none exists.  One linear
   /// scan — build a ScheduleIndex instead of calling this in a loop.
   [[nodiscard]] const Session& session_for(int module_id) const;
-
-  /// Number of sessions whose source or sink is resource `r`.  One
-  /// linear scan — build a ScheduleIndex instead of calling this in a
-  /// loop.
-  [[nodiscard]] std::size_t sessions_using(int resource) const;
 };
 
-/// One-pass lookup index over a Schedule: answers the same queries as
-/// Schedule::session_for / sessions_using (identical results, identical
-/// error) in O(1) after a single O(sessions) build, instead of one full
-/// rescan per call.  The schedule must outlive the index and not be
-/// mutated while indexed.
+/// One-pass lookup index over a Schedule: answers Schedule::session_for
+/// (identical result, identical error) in O(1) after a single
+/// O(sessions) build, instead of one full rescan per call.  The
+/// schedule must outlive the index and not be mutated while indexed.
 class ScheduleIndex {
  public:
   explicit ScheduleIndex(const Schedule& schedule);
@@ -58,9 +52,6 @@ class ScheduleIndex {
   /// session in schedule order, exactly as the linear scan would.
   [[nodiscard]] const Session& session_for(int module_id) const;
 
-  /// Mirrors Schedule::sessions_using.
-  [[nodiscard]] std::size_t sessions_using(int resource) const;
-
  private:
   static constexpr std::uint32_t knone = static_cast<std::uint32_t>(-1);
 
@@ -68,8 +59,6 @@ class ScheduleIndex {
   /// module id -> index of its first session; ids outside [0, size)
   /// (none exist in well-formed schedules) fall back to a linear scan.
   std::vector<std::uint32_t> by_module_;
-  /// endpoint index -> sessions touching it as source or sink.
-  std::vector<std::uint32_t> use_counts_;
 };
 
 }  // namespace nocsched::core

@@ -69,13 +69,6 @@ class Engine {
   /// cache are built once by whichever worker gets there first.
   [[nodiscard]] std::vector<PlanResult> run_batch(const std::vector<PlanRequest>& requests);
 
-  /// The shared context for a spec (building or cache-hitting): the
-  /// CLI's fault sweep/stream modes and the benches read the system and
-  /// pristine table through this instead of rebuilding their own.
-  [[nodiscard]] ContextCache::Handle context(const SystemSpec& spec) {
-    return cache_.acquire(spec);
-  }
-
   [[nodiscard]] ContextCache& cache() { return cache_; }
 
  private:

@@ -4,12 +4,12 @@
 // throw the oracle's error text byte for byte, and core::plan_makespan
 // must return the oracle's makespan.  Swept over the builtin paper
 // systems and hundreds of random systems, every ResourceChoice x
-// ChannelModel x PairOrder, loose and tight power budgets, and full,
-// shuffled, and subset-with-pretested orders.  The kernel runs on a
-// per-thread workspace reused across calls, so the suite also plans
-// different systems back to back (and after a throwing plan) on one
-// thread, and concurrently on several, to show nothing leaks between
-// reuses.
+// ChannelModel x PairOrder, with and without cross pairing, loose and
+// tight power budgets, and full, shuffled, and subset-with-pretested
+// orders.  The kernel runs on a per-thread workspace reused across
+// calls, so the suite also plans different systems back to back (and
+// after a throwing plan) on one thread, and concurrently on several, to
+// show nothing leaks between reuses.
 
 #include <gtest/gtest.h>
 
@@ -163,7 +163,7 @@ TEST(KernelOracle, BuiltinSystemsEveryVariant) {
   int planned = 0;
   for (const std::string soc : {"d695", "p22810", "p93791"}) {
     for (const int procs : {0, 4, 8}) {
-      for (std::uint64_t v = 0; v < 8; ++v) {
+      for (std::uint64_t v = 0; v < 16; ++v) {
         SCOPED_TRACE(soc + " procs " + std::to_string(procs) + " variant " +
                      std::to_string(v));
         const SystemModel sys = SystemModel::paper_system(soc, itc02::ProcessorKind::kLeon,
@@ -173,7 +173,7 @@ TEST(KernelOracle, BuiltinSystemsEveryVariant) {
       }
     }
   }
-  EXPECT_GE(planned, 3 * 3 * 8 * 5);  // nearly every combination plans
+  EXPECT_GE(planned, 3 * 3 * 16 * 5);  // nearly every combination plans
 }
 
 TEST(KernelOracle, MoreThan64EndpointsSkipTheMaskScreen) {
@@ -192,7 +192,7 @@ TEST(KernelOracle, MoreThan64EndpointsSkipTheMaskScreen) {
 TEST(KernelOracle, RandomSystemsEveryVariant) {
   int planned = 0;
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
-    for (std::uint64_t v = 0; v < 8; ++v) {
+    for (std::uint64_t v = 0; v < 16; ++v) {
       // The same SoC and mesh under every variant: the rng stream is
       // re-seeded per variant before the system is drawn.
       Rng rng = stream_rng(0x5EED0C, seed);
@@ -202,7 +202,7 @@ TEST(KernelOracle, RandomSystemsEveryVariant) {
       if (HasFailure()) return;
     }
   }
-  EXPECT_GE(planned, 200 * 8 * 5);
+  EXPECT_GE(planned, 200 * 16 * 5);
 }
 
 TEST(KernelOracle, BackToBackPlansOnOneThreadShareNothing) {

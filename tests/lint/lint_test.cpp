@@ -84,8 +84,6 @@ const Fixture kFixtures[] = {
     {"d3_clean.cpp", "src/search/d3_clean.cpp"},
     {"d4_violation.cpp", "src/noc/d4_violation.cpp"},
     {"d4_clean.cpp", "src/noc/d4_clean.cpp"},
-    {"d4_planner_state_violation.cpp", "src/search/d4_planner_state_violation.cpp"},
-    {"d4_planner_state_clean.cpp", "src/search/d4_planner_state_clean.cpp"},
     {"d4_engine_violation.cpp", "src/engine/d4_engine_violation.cpp"},
     {"d4_engine_clean.cpp", "src/engine/d4_engine_clean.cpp"},
     {"d5_violation.cpp", "src/itc02/d5_violation.cpp"},
@@ -112,9 +110,8 @@ TEST(LintGolden, FixturesMatchExpectMarkers) {
 
 TEST(LintGolden, CleanTwinsProduceNoFindings) {
   for (const char* name :
-       {"d1_clean.cpp", "d2_clean.cpp", "d3_clean.cpp", "d4_clean.cpp",
-        "d4_planner_state_clean.cpp", "d4_engine_clean.cpp", "d5_clean.cpp", "d6_clean.cpp",
-        "p1_clean.cpp"}) {
+       {"d1_clean.cpp", "d2_clean.cpp", "d3_clean.cpp", "d4_clean.cpp", "d4_engine_clean.cpp",
+        "d5_clean.cpp", "d6_clean.cpp", "p1_clean.cpp"}) {
     SCOPED_TRACE(name);
     EXPECT_TRUE(parse_expects(read_fixture(name)).empty())
         << "clean fixtures must not carry expect markers";

@@ -1,7 +1,7 @@
 #pragma once
 // Time-interval reservation of directed NoC channels — the reference
 // planner oracle's circuit-switching bookkeeping (the production
-// kernel keeps its own in core::PlannerState).
+// kernel keeps its own in src/core/scheduler.cpp).
 //
 // Under ChannelModel::kCircuit the planner reserves both XY paths of a
 // test session (source to core, core to sink) for the session's whole

@@ -76,7 +76,6 @@ struct SharedType {
 constexpr SharedType kSharedTypes[] = {
     {"core::PairTable", "PairTable", "src/core/pair_table."},
     {"search::EvalContext", "EvalContext", "src/search/eval_context."},
-    {"core::PlannerState", "PlannerState", "src/core/planner_state."},
     {"core::SystemModel", "SystemModel", "src/core/system_model."},
     {"engine::PlanContext", "PlanContext", "src/engine/context_cache."},
 };

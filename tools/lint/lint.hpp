@@ -18,10 +18,11 @@
 //   D3  search::Strategy subclasses are stateless: no non-const
 //       non-static data members, and no `mutable` anywhere in
 //       src/search/ — one strategy instance is shared by all threads
-//   D4  core::PairTable / search::EvalContext / core::SystemModel are
-//       passed by const& (or &&/const*) outside their owning files —
-//       they are shared immutable by design; a by-value copy on a hot
-//       path or a mutable ref aliasing a shared table breaks the model
+//   D4  core::PairTable / search::EvalContext / core::SystemModel /
+//       engine::PlanContext are passed by const& (or &&/const*)
+//       outside their owning files — they are shared immutable by
+//       design; a by-value copy on a hot path or a mutable ref aliasing
+//       a shared table breaks the model
 //   D5  src/itc02/ parser code: no floating ==/!= and no unchecked
 //       narrowing static_casts (counts must flow through checked_u64 /
 //       require_u64 / nocsched::checked_narrow)

@@ -32,8 +32,8 @@ void list_rules(std::ostream& os) {
         "D2  no nondeterminism sources in src/: rand/random_device/time/clock/chrono "
         "clocks, pointer hashing or ordering (allowlist: src/common/rng.*)\n"
         "D3  search::Strategy subclasses stateless; no 'mutable' in src/search/\n"
-        "D4  PairTable/EvalContext/SystemModel parameters by const& (or &&/const*) "
-        "outside their owning files\n"
+        "D4  PairTable/EvalContext/SystemModel/PlanContext parameters by const& "
+        "(or &&/const*) outside their owning files\n"
         "D5  src/itc02/: no floating ==/!=, no unchecked narrowing static_cast "
         "(use checked_u64/require_u64/checked_narrow)\n"
         "D6  no timing-dependent control flow in src/core/ or src/search/: no "

@@ -45,7 +45,6 @@ struct SharedType {
 constexpr SharedType kSharedTypes[] = {
     {"PairTable", "src/core/pair_table."},
     {"EvalContext", "src/search/eval_context."},
-    {"PlannerState", "src/core/planner_state."},
     {"SystemModel", "src/core/system_model."},
     {"PlanContext", "src/engine/context_cache."},
 };
