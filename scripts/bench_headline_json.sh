@@ -17,7 +17,8 @@
 # row as a "serve" array (plan-server throughput: cold vs warm batch
 # over a mixed request fleet, the warm-cache speedup the bench gates
 # on, and serial per-request latency quantiles).  Used to record
-# BENCH_headline.json data points (locally and from CI).  Usage:
+# BENCH_headline.json data points (locally and from CI), stamped with
+# the revision and the recording machine.  Usage:
 #   bench_headline_json.sh <path-to-bench_headline> [git-rev] \
 #     [path-to-bench_des_replay] [path-to-bench_multistart_perf] \
 #     [path-to-bench_search_quality] [path-to-bench_fault_sweep] \
@@ -181,8 +182,12 @@ if [ -n "$srv_bin" ]; then
     }' "$srv_out")
 fi
 
-printf '{\n  "bench": "headline",\n  "date": "%s",\n  "rev": "%s",\n' \
-  "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$rev"
+# The recording machine: CPU model (when the kernel names one),
+# architecture and hardware threads, so timings compare like for like.
+cpu_model=$(awk -F': ' '/^model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null || true)
+machine="${cpu_model:+$cpu_model, }$(uname -m), $(nproc 2>/dev/null || echo '?') hw threads"
+printf '{\n  "bench": "headline",\n  "date": "%s",\n  "rev": "%s",\n  "machine": "%s",\n' \
+  "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$rev" "$machine"
 printf '  "claims": [\n%s\n  ]' "$claims_json"
 if [ -n "$des_json" ]; then
   printf ',\n  "des_replay": [\n%s\n  ]' "$des_json"

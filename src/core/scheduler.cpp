@@ -20,7 +20,9 @@
 // its level at `t` (every breakpoint after `t` is a session end, so the
 // level only falls).  Each such check gives the identical answer, down
 // to the same floating-point comparison, as the general interval check
-// earliest-completion probing has to use.
+// earliest-completion probing has to use.  And since `t` never
+// decreases, a first-available envelope needs no past: NowEnvelope keeps
+// only the steps at or after `t`, where StepProfile keeps the timeline.
 
 #include "core/scheduler.hpp"
 
@@ -53,7 +55,9 @@ std::size_t channel_index(noc::ChannelId c) { return static_cast<std::size_t>(c)
 /// insertion order, exactly as the map's `deltas_[t] += v`), `levels_`
 /// the running level after each breakpoint (the same left-to-right
 /// fold the map walk performs, so every double is bit-identical).
-/// Queries binary-search instead of walking the whole map.
+/// Queries binary-search instead of walking the whole map.  Only
+/// earliest-completion planning uses it: it asks for window fits and
+/// next breakpoints anywhere on the timeline.
 class StepProfile {
  public:
   /// PowerProfile::add, including the argument check.
@@ -79,16 +83,6 @@ class StepProfile {
       if (level > best) best = level;
     }
     return best + value <= limit + slack(limit);
-  }
-
-  /// fits({t, t + dur}, value, limit) for any dur > 0 under the
-  /// first-available invariant: the level at `t` is the identical
-  /// double the window max returns, one binary search instead of a
-  /// range max.
-  [[nodiscard]] bool fits_at(std::uint64_t t, double value, double limit) const {
-    const auto r = std::upper_bound(times_.begin(), times_.end(), t) - times_.begin();
-    const double level = (r == 0) ? 0.0 : levels_[static_cast<std::size_t>(r - 1)];
-    return level + value <= limit + slack(limit);
   }
 
   /// PowerProfile::peak.
@@ -140,6 +134,99 @@ class StepProfile {
   std::vector<double> levels_;
 };
 
+/// The first-available envelope: StepProfile's step function read only
+/// at the current pass time `now`, which never decreases.  Steps behind
+/// `now` are final (every later step lands at or after it), so they are
+/// folded away in time order into `level_` — the same left fold
+/// StepProfile::levels_ holds — and into the running `peak_`; only the
+/// steps at or after `now` stay, sorted, in `steps_[head_..]`.  A
+/// session start lands at the head and its end goes in by a scan back
+/// from the tail, instead of three vector inserts and a suffix refold.
+/// The level at `now` and the peak are the identical doubles
+/// StepProfile returns.
+class NowEnvelope {
+ public:
+  /// StepProfile::add for a window starting at the current time (the
+  /// first-available invariant: every commit starts at the pass time).
+  void add(const Interval& iv, double value) {
+    power::require_valid_draw(value);
+    if (iv.empty() || value == 0.0) return;
+    advance(iv.start);
+    if (head_ < steps_.size() && steps_[head_].time == iv.start) {
+      steps_[head_].delta += value;  // StepProfile's `+=`, in the same call order
+    } else if (head_ > 0) {
+      steps_[--head_] = Step{iv.start, value};  // reuse a folded slot
+    } else {
+      steps_.insert(steps_.begin(), Step{iv.start, value});
+    }
+    std::size_t i = steps_.size();
+    while (i > head_ && steps_[i - 1].time > iv.end) --i;
+    if (i > head_ && steps_[i - 1].time == iv.end) {
+      steps_[i - 1].delta += -value;
+    } else {
+      steps_.insert(steps_.begin() + static_cast<std::ptrdiff_t>(i), Step{iv.end, -value});
+    }
+  }
+
+  /// StepProfile::fits({t, t + dur}, value, limit) for any dur > 0 under
+  /// the first-available invariant: the window max is the level at `t`.
+  /// `t` must not precede any earlier query or start.
+  [[nodiscard]] bool fits_at(std::uint64_t t, double value, double limit) {
+    advance(t);
+    const double level = (head_ < steps_.size() && steps_[head_].time == t)
+                             ? level_ + steps_[head_].delta
+                             : level_;
+    return level + value <= limit + slack(limit);
+  }
+
+  /// StepProfile::peak: the running peak, folded on over the steps
+  /// still ahead.
+  [[nodiscard]] double peak() const {
+    double level = level_;
+    double best = peak_;
+    for (std::size_t j = head_; j < steps_.size(); ++j) {
+      level = level + steps_[j].delta;
+      if (level > best) best = level;
+    }
+    return best;
+  }
+
+  void clear() {
+    steps_.clear();
+    head_ = 0;
+    now_ = 0;
+    level_ = 0.0;
+    peak_ = 0.0;
+  }
+
+ private:
+  struct Step {
+    std::uint64_t time = 0;
+    double delta = 0.0;
+  };
+
+  /// Moves `now` to `t`, folding every step before it.
+  void advance(std::uint64_t t) {
+    NOCSCHED_ASSERT(t >= now_);
+    now_ = t;
+    while (head_ < steps_.size() && steps_[head_].time < t) {
+      level_ = level_ + steps_[head_].delta;
+      if (level_ > peak_) peak_ = level_;
+      ++head_;
+    }
+    if (head_ == steps_.size()) {
+      steps_.clear();
+      head_ = 0;
+    }
+  }
+
+  std::vector<Step> steps_;  ///< sorted by time; [0, head_) already folded
+  std::size_t head_ = 0;
+  std::uint64_t now_ = 0;
+  double level_ = 0.0;  ///< the level just before `now_`
+  double peak_ = 0.0;   ///< max(0, every folded level)
+};
+
 /// Work tallies of the last plan, flushed to the obs `planner.*`
 /// counters.  Plain counters: one kernel lives on one thread.
 struct PlannerStats {
@@ -169,6 +256,7 @@ class Planner {
     table_ = &table;
     const PlannerParams& p = sys.params();
     first_available_ = p.resource_choice == ResourceChoice::kFirstAvailable;
+    power_limited_ = budget.is_constrained();
     fastest_ = p.pair_order == PairOrder::kFastestFirst;
     circuit_ = p.channel_model == ChannelModel::kCircuit;
     const std::vector<Endpoint>& eps = sys.endpoints();
@@ -193,10 +281,13 @@ class Planner {
       for (IntervalSet& c : channel_busy_) c.clear();
       channel_free_from_.assign(channels, 0);
     } else {
-      channel_load_.resize(channels);
+      channel_load_.resize(first_available_ ? 0 : channels);
       for (StepProfile& c : channel_load_) c.clear();
+      channel_load_now_.resize(first_available_ ? channels : 0);
+      for (NowEnvelope& c : channel_load_now_) c.clear();
     }
     profile_.clear();
+    profile_now_.clear();
     ends_.clear();
     commits_.clear();
     stats_ = PlannerStats{};
@@ -216,7 +307,7 @@ class Planner {
       run_earliest_completion(order);
     }
     makespan_ = ends_.empty() ? 0 : ends_.back();
-    peak_power_ = profile_.peak();
+    peak_power_ = first_available_ ? profile_now_.peak() : profile_.peak();
   }
 
   [[nodiscard]] std::uint64_t makespan() const { return makespan_; }
@@ -276,9 +367,12 @@ class Planner {
     // a surviving subset; for a full order they agree.)
     for (const int id : order) {
       const double cheapest = table_->cheapest_power(id);
-      ensure(cheapest <= budget_.limit, "infeasible: module ", id, " ('",
-             sys_->soc().module(id).name, "') needs at least ", cheapest,
-             " power but the budget is ", budget_.limit);
+      // Negated so a NaN limit fails too; the message (and its module
+      // name lookup) is formatted only on failure.
+      if (!(cheapest <= budget_.limit)) {
+        fail("infeasible: module ", id, " ('", sys_->soc().module(id).name, "') needs at least ",
+             cheapest, " power but the budget is ", budget_.limit);
+      }
     }
   }
 
@@ -318,14 +412,22 @@ class Planner {
     free_from_[c.sink] = std::max(free_from_[c.sink], iv.end);
     every_leg_channel(plan, [&](std::size_t ch, double bandwidth) {
       if (!circuit_) {
-        channel_load_[ch].add(iv, bandwidth);
+        if (first_available_) {
+          channel_load_now_[ch].add(iv, bandwidth);
+        } else {
+          channel_load_[ch].add(iv, bandwidth);
+        }
       } else {
         if (!first_available_) channel_busy_[ch].insert(iv);
         channel_free_from_[ch] = std::max(channel_free_from_[ch], iv.end);
       }
       return true;
     });
-    profile_.add(iv, plan.power);
+    if (first_available_) {
+      profile_now_.add(iv, plan.power);
+    } else {
+      profile_.add(iv, plan.power);
+    }
     ends_.insert(std::upper_bound(ends_.begin(), ends_.end(), iv.end), iv.end);
     const std::size_t proc = proc_resource_[static_cast<std::size_t>(module_id)];
     if (proc != kNoResource) {
@@ -341,13 +443,13 @@ class Planner {
   /// Both legs of `plan` can start at `t` under the first-available
   /// invariant: no circuit channel is held past `t`, or every channel's
   /// load level at `t` leaves room for the leg's bandwidth.
-  [[nodiscard]] bool paths_free_at(const SessionPlan& plan, std::uint64_t t) const {
+  [[nodiscard]] bool paths_free_at(const SessionPlan& plan, std::uint64_t t) {
     if (circuit_) {
       return every_leg_channel(
           plan, [&](std::size_t ch, double) { return channel_free_from_[ch] <= t; });
     }
     return every_leg_channel(plan, [&](std::size_t ch, double bandwidth) {
-      return channel_load_[ch].fits_at(t, bandwidth, 1.0);
+      return channel_load_now_[ch].fits_at(t, bandwidth, 1.0);
     });
   }
 
@@ -363,7 +465,15 @@ class Planner {
     // first-available invariant), and the cheap rejects (the endpoint
     // frontiers, which fold in availability, then the duration
     // comparison against the running best) run before any envelope
-    // lookup.
+    // lookup, the one power envelope before the many channel loads.
+    //
+    // Every pair draws at least the module's cheapest session power, and
+    // `level + power` only grows with `power`, so a module whose cheapest
+    // session overflows the power envelope at `t` has no pair to probe.
+    if (power_limited_ &&
+        !profile_now_.fits_at(t, table_->cheapest_power(module_id), budget_.limit)) {
+      return std::nullopt;
+    }
     std::optional<Candidate> best;
     int best_hops = 0;
     const bool fastest = fastest_;
@@ -380,8 +490,8 @@ class Planner {
         if (pc.plan.duration > best->plan->duration) continue;
         if (pc.plan.duration == best->plan->duration && pc.hops >= best_hops) continue;
       }
+      if (power_limited_ && !profile_now_.fits_at(t, pc.plan.power, budget_.limit)) continue;
       if (!paths_free_at(pc.plan, t)) continue;
-      if (!profile_.fits_at(t, pc.plan.power, budget_.limit)) continue;
       best = Candidate{pc.source, pc.sink, t, &pc.plan};
       best_hops = pc.hops;
     }
@@ -424,10 +534,13 @@ class Planner {
         }
         if (const auto c = probe_first_available(module_id, t)) {
           commit(module_id, *c);
+          it = pending_.erase(it);
           if (mask_filter_) {
             mask &= ~((std::uint64_t{1} << c->source) | (std::uint64_t{1} << c->sink));
+            // No endpoint left free: every pair needs one, so no module
+            // later in the pass can start.
+            if (mask == 0) break;
           }
-          it = pending_.erase(it);
         } else {
           ++it;
         }
@@ -531,6 +644,9 @@ class Planner {
   bool first_available_ = true;
   bool fastest_ = false;
   bool circuit_ = false;
+  /// A finite limit: with none, every (finite) level fits and the
+  /// first-available probe skips the power check.
+  bool power_limited_ = false;
   bool mask_filter_ = false;  ///< endpoint count fits the 64-bit availability mask
 
   /// Module id -> its own processor endpoint index (kNoResource for
@@ -547,8 +663,10 @@ class Planner {
   std::vector<IntervalSet> busy_;                 // per endpoint (kEarliestCompletion)
   std::vector<IntervalSet> channel_busy_;         // per channel (kCircuit, kEarliestCompletion)
   std::vector<std::uint64_t> channel_free_from_;  // per channel (kCircuit)
-  std::vector<StepProfile> channel_load_;         // per channel (kMultiplexed)
-  StepProfile profile_;                           // summed power envelope
+  std::vector<StepProfile> channel_load_;  // per channel (kMultiplexed, kEarliestCompletion)
+  std::vector<NowEnvelope> channel_load_now_;  // per channel (kMultiplexed, kFirstAvailable)
+  StepProfile profile_;                        // summed power (kEarliestCompletion)
+  NowEnvelope profile_now_;                    // summed power (kFirstAvailable)
   std::vector<std::uint64_t> ends_;               // sorted session ends (multiset semantics)
 
   std::vector<CommitRec> commits_;
@@ -595,20 +713,36 @@ const Planner& run_planner(const SystemModel& sys, const power::PowerBudget& bud
   return kernel;
 }
 
-/// plan_tests_with_order's order check: every module exactly once.
-void check_permutation(const SystemModel& sys, const std::vector<int>& order) {
-  std::vector<int> sorted = order;
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<int> expected;
-  expected.reserve(sys.soc().modules.size());
-  for (const itc02::Module& m : sys.soc().modules) expected.push_back(m.id);
-  ensure(sorted == expected,
-         "plan_tests_with_order: order must be a permutation of all module ids");
+/// Marks the ids of `order` in per-thread scratch over module ids 1..N
+/// (`modules` = N) and returns the marks, or nullptr when some id is
+/// unknown or repeats.  The order checks run on every search
+/// evaluation, so the happy path neither sorts nor allocates once warm;
+/// only a failing order pays for the sort that names its first fault.
+const std::vector<std::uint8_t>* mark_distinct_ids(const std::vector<int>& order,
+                                                   std::size_t modules) {
+  thread_local std::vector<std::uint8_t> seen;
+  seen.assign(modules + 1, 0);
+  for (const int id : order) {
+    if (id < 1 || static_cast<std::size_t>(id) > modules || seen[static_cast<std::size_t>(id)]) {
+      return nullptr;
+    }
+    seen[static_cast<std::size_t>(id)] = 1;
+  }
+  return &seen;
 }
 
-/// plan_tests_subset's order and pretested checks.
-void check_subset(const SystemModel& sys, const std::vector<int>& order,
-                  std::span<const int> pretested) {
+/// plan_tests_with_order's order check: every module exactly once (the
+/// SystemModel validated its ids as 1..N).
+void check_permutation(const SystemModel& sys, const std::vector<int>& order) {
+  const std::size_t modules = sys.soc().modules.size();
+  if (order.size() != modules || mark_distinct_ids(order, modules) == nullptr) {
+    fail("plan_tests_with_order: order must be a permutation of all module ids");
+  }
+}
+
+/// check_subset's diagnosis of an order with an unknown or repeated id:
+/// the smallest offending id, as the sorted scan meets it.
+[[noreturn]] void diagnose_subset_order(const SystemModel& sys, const std::vector<int>& order) {
   std::vector<int> sorted = order;
   std::sort(sorted.begin(), sorted.end());
   for (std::size_t i = 0; i < sorted.size(); ++i) {
@@ -617,15 +751,23 @@ void check_subset(const SystemModel& sys, const std::vector<int>& order,
     ensure(i == 0 || sorted[i] != sorted[i - 1], "plan_tests_subset: module ", sorted[i],
            " appears twice in the order");
   }
+  NOCSCHED_ASSERT(false);  // mark_distinct_ids rejected the order
+}
+
+/// plan_tests_subset's order and pretested checks.
+void check_subset(const SystemModel& sys, const std::vector<int>& order,
+                  std::span<const int> pretested) {
+  const std::size_t modules = sys.soc().modules.size();
+  const std::vector<std::uint8_t>* seen = mark_distinct_ids(order, modules);
+  if (seen == nullptr) diagnose_subset_order(sys, order);
   for (std::size_t i = 0; i < pretested.size(); ++i) {
     const int id = pretested[i];
-    ensure(id >= 1 && static_cast<std::size_t>(id) <= sys.soc().modules.size() &&
-               sys.soc().module(id).is_processor,
+    ensure(id >= 1 && static_cast<std::size_t>(id) <= modules && sys.soc().module(id).is_processor,
            "plan_tests_subset: pretested id ", id, " is not a processor module");
     ensure(i == 0 || pretested[i - 1] < id, "plan_tests_subset: pretested ids must be "
            "ascending and unique, got ", id);
-    ensure(std::find(order.begin(), order.end(), id) == order.end(),
-           "plan_tests_subset: pretested processor ", id, " also appears in the order");
+    ensure((*seen)[static_cast<std::size_t>(id)] == 0, "plan_tests_subset: pretested processor ",
+           id, " also appears in the order");
   }
 }
 

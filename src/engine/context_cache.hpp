@@ -9,8 +9,8 @@
 // itself.  Per-request state (power budget, faults, search effort) is
 // derived from the cached artifacts without mutating them: faulted
 // tables via a copy + PairTable::apply_faults, budget-specific search
-// scaffolding via a copy of the pristine table (EvalContext's
-// pristine-table constructor).
+// contexts via EvalContext::with_budget, which shares the pristine
+// table and copies the scaffold's budget-independent order data.
 //
 // Determinism: eviction is LRU over a monotonic reservation counter —
 // a pure function of the reserve() call sequence.  The engine's batch

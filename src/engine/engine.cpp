@@ -72,13 +72,11 @@ PlanResult Engine::execute(const PlanRequest& request, const ContextCache::SlotH
     } else if (request.searching()) {
       const obs::Span span("plan");
       // The cached scaffold *is* the unconstrained-budget context; a
-      // power-limited request derives its own from a copy of the cached
-      // pristine table (the cheap part — the table build is skipped).
+      // power-limited request derives its own from it, sharing the
+      // pristine table and copying the budget-independent order data.
       search::SearchResult result =
           budget.is_constrained()
-              ? search::search_orders(
-                    search::EvalContext(sys, budget, core::PairTable(ctx->pristine_pairs())),
-                    sopts)
+              ? search::search_orders(ctx->scaffold().with_budget(budget), sopts)
               : search::search_orders(ctx->scaffold(), sopts);
       sim::validate_or_throw(sys, result.best);
       res.schedule = std::move(result.best);

@@ -33,6 +33,12 @@ bool Module::uses_scan() const {
 }
 
 const Module& Soc::module(int id) const {
+  // Every validated SoC lists ids 1..N in order, so the slot is direct;
+  // anything else (a SoC still being assembled) falls back to the scan.
+  if (id >= 1 && static_cast<std::size_t>(id) <= modules.size()) {
+    const Module& m = modules[static_cast<std::size_t>(id) - 1];
+    if (m.id == id) return m;
+  }
   for (const Module& m : modules) {
     if (m.id == id) return m;
   }

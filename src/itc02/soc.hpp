@@ -59,7 +59,8 @@ struct Soc {
   std::string name;
   std::vector<Module> modules;  ///< ids 1..N in ascending order
 
-  /// Module lookup by id; throws nocsched::Error if absent.
+  /// Module lookup by id; throws nocsched::Error if absent.  O(1) when
+  /// the ids are 1..N in order (every validated SoC), a scan otherwise.
   [[nodiscard]] const Module& module(int id) const;
 
   /// Number of modules.

@@ -15,7 +15,7 @@ EvalContext::EvalContext(const core::SystemModel& sys, const power::PowerBudget&
                          core::PairTable&& table)
     : sys_(sys),
       budget_(budget),
-      pairs_(std::move(table)),
+      pairs_(std::make_shared<const core::PairTable>(std::move(table))),
       eligible_(core::cpu_eligible_modules(sys)),
       base_order_(core::priority_order(sys)) {
   build_tiers();
@@ -26,7 +26,7 @@ EvalContext::EvalContext(const core::SystemModel& sys, const power::PowerBudget&
                          const std::vector<bool>& candidates, std::vector<int> pretested)
     : sys_(sys),
       budget_(budget),
-      pairs_(std::move(table)),
+      pairs_(std::make_shared<const core::PairTable>(std::move(table))),
       subset_(true),
       pretested_(std::move(pretested)),
       eligible_(core::cpu_eligible_modules(sys, faults)) {
@@ -39,7 +39,7 @@ EvalContext::EvalContext(const core::SystemModel& sys, const power::PowerBudget&
   // processors, unroutable or power-infeasible cores, and the cores
   // stranded transitively when their only serving processor lost its
   // own test) are the replan's reported losses.
-  std::vector<bool> include = pairs_.testable_modules(sys, budget.limit, pretested_);
+  std::vector<bool> include = pairs_->testable_modules(sys, budget.limit, pretested_);
   for (std::size_t i = 0; i < include.size(); ++i) {
     if (!candidates[i]) include[i] = false;
   }
@@ -79,13 +79,20 @@ void EvalContext::build_tiers() {
   }
 }
 
+EvalContext EvalContext::with_budget(const power::PowerBudget& budget) const {
+  NOCSCHED_ASSERT(!subset_);
+  EvalContext ctx = *this;
+  ctx.budget_ = budget;
+  return ctx;
+}
+
 std::uint64_t EvalContext::evaluate(const std::vector<int>& order) const {
-  return core::plan_makespan(sys_, budget_, order, pairs_, subset_, pretested_);
+  return core::plan_makespan(sys_, budget_, order, *pairs_, subset_, pretested_);
 }
 
 core::Schedule EvalContext::plan(const std::vector<int>& order) const {
-  return subset_ ? core::plan_tests_subset(sys_, budget_, order, pairs_, pretested_)
-                 : core::plan_tests_with_order(sys_, budget_, order, pairs_);
+  return subset_ ? core::plan_tests_subset(sys_, budget_, order, *pairs_, pretested_)
+                 : core::plan_tests_with_order(sys_, budget_, order, *pairs_);
 }
 
 std::vector<int> EvalContext::projected_order(const std::vector<int>& preferred) const {

@@ -3,7 +3,8 @@
 //
 // Everything a search strategy needs that is invariant across the whole
 // search lives here, built once per search::Driver run: the PairTable
-// (pair legality and session cost never change), the CPU-eligibility
+// (pair legality and session cost never change; shared, never copied,
+// between contexts that differ only in budget), the CPU-eligibility
 // bitmap, the deterministic base priority order, and the shuffle-tier
 // partition that every legal order must respect (processor bootstrap
 // first, then ATE-only cores, then flexible cores — shuffling or
@@ -13,6 +14,7 @@
 // from chain_rng's (seed, chain index) scheme, never from shared state.
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -31,11 +33,7 @@ class EvalContext {
 
   /// As the two-argument form, with the pristine PairTable moved in
   /// instead of rebuilt: `table` must equal PairTable(sys).  The
-  /// engine's ContextCache hands per-request copies of one shared
-  /// pristine table to budget-specific contexts this way, skipping the
-  /// table build (the expensive part of context construction) on every
-  /// cache hit.  The resulting context is indistinguishable from the
-  /// two-argument form — asserted by tests/engine/.
+  /// resulting context is indistinguishable from the two-argument form.
   EvalContext(const core::SystemModel& sys, const power::PowerBudget& budget,
               core::PairTable&& table);
 
@@ -57,6 +55,16 @@ class EvalContext {
   EvalContext(const core::SystemModel& sys, const power::PowerBudget& budget,
               core::PairTable&& table, const noc::FaultSet& faults,
               const std::vector<bool>& candidates, std::vector<int> pretested);
+
+  /// This context under `budget`: the same system and shared PairTable,
+  /// with the budget-independent eligibility, base order and tiers
+  /// copied instead of recomputed.  The engine derives every
+  /// power-limited search context from its cached unconstrained
+  /// scaffold this way; the result is indistinguishable from
+  /// EvalContext(system(), budget) — asserted by tests/engine/.
+  /// Requires a whole-plan context (the fault-aware form's plannable
+  /// subset depends on its budget).
+  [[nodiscard]] EvalContext with_budget(const power::PowerBudget& budget) const;
 
   /// Makespan of planning `sys` with `order` — the search hot path.
   /// Runs plan()'s order checks and the same kernel, but never builds
@@ -119,7 +127,7 @@ class EvalContext {
   }
 
   [[nodiscard]] const core::SystemModel& system() const { return sys_; }
-  [[nodiscard]] const core::PairTable& pair_table() const { return pairs_; }
+  [[nodiscard]] const core::PairTable& pair_table() const { return *pairs_; }
   [[nodiscard]] const std::vector<bool>& cpu_eligible() const { return eligible_; }
   [[nodiscard]] const std::vector<int>& pretested() const { return pretested_; }
 
@@ -128,7 +136,7 @@ class EvalContext {
 
   const core::SystemModel& sys_;
   power::PowerBudget budget_;
-  core::PairTable pairs_;
+  std::shared_ptr<const core::PairTable> pairs_;  ///< immutable, shared by with_budget copies
   bool subset_ = false;  ///< fault mode: the order is a strict subset
   std::vector<int> pretested_;  ///< processors tested in earlier epochs
   std::vector<bool> eligible_;

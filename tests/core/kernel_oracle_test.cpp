@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/pair_table.hpp"
@@ -207,23 +208,36 @@ TEST(KernelOracle, RandomSystemsEveryVariant) {
 
 TEST(KernelOracle, BackToBackPlansOnOneThreadShareNothing) {
   // The per-thread workspace is re-targeted by every call: alternate a
-  // small multiplexed system, a large circuit-switched one, and plans
-  // that throw, and each plan must still equal a fresh oracle plan.
+  // small multiplexed system, a large circuit-switched one, a
+  // multiplexed earliest-completion one (so the kernel switches between
+  // its now-only and whole-timeline envelopes for both power and channel
+  // load), and plans that throw, and each plan must still equal a fresh
+  // oracle plan.
   const SystemModel small =
       SystemModel::paper_system("d695", itc02::ProcessorKind::kPlasma, 2, params_variant(0));
   const SystemModel large =
       SystemModel::paper_system("p93791", itc02::ProcessorKind::kLeon, 8, params_variant(5));
+  const SystemModel windowed =
+      SystemModel::paper_system("p22810", itc02::ProcessorKind::kLeon, 4, params_variant(1));
   const power::PowerBudget loose = power::PowerBudget::unconstrained();
+  const power::PowerBudget small_half = power::PowerBudget::fraction_of_total(small.soc(), 0.5);
+  const power::PowerBudget windowed_half =
+      power::PowerBudget::fraction_of_total(windowed.soc(), 0.5);
   power::PowerBudget infeasible;
   infeasible.limit = 1.0;
+  const auto same = [](const SystemModel& sys, const power::PowerBudget& budget) {
+    expect_same(outcome_of([&] { return plan_tests(sys, budget); }),
+                outcome_of([&] { return oracle::plan_tests(sys, budget); }));
+  };
   const Schedule first = plan_tests(small, loose);
   for (int round = 0; round < 3; ++round) {
-    expect_same(outcome_of([&] { return plan_tests(large, loose); }),
-                outcome_of([&] { return oracle::plan_tests(large, loose); }));
-    expect_same(outcome_of([&] { return plan_tests(small, infeasible); }),
-                outcome_of([&] { return oracle::plan_tests(small, infeasible); }));
-    expect_same(outcome_of([&] { return plan_tests(small, loose); }),
-                outcome_of([&] { return oracle::plan_tests(small, loose); }));
+    same(large, loose);
+    same(small, infeasible);
+    same(small, loose);
+    same(windowed, windowed_half);
+    same(small, small_half);
+    same(windowed, loose);
+    same(small, loose);
     EXPECT_EQ(plan_tests(small, loose).sessions, first.sessions);
   }
 }
@@ -320,6 +334,86 @@ TEST(KernelOracle, ErrorTextsMatch) {
         << k.error;
     expect_same(k, o);
   }
+}
+
+TEST(KernelOracle, OrderCheckErrorTextsArePinned) {
+  // The order checks take an allocation-free path when the order is
+  // fine and diagnose only a bad one; the texts they throw are pinned
+  // here for the plan entries and the makespan-only (search) entry.
+  const SystemModel sys =
+      SystemModel::paper_system("d695", itc02::ProcessorKind::kLeon, 4, params_variant(0));
+  const PairTable pairs(sys);
+  const power::PowerBudget loose = power::PowerBudget::unconstrained();
+  const std::vector<int> full = priority_order(sys);
+  const std::vector<int> procs = sys.soc().processor_ids();
+  ASSERT_EQ(procs.size(), 4u);
+  const int p = procs[0];
+  const int q = procs[1];
+  ASSERT_FALSE(sys.soc().module(1).is_processor);
+
+  const auto error_of = [](const std::function<void()>& plan) {
+    try {
+      plan();
+    } catch (const std::exception& e) {
+      return std::string(e.what());
+    }
+    return std::string("(no error)");
+  };
+  const auto with_order = [&](const std::vector<int>& order) {
+    const std::string text = "plan_tests_with_order: order must be a permutation of all module ids";
+    EXPECT_EQ(error_of([&] { static_cast<void>(plan_tests_with_order(sys, loose, order, pairs)); }),
+              text);
+    EXPECT_EQ(error_of([&] { static_cast<void>(plan_makespan(sys, loose, order, pairs, false)); }),
+              text);
+  };
+  const auto subset = [&](const std::vector<int>& order, const std::vector<int>& pretested,
+                          const std::string& text) {
+    EXPECT_EQ(error_of([&] {
+                static_cast<void>(plan_tests_subset(sys, loose, order, pairs, pretested));
+              }),
+              text);
+    EXPECT_EQ(error_of([&] {
+                static_cast<void>(plan_makespan(sys, loose, order, pairs, true, pretested));
+              }),
+              text);
+  };
+
+  // plan_tests_with_order: a missing id, a duplicate, an unknown id
+  // (past N, and 0), and one id too many.
+  with_order(std::vector<int>(full.begin() + 1, full.end()));
+  std::vector<int> duplicate = full;
+  duplicate.back() = duplicate.front();
+  with_order(duplicate);
+  std::vector<int> unknown = full;
+  unknown.back() = static_cast<int>(full.size()) + 1;
+  with_order(unknown);
+  unknown.back() = 0;
+  with_order(unknown);
+  std::vector<int> extra = full;
+  extra.push_back(full.front());
+  with_order(extra);
+
+  // plan_tests_subset: the smallest offending id in sorted order names
+  // the fault, whether it is unknown or repeated.
+  subset({1, 2, 999}, {}, "plan_tests_subset: unknown module id 999");
+  subset({3, 0, 2}, {}, "plan_tests_subset: unknown module id 0");
+  subset({2, -7, 2}, {}, "plan_tests_subset: unknown module id -7");
+  subset({1, 2, 2}, {}, "plan_tests_subset: module 2 appears twice in the order");
+  subset({5, 3, 5, 3}, {}, "plan_tests_subset: module 3 appears twice in the order");
+  subset({2, 999, 2}, {}, "plan_tests_subset: module 2 appears twice in the order");
+  // ... and the pretested list: a plain core, an unknown id, a
+  // descending or repeated list, and a processor also in the order.
+  subset({2, 3}, {1}, "plan_tests_subset: pretested id 1 is not a processor module");
+  subset({2, 3}, {999}, "plan_tests_subset: pretested id 999 is not a processor module");
+  subset({2, 3}, {0}, "plan_tests_subset: pretested id 0 is not a processor module");
+  subset({2, 3}, {q, p},
+         cat("plan_tests_subset: pretested ids must be ascending and unique, got ", p));
+  subset({2, 3}, {p, p},
+         cat("plan_tests_subset: pretested ids must be ascending and unique, got ", p));
+  subset({2, p}, {p}, cat("plan_tests_subset: pretested processor ", p,
+                          " also appears in the order"));
+  subset({2, q}, {p, q}, cat("plan_tests_subset: pretested processor ", q,
+                             " also appears in the order"));
 }
 
 TEST(KernelOracle, PlannerCountersFlushOncePerPlan) {

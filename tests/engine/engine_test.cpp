@@ -20,6 +20,7 @@
 #include "itc02/writer.hpp"
 #include "noc/fault.hpp"
 #include "power/budget.hpp"
+#include "search/driver.hpp"
 #include "search/replan.hpp"
 
 namespace {
@@ -34,8 +35,19 @@ engine::PlanRequest request(std::string id, std::string soc, int procs) {
   return req;
 }
 
+/// A searching request under a power limit: the engine derives its
+/// context from the cached unconstrained scaffold.
+engine::PlanRequest power_limited_search() {
+  engine::PlanRequest req = request("search-power", "d695", 4);
+  req.strategy = search::StrategyKind::kAnneal;
+  req.iters = 32;
+  req.power_pct = 60.0;
+  return req;
+}
+
 /// A small heterogeneous fleet touching every execution path: greedy,
-/// power-limited, searching, faulted, simulated, plus a deterministic
+/// power-limited, searching (unconstrained and power-limited), faulted,
+/// simulated, plus a deterministic
 /// in-band failure (power budget below the largest core).
 std::vector<engine::PlanRequest> mixed_fleet() {
   std::vector<engine::PlanRequest> fleet;
@@ -52,6 +64,7 @@ std::vector<engine::PlanRequest> mixed_fleet() {
     req.iters = 8;
     fleet.push_back(std::move(req));
   }
+  fleet.push_back(power_limited_search());
   {
     engine::PlanRequest req = request("faulted", "d695", 4);
     req.faults.procs = {11};
@@ -159,6 +172,33 @@ TEST(Engine, CacheHitIsByteEqualToTheColdBuild) {
   EXPECT_EQ(after_warm.misses, 1u);
   EXPECT_EQ(after_warm.hits, 1u);
   EXPECT_EQ(cold, warm);
+}
+
+TEST(Engine, PowerLimitedSearchMatchesAFromScratchSearch) {
+  // The engine prices a power-limited search on a context derived from
+  // its cached scaffold (shared pair table, copied base order and
+  // tiers); the served bytes must equal a search whose context is
+  // built from scratch, cold and warm.
+  const engine::PlanRequest req = power_limited_search();
+  engine::Engine eng;
+  const engine::PlanResult cold = eng.run(req);
+  ASSERT_TRUE(cold.ok) << cold.error;
+  const engine::PlanResult warm = eng.run(req);
+
+  const core::SystemModel sys = engine::build_system(req.system);
+  const power::PowerBudget budget = req.budget(sys);
+  ASSERT_TRUE(budget.is_constrained());
+  search::SearchResult scratch = search::search_orders(sys, budget, req.search_options());
+  engine::PlanResult reference;
+  reference.id = req.id;
+  reference.ok = true;
+  reference.context = cold.context;  // names the SoC only
+  reference.schedule = std::move(scratch.best);
+  reference.search_metrics = std::move(scratch.metrics);
+
+  EXPECT_EQ(engine::result_json(cold), engine::result_json(reference));
+  EXPECT_EQ(engine::result_json(warm), engine::result_json(reference));
+  EXPECT_EQ(warm.schedule.sessions, reference.schedule.sessions);
 }
 
 TEST(ContextCacheTest, EvictionIsLruOverTheReserveSequence) {
