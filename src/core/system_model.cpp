@@ -71,7 +71,11 @@ SystemModel::SystemModel(itc02::Soc soc, noc::Mesh mesh, std::vector<CorePlaceme
   distance_by_index_.reserve(soc_.modules.size());
   for (const itc02::Module& m : soc_.modules) {
     phases_by_index_.push_back(wrapper::plan_module_test(m, params_.wrapper_chains));
-    base_cycles_by_index_.push_back(wrapper::module_test_cycles(m, params_.wrapper_chains));
+    std::uint64_t base_cycles = 0;
+    for (const wrapper::TestPhase& phase : phases_by_index_.back()) {
+      base_cycles += phase.core_cycles();
+    }
+    base_cycles_by_index_.push_back(base_cycles);
     const noc::RouterId at = router_of(m.id);
     int best = mesh_.hop_count(at, ate_input_);
     best = std::min(best, mesh_.hop_count(at, ate_output_));

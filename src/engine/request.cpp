@@ -162,12 +162,15 @@ class Scanner {
     return false;
   }
 
-  void expect(char c, std::string_view where) {
-    if (!eat(c)) die("expected '", c, "' ", where);
+  /// Consume `c` or die with "expected 'c' " followed by `where` —
+  /// formatted only on that failure, never on a clean parse.
+  template <typename... Where>
+  void expect(char c, const Where&... where) {
+    if (!eat(c)) die("expected '", c, "' ", where...);
   }
 
   [[nodiscard]] std::string_view parse_string(std::string_view what) {
-    expect('"', cat("to open ", what));
+    expect('"', "to open ", what);
     const std::size_t begin = pos_;
     while (pos_ < text_.size() && text_[pos_] != '"') {
       if (text_[pos_] == '\\') die("escape sequences are not supported in ", what);
@@ -270,12 +273,12 @@ void check_soc_name(Scanner& sc, std::string_view name) {
 /// fault-stream event line.
 bool parse_fault_list(Scanner& sc, std::string_view key, FaultSpec& faults) {
   auto list = [&](auto&& item) {
-    sc.expect('[', cat("to open \"", key, "\""));
+    sc.expect('[', "to open \"", key, "\"");
     if (sc.eat(']')) return;
     do {
       item();
     } while (sc.eat(','));
-    sc.expect(']', cat("to close \"", key, "\""));
+    sc.expect(']', "to close \"", key, "\"");
   };
   if (key == "links") {
     list([&] { faults.links.emplace_back(sc.parse_string("a link")); });
@@ -296,7 +299,7 @@ void parse_faults(Scanner& sc, FaultSpec& faults) {
   if (sc.eat('}')) return;
   do {
     const std::string_view key = sc.parse_string("a faults key");
-    sc.expect(':', cat("after key \"", key, "\""));
+    sc.expect(':', "after key \"", key, "\"");
     if (!parse_fault_list(sc, key, faults)) {
       sc.die("unknown faults key \"", key, "\" (expected links|routers|procs)");
     }
@@ -316,7 +319,7 @@ search::FaultEvent parse_event(std::string_view text, const core::SystemModel& s
   if (!sc.eat('}')) {
     do {
       const std::string_view key = sc.parse_string("a key");
-      sc.expect(':', cat("after key \"", key, "\""));
+      sc.expect(':', "after key \"", key, "\"");
       if (key == "cycle") {
         if (saw_cycle) sc.die("duplicate \"cycle\" key");
         saw_cycle = true;
@@ -355,7 +358,7 @@ PlanRequest parse_request(std::string_view text, std::string_view source, std::s
   if (!sc.eat('}')) {
     do {
       const std::string key(sc.parse_string("a key"));
-      sc.expect(':', cat("after key \"", key, "\""));
+      sc.expect(':', "after key \"", key, "\"");
       once(key);
       if (key == "id") {
         req.id = std::string(sc.parse_string("\"id\""));

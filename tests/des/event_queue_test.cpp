@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 #include <string>
 #include <tuple>
@@ -118,7 +119,40 @@ TEST(EventQueue, PushAtRejectsUnissuedSequencesAndThePast) {
   EXPECT_EQ(q.pop().payload, 2);
 }
 
+TEST(EventQueue, SameInstantSplitAcrossWheelAndOverflowPopsBySequence) {
+  using Queue = EventQueue<char>;
+  constexpr std::uint64_t kFar = Queue::kSpan + 5;
+  // 'a' is pushed while its time is a full span ahead (overflow store);
+  // 'b' is pushed for the same instant once it is near (a wheel bucket).
+  Queue q;
+  q.push(kFar, 'a');
+  q.push(10, 'x');
+  EXPECT_EQ(q.pop().payload, 'x');
+  q.push(kFar, 'b');
+  EXPECT_EQ(q.pop().payload, 'a');
+  EXPECT_EQ(q.pop().payload, 'b');
+  EXPECT_TRUE(q.empty());
+
+  // The other way round: the near event holds the older (reserved)
+  // sequence, so it pops ahead of the far one at the same instant.
+  Queue r;
+  const std::uint64_t slot = r.reserve();
+  r.push(kFar, 'd');
+  r.push(10, 'x');
+  EXPECT_EQ(r.pop().payload, 'x');
+  r.push_at(kFar, slot, 'c');
+  EXPECT_EQ(r.pop().payload, 'c');
+  EXPECT_EQ(r.pop().payload, 'd');
+  EXPECT_TRUE(r.empty());
+}
+
 TEST(EventQueue, RandomInterleaveMatchesSortedReference) {
+  // Gaps below 4 cycles keep to a few wheel buckets; the span-sized
+  // ones reach the overflow store, wrap the wheel, and split one
+  // instant between bucket and overflow.
+  constexpr std::uint64_t kSpan = EventQueue<int>::kSpan;
+  constexpr std::array<std::uint64_t, 8> kGaps = {0,         1,     2,         3,
+                                                  kSpan - 1, kSpan, kSpan + 1, 10 * kSpan};
   using Key = std::tuple<std::uint64_t, std::uint64_t, int>;  // time, seq, payload
   Rng rng(0xE7E47);
   EventQueue<int> q;
@@ -127,6 +161,7 @@ TEST(EventQueue, RandomInterleaveMatchesSortedReference) {
   std::uint64_t last_time = 0;
   std::uint64_t last_seq = 0;
   int payload = 0;
+  const auto gap = [&] { return kGaps[static_cast<std::size_t>(rng.below(kGaps.size()))]; };
   const auto expect_pop = [&] {
     ASSERT_FALSE(reference.empty());
     const auto e = q.pop();
@@ -139,7 +174,7 @@ TEST(EventQueue, RandomInterleaveMatchesSortedReference) {
   for (int op = 0; op < 10000; ++op) {
     const std::uint64_t roll = rng.below(10);
     if (roll < 3) {
-      const std::uint64_t time = last_time + rng.below(4);
+      const std::uint64_t time = last_time + gap();
       reference.emplace(time, q.pushed(), ++payload);
       q.push(time, payload);
     } else if (roll < 5) {
@@ -148,7 +183,7 @@ TEST(EventQueue, RandomInterleaveMatchesSortedReference) {
       const std::size_t i = static_cast<std::size_t>(rng.below(reserved.size()));
       const std::uint64_t seq = reserved[i];
       reserved.erase(reserved.begin() + static_cast<std::ptrdiff_t>(i));
-      std::uint64_t time = last_time + rng.below(4);
+      std::uint64_t time = last_time + gap();
       if (time == last_time && seq < last_seq) ++time;
       reference.emplace(time, seq, ++payload);
       q.push_at(time, seq, payload);

@@ -5,10 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
-#include "common/error.hpp"
 #include "common/interval_set.hpp"
+#include "core/pair_table.hpp"
 #include "core/scheduler.hpp"
 #include "des/replay.hpp"
 #include "itc02/random_soc.hpp"
@@ -52,17 +53,16 @@ TEST_P(DesProperties, ReplayNeverViolatesValidatorInvariants) {
   if (rng.chance(0.3)) params.allow_cross_pairing = true;
   const core::SystemModel sys = random_system(rng, params);
   const double fraction = 0.4 + rng.uniform01() * 0.6;
-  const power::PowerBudget budget =
-      rng.chance(0.5) ? power::PowerBudget::fraction_of_total(sys.soc(), fraction)
-                      : power::PowerBudget::unconstrained();
-  core::Schedule plan;
-  try {
-    plan = core::plan_tests(sys, budget);
-  } catch (const Error&) {
-    // A random budget can land below some core's cheapest session; the
-    // planner rightfully refuses, and there is nothing to replay.
-    GTEST_SKIP() << "random budget infeasible for this system";
+  power::PowerBudget budget = rng.chance(0.5)
+                                  ? power::PowerBudget::fraction_of_total(sys.soc(), fraction)
+                                  : power::PowerBudget::unconstrained();
+  // Never below the costliest module's cheapest session: every seed
+  // then has a feasible plan to replay.
+  const core::PairTable pairs(sys);
+  for (const itc02::Module& m : sys.soc().modules) {
+    budget.limit = std::max(budget.limit, pairs.cheapest_power(m.id));
   }
+  const core::Schedule plan = core::plan_tests(sys, budget);
   ASSERT_TRUE(sim::validate(sys, plan).ok());
 
   const des::SimTrace trace = des::replay(sys, plan);
