@@ -23,8 +23,13 @@ namespace {
 
 using namespace nocsched;
 
-void bench_plan(benchmark::State& state, const char* soc, int procs, bool constrained) {
-  const core::PlannerParams params = core::PlannerParams::paper();
+// `choice` picks the planner's resource rule: the paper's greedy
+// (first available) or the earliest-completion ablation, whose window
+// queries no perfbench workload reaches.
+void bench_plan(benchmark::State& state, const char* soc, int procs, bool constrained,
+                core::ResourceChoice choice = core::ResourceChoice::kFirstAvailable) {
+  core::PlannerParams params = core::PlannerParams::paper();
+  params.resource_choice = choice;
   const core::SystemModel sys =
       core::SystemModel::paper_system(soc, itc02::ProcessorKind::kLeon, procs, params);
   const power::PowerBudget budget =
@@ -102,6 +107,10 @@ BENCHMARK_CAPTURE(bench_plan, d695_6proc, "d695", 6, false);
 BENCHMARK_CAPTURE(bench_plan, p22810_8proc, "p22810", 8, false);
 BENCHMARK_CAPTURE(bench_plan, p93791_8proc, "p93791", 8, false);
 BENCHMARK_CAPTURE(bench_plan, p93791_8proc_power, "p93791", 8, true);
+BENCHMARK_CAPTURE(bench_plan, p93791_8proc_earliest, "p93791", 8, false,
+                  core::ResourceChoice::kEarliestCompletion);
+BENCHMARK_CAPTURE(bench_plan, p93791_8proc_earliest_power, "p93791", 8, true,
+                  core::ResourceChoice::kEarliestCompletion);
 BENCHMARK_CAPTURE(bench_evaluate, d695_6proc, "d695", 6, false);
 BENCHMARK_CAPTURE(bench_evaluate, d695_6proc_power, "d695", 6, true);
 BENCHMARK_CAPTURE(bench_evaluate, p22810_8proc, "p22810", 8, false);

@@ -41,13 +41,4 @@ std::uint64_t IntervalSet::earliest_fit(std::uint64_t from, std::uint64_t len) c
   return t;
 }
 
-std::uint64_t IntervalSet::occupied_until(std::uint64_t horizon) const {
-  std::uint64_t total = 0;
-  for (const Interval& iv : ivs_) {
-    if (iv.start >= horizon) break;
-    total += std::min(iv.end, horizon) - iv.start;
-  }
-  return total;
-}
-
 }  // namespace nocsched

@@ -1,9 +1,10 @@
 #pragma once
 // Sorted set of disjoint half-open time intervals [start, end).
 //
-// Used by the NoC channel reservation tables and the power profile: a
-// test session reserves each directed channel on its two XY paths for
-// its whole duration, and the scheduler must query conflicts cheaply.
+// Used for endpoint and circuit-channel bookings: a test session holds
+// its source and sink, and under the circuit model each directed channel
+// on its two XY paths, for its whole duration, and the planner and the
+// validator must query conflicts cheaply.
 
 #include <cstdint>
 #include <vector>
@@ -38,9 +39,6 @@ class IntervalSet {
 
   /// Earliest time >= `from` at which an interval of length `len` fits.
   [[nodiscard]] std::uint64_t earliest_fit(std::uint64_t from, std::uint64_t len) const;
-
-  /// Total reserved cycles within [0, horizon).
-  [[nodiscard]] std::uint64_t occupied_until(std::uint64_t horizon) const;
 
   [[nodiscard]] std::size_t size() const { return ivs_.size(); }
   [[nodiscard]] bool empty() const { return ivs_.empty(); }

@@ -20,14 +20,15 @@
 // its level at `t` (every breakpoint after `t` is a session end, so the
 // level only falls).  Each such check gives the identical answer, down
 // to the same floating-point comparison, as the general interval check
-// earliest-completion probing has to use.  And since `t` never
-// decreases, a first-available envelope needs no past: NowEnvelope keeps
-// only the steps at or after `t`, where StepProfile keeps the timeline.
+// earliest-completion probing has to use.  Both kinds of planning share
+// one power::StepFunction for power and one per multiplexed channel:
+// earliest completion asks its window fits and next breakpoints, first
+// available asks fits_at, whose floor folds away the past since `t`
+// never decreases.
 
 #include "core/scheduler.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <optional>
 #include <span>
@@ -35,7 +36,7 @@
 #include "common/error.hpp"
 #include "common/interval_set.hpp"
 #include "obs/metrics.hpp"
-#include "power/profile.hpp"
+#include "power/step_function.hpp"
 
 namespace nocsched::core {
 
@@ -44,188 +45,7 @@ namespace {
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 constexpr std::size_t kNoResource = static_cast<std::size_t>(-1);
 
-// Identical to the tolerance in power/profile.cpp — the fits() answers
-// must agree bit-for-bit with PowerProfile::fits.
-double slack(double limit) { return 1e-9 * (std::abs(limit) + 1.0); }
-
 std::size_t channel_index(noc::ChannelId c) { return static_cast<std::size_t>(c); }
-
-/// Flat counterpart of power::PowerProfile: `times_` holds the sorted
-/// breakpoints, `deltas_` the summed step at each breakpoint (summed in
-/// insertion order, exactly as the map's `deltas_[t] += v`), `levels_`
-/// the running level after each breakpoint (the same left-to-right
-/// fold the map walk performs, so every double is bit-identical).
-/// Queries binary-search instead of walking the whole map.  Only
-/// earliest-completion planning uses it: it asks for window fits and
-/// next breakpoints anywhere on the timeline.
-class StepProfile {
- public:
-  /// PowerProfile::add, including the argument check.
-  void add(const Interval& iv, double value) {
-    power::require_valid_draw(value);
-    if (iv.empty() || value == 0.0) return;
-    add_delta(iv.start, value);
-    add_delta(iv.end, -value);
-  }
-
-  /// PowerProfile::fits bit-for-bit (same slack, same fold).
-  [[nodiscard]] bool fits(const Interval& iv, double value, double limit) const {
-    if (iv.empty()) return true;
-    // The map walk folds entries with time <= iv.start into the level
-    // at iv.start, then maxes over entries strictly inside the window;
-    // with levels_ precomputed both reduce to a max over levels_[r..s].
-    const auto begin = times_.begin();
-    const auto r = std::upper_bound(begin, times_.end(), iv.start) - begin;
-    double best = (r == 0) ? 0.0 : levels_[static_cast<std::size_t>(r - 1)];
-    const auto s = std::lower_bound(begin, times_.end(), iv.end) - begin;
-    for (auto j = r; j < s; ++j) {
-      const double level = levels_[static_cast<std::size_t>(j)];
-      if (level > best) best = level;
-    }
-    return best + value <= limit + slack(limit);
-  }
-
-  /// PowerProfile::peak.
-  [[nodiscard]] double peak() const {
-    double best = 0.0;
-    for (const double level : levels_) {
-      if (level > best) best = level;
-    }
-    return best;
-  }
-
-  /// PowerProfile::next_change_after.
-  [[nodiscard]] std::optional<std::uint64_t> next_change_after(std::uint64_t t) const {
-    const auto it = std::upper_bound(times_.begin(), times_.end(), t);
-    if (it == times_.end()) return std::nullopt;
-    return *it;
-  }
-
-  void clear() {
-    times_.clear();
-    deltas_.clear();
-    levels_.clear();
-  }
-
- private:
-  void add_delta(std::uint64_t t, double v) {
-    const auto it = std::lower_bound(times_.begin(), times_.end(), t);
-    const auto idx = static_cast<std::size_t>(it - times_.begin());
-    if (it != times_.end() && *it == t) {
-      // Same `+=` the map's operator[] path performs, in the same call
-      // order, so the accumulated delta is the identical double.
-      deltas_[idx] += v;
-    } else {
-      times_.insert(it, t);
-      deltas_.insert(deltas_.begin() + static_cast<std::ptrdiff_t>(idx), v);
-      levels_.insert(levels_.begin() + static_cast<std::ptrdiff_t>(idx), 0.0);
-    }
-    // Refold the running level from the edit point.  Each levels_[j] is
-    // the left-associative sum of deltas_[0..j] — exactly the value the
-    // map walk's `level += d` holds after breakpoint j — so recomputing
-    // the suffix reproduces those doubles bit-for-bit.
-    for (std::size_t j = idx; j < times_.size(); ++j) {
-      levels_[j] = (j == 0 ? 0.0 : levels_[j - 1]) + deltas_[j];
-    }
-  }
-
-  std::vector<std::uint64_t> times_;  // sorted, unique
-  std::vector<double> deltas_;
-  std::vector<double> levels_;
-};
-
-/// The first-available envelope: StepProfile's step function read only
-/// at the current pass time `now`, which never decreases.  Steps behind
-/// `now` are final (every later step lands at or after it), so they are
-/// folded away in time order into `level_` — the same left fold
-/// StepProfile::levels_ holds — and into the running `peak_`; only the
-/// steps at or after `now` stay, sorted, in `steps_[head_..]`.  A
-/// session start lands at the head and its end goes in by a scan back
-/// from the tail, instead of three vector inserts and a suffix refold.
-/// The level at `now` and the peak are the identical doubles
-/// StepProfile returns.
-class NowEnvelope {
- public:
-  /// StepProfile::add for a window starting at the current time (the
-  /// first-available invariant: every commit starts at the pass time).
-  void add(const Interval& iv, double value) {
-    power::require_valid_draw(value);
-    if (iv.empty() || value == 0.0) return;
-    advance(iv.start);
-    if (head_ < steps_.size() && steps_[head_].time == iv.start) {
-      steps_[head_].delta += value;  // StepProfile's `+=`, in the same call order
-    } else if (head_ > 0) {
-      steps_[--head_] = Step{iv.start, value};  // reuse a folded slot
-    } else {
-      steps_.insert(steps_.begin(), Step{iv.start, value});
-    }
-    std::size_t i = steps_.size();
-    while (i > head_ && steps_[i - 1].time > iv.end) --i;
-    if (i > head_ && steps_[i - 1].time == iv.end) {
-      steps_[i - 1].delta += -value;
-    } else {
-      steps_.insert(steps_.begin() + static_cast<std::ptrdiff_t>(i), Step{iv.end, -value});
-    }
-  }
-
-  /// StepProfile::fits({t, t + dur}, value, limit) for any dur > 0 under
-  /// the first-available invariant: the window max is the level at `t`.
-  /// `t` must not precede any earlier query or start.
-  [[nodiscard]] bool fits_at(std::uint64_t t, double value, double limit) {
-    advance(t);
-    const double level = (head_ < steps_.size() && steps_[head_].time == t)
-                             ? level_ + steps_[head_].delta
-                             : level_;
-    return level + value <= limit + slack(limit);
-  }
-
-  /// StepProfile::peak: the running peak, folded on over the steps
-  /// still ahead.
-  [[nodiscard]] double peak() const {
-    double level = level_;
-    double best = peak_;
-    for (std::size_t j = head_; j < steps_.size(); ++j) {
-      level = level + steps_[j].delta;
-      if (level > best) best = level;
-    }
-    return best;
-  }
-
-  void clear() {
-    steps_.clear();
-    head_ = 0;
-    now_ = 0;
-    level_ = 0.0;
-    peak_ = 0.0;
-  }
-
- private:
-  struct Step {
-    std::uint64_t time = 0;
-    double delta = 0.0;
-  };
-
-  /// Moves `now` to `t`, folding every step before it.
-  void advance(std::uint64_t t) {
-    NOCSCHED_ASSERT(t >= now_);
-    now_ = t;
-    while (head_ < steps_.size() && steps_[head_].time < t) {
-      level_ = level_ + steps_[head_].delta;
-      if (level_ > peak_) peak_ = level_;
-      ++head_;
-    }
-    if (head_ == steps_.size()) {
-      steps_.clear();
-      head_ = 0;
-    }
-  }
-
-  std::vector<Step> steps_;  ///< sorted by time; [0, head_) already folded
-  std::size_t head_ = 0;
-  std::uint64_t now_ = 0;
-  double level_ = 0.0;  ///< the level just before `now_`
-  double peak_ = 0.0;   ///< max(0, every folded level)
-};
 
 /// Work tallies of the last plan, flushed to the obs `planner.*`
 /// counters.  Plain counters: one kernel lives on one thread.
@@ -281,13 +101,10 @@ class Planner {
       for (IntervalSet& c : channel_busy_) c.clear();
       channel_free_from_.assign(channels, 0);
     } else {
-      channel_load_.resize(first_available_ ? 0 : channels);
-      for (StepProfile& c : channel_load_) c.clear();
-      channel_load_now_.resize(first_available_ ? channels : 0);
-      for (NowEnvelope& c : channel_load_now_) c.clear();
+      channel_load_.resize(channels);
+      for (power::StepFunction& c : channel_load_) c.clear();
     }
     profile_.clear();
-    profile_now_.clear();
     ends_.clear();
     commits_.clear();
     stats_ = PlannerStats{};
@@ -307,7 +124,7 @@ class Planner {
       run_earliest_completion(order);
     }
     makespan_ = ends_.empty() ? 0 : ends_.back();
-    peak_power_ = first_available_ ? profile_now_.peak() : profile_.peak();
+    peak_power_ = profile_.peak();
   }
 
   [[nodiscard]] std::uint64_t makespan() const { return makespan_; }
@@ -412,22 +229,14 @@ class Planner {
     free_from_[c.sink] = std::max(free_from_[c.sink], iv.end);
     every_leg_channel(plan, [&](std::size_t ch, double bandwidth) {
       if (!circuit_) {
-        if (first_available_) {
-          channel_load_now_[ch].add(iv, bandwidth);
-        } else {
-          channel_load_[ch].add(iv, bandwidth);
-        }
+        channel_load_[ch].add(iv, bandwidth);
       } else {
         if (!first_available_) channel_busy_[ch].insert(iv);
         channel_free_from_[ch] = std::max(channel_free_from_[ch], iv.end);
       }
       return true;
     });
-    if (first_available_) {
-      profile_now_.add(iv, plan.power);
-    } else {
-      profile_.add(iv, plan.power);
-    }
+    profile_.add(iv, plan.power);
     ends_.insert(std::upper_bound(ends_.begin(), ends_.end(), iv.end), iv.end);
     const std::size_t proc = proc_resource_[static_cast<std::size_t>(module_id)];
     if (proc != kNoResource) {
@@ -449,7 +258,7 @@ class Planner {
           plan, [&](std::size_t ch, double) { return channel_free_from_[ch] <= t; });
     }
     return every_leg_channel(plan, [&](std::size_t ch, double bandwidth) {
-      return channel_load_now_[ch].fits_at(t, bandwidth, 1.0);
+      return channel_load_[ch].fits_at(t, bandwidth, 1.0);
     });
   }
 
@@ -471,7 +280,7 @@ class Planner {
     // `level + power` only grows with `power`, so a module whose cheapest
     // session overflows the power envelope at `t` has no pair to probe.
     if (power_limited_ &&
-        !profile_now_.fits_at(t, table_->cheapest_power(module_id), budget_.limit)) {
+        !profile_.fits_at(t, table_->cheapest_power(module_id), budget_.limit)) {
       return std::nullopt;
     }
     std::optional<Candidate> best;
@@ -490,7 +299,7 @@ class Planner {
         if (pc.plan.duration > best->plan->duration) continue;
         if (pc.plan.duration == best->plan->duration && pc.hops >= best_hops) continue;
       }
-      if (power_limited_ && !profile_now_.fits_at(t, pc.plan.power, budget_.limit)) continue;
+      if (power_limited_ && !profile_.fits_at(t, pc.plan.power, budget_.limit)) continue;
       if (!paths_free_at(pc.plan, t)) continue;
       best = Candidate{pc.source, pc.sink, t, &pc.plan};
       best_hops = pc.hops;
@@ -574,7 +383,7 @@ class Planner {
     return t;
   }
 
-  [[nodiscard]] std::uint64_t earliest_feasible_start(const PairChoice& pc) const {
+  [[nodiscard]] std::uint64_t earliest_feasible_start(const PairChoice& pc) {
     // Fixed point over the three constraint classes (endpoints, channels,
     // power).  Terminates: t is nondecreasing and each constraint has
     // finitely many busy windows.
@@ -660,14 +469,12 @@ class Planner {
   /// first-available frontier.  Exact only for non-decreasing `t`,
   /// which first-available time is.
   std::vector<std::uint64_t> free_from_;
-  std::vector<IntervalSet> busy_;                 // per endpoint (kEarliestCompletion)
-  std::vector<IntervalSet> channel_busy_;         // per channel (kCircuit, kEarliestCompletion)
-  std::vector<std::uint64_t> channel_free_from_;  // per channel (kCircuit)
-  std::vector<StepProfile> channel_load_;  // per channel (kMultiplexed, kEarliestCompletion)
-  std::vector<NowEnvelope> channel_load_now_;  // per channel (kMultiplexed, kFirstAvailable)
-  StepProfile profile_;                        // summed power (kEarliestCompletion)
-  NowEnvelope profile_now_;                    // summed power (kFirstAvailable)
-  std::vector<std::uint64_t> ends_;               // sorted session ends (multiset semantics)
+  std::vector<IntervalSet> busy_;                  // per endpoint (kEarliestCompletion)
+  std::vector<IntervalSet> channel_busy_;          // per channel (kCircuit, kEarliestCompletion)
+  std::vector<std::uint64_t> channel_free_from_;   // per channel (kCircuit)
+  std::vector<power::StepFunction> channel_load_;  // per channel (kMultiplexed)
+  power::StepFunction profile_;                    // summed power
+  std::vector<std::uint64_t> ends_;                // sorted session ends (multiset semantics)
 
   std::vector<CommitRec> commits_;
   std::uint64_t makespan_ = 0;

@@ -1,7 +1,8 @@
 #include "des/trace.hpp"
 
 #include "common/error.hpp"
-#include "power/profile.hpp"
+#include "power/budget.hpp"
+#include "power/peak_sweep.hpp"
 
 namespace nocsched::des {
 
@@ -18,12 +19,17 @@ const SessionTrace& SimTrace::session_for(int module_id) const {
 }
 
 double observed_peak_power(const SimTrace& trace) {
-  power::PowerProfile profile;
-  for (const SessionTrace& s : trace.sessions) {
-    if (s.observed_end <= s.observed_start) continue;
-    profile.add({s.observed_start, s.observed_end}, s.power);
+  std::vector<Interval> spans(trace.sessions.size());
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const SessionTrace& s = trace.sessions[i];
+    spans[i] = Interval{s.observed_start, s.observed_end};
+    if (!spans[i].empty()) power::require_valid_draw(s.power);
   }
-  return profile.peak();
+  power::PeakSweep sweep(1);
+  for (const power::Edge& e : power::sweep_edges(spans)) {
+    sweep.add(0, e, trace.sessions[e.draw].power);
+  }
+  return sweep.peak(0);
 }
 
 }  // namespace nocsched::des

@@ -1,7 +1,5 @@
 #include "power/budget.hpp"
 
-#include <cmath>
-
 #include "common/error.hpp"
 
 namespace nocsched::power {
@@ -14,8 +12,9 @@ PowerBudget PowerBudget::fraction_of_total(const itc02::Soc& soc, double fractio
   return PowerBudget{soc.total_test_power() * fraction};
 }
 
-bool within_budget(double draw, double limit) {
-  return draw <= limit * (1.0 + 1e-9) + 1e-9;
+// Callers' tests pin this exact text, "PowerProfile:" prefix included.
+void require_valid_draw(double value) {
+  ensure(std::isfinite(value) && value >= 0.0, "PowerProfile: bad power value ", value);
 }
 
 }  // namespace nocsched::power

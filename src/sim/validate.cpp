@@ -10,7 +10,7 @@
 #include "common/strings.hpp"
 #include "core/session_model.hpp"
 #include "power/budget.hpp"
-#include "power/profile.hpp"
+#include "power/peak_sweep.hpp"
 
 namespace nocsched::sim {
 
@@ -52,24 +52,30 @@ struct RouteHops {
   int out = -1;
 };
 
-/// Peak multiplexed load of every directed channel the `loaded`
-/// sessions cross (each with start < end and valid bandwidths), as
-/// (channel, peak) in ascending channel order.
-///
-/// One sweep over the sessions' start/end events in (time, session
-/// index) order, into one dense (step, level, peak) lane per channel.  The
-/// deltas landing on a channel at one instant are summed first (in
-/// session order, stimulus leg before response leg) and only then added
-/// to its level — the arithmetic of one power::PowerProfile per
-/// channel, so every peak is bit-identical to it.  Recorded ids outside
-/// the mesh (hostile input) get extra slots ordered around the mesh's
-/// own, keeping slot order equal to channel order.
-std::vector<std::pair<noc::ChannelId, double>> peak_channel_loads(
-    std::span<const core::Session> sessions, std::span<const std::size_t> loaded,
-    int mesh_channels) {
+/// The peaks one power::PeakSweep over a plan's sessions finds.
+struct PlanPeaks {
+  double power = 0.0;  ///< summed power of every non-empty session
+  /// Multiplexed load of every directed channel a `loaded` session
+  /// crosses, as (channel, peak) in ascending channel order.
+  std::vector<std::pair<noc::ChannelId, double>> channel_loads;
+};
+
+/// Sweeps, for each session flagged `loaded` (valid bandwidths), both
+/// legs' bandwidths into one lane per channel (stimulus leg before
+/// response leg), and every non-empty session's power into one last
+/// lane.  The session powers are checked first, in session order.
+/// Recorded ids outside the mesh (hostile input) get extra lanes ordered
+/// around the mesh's own, keeping lane order equal to channel order.
+PlanPeaks sweep_peaks(std::span<const core::Session> sessions,
+                      std::span<const std::uint8_t> loaded, int mesh_channels) {
+  std::vector<Interval> spans(sessions.size());
   std::vector<noc::ChannelId> outside;  // sorted, unique
-  for (const std::size_t i : loaded) {
-    for (const auto* path : {&sessions[i].path_in, &sessions[i].path_out}) {
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
+    const core::Session& s = sessions[i];
+    spans[i] = Interval{s.start, s.end};
+    if (!spans[i].empty()) power::require_valid_draw(s.power);
+    if (!loaded[i]) continue;
+    for (const auto* path : {&s.path_in, &s.path_out}) {
       for (const noc::ChannelId c : *path) {
         if (c < 0 || c >= mesh_channels) outside.push_back(c);
       }
@@ -80,68 +86,38 @@ std::vector<std::pair<noc::ChannelId, double>> peak_channel_loads(
   const auto below = static_cast<std::size_t>(
       std::lower_bound(outside.begin(), outside.end(), 0) - outside.begin());
   const auto mesh = static_cast<std::size_t>(mesh_channels);
-  auto slot_of = [&](noc::ChannelId c) -> std::size_t {
+  auto lane_of = [&](noc::ChannelId c) -> std::size_t {
     if (c >= 0 && c < mesh_channels) return below + static_cast<std::size_t>(c);
     const auto k = static_cast<std::size_t>(
         std::lower_bound(outside.begin(), outside.end(), c) - outside.begin());
     return c < 0 ? k : mesh + k;
   };
-  auto channel_of = [&](std::size_t slot) -> noc::ChannelId {
-    if (slot < below) return outside[slot];
-    if (slot < below + mesh) return static_cast<noc::ChannelId>(slot - below);
-    return outside[slot - mesh];
+  auto channel_of = [&](std::size_t lane) -> noc::ChannelId {
+    if (lane < below) return outside[lane];
+    if (lane < below + mesh) return static_cast<noc::ChannelId>(lane - below);
+    return outside[lane - mesh];
   };
 
-  std::vector<std::pair<std::uint64_t, std::size_t>> events;  // (time, session index)
-  events.reserve(2 * loaded.size());
-  for (const std::size_t i : loaded) {
-    events.emplace_back(sessions[i].start, i);
-    events.emplace_back(sessions[i].end, i);
-  }
-  std::sort(events.begin(), events.end());
-
-  // Per channel: `step` sums the deltas landing at instant `at`; it is
-  // folded into `level` when a later instant reaches the channel (a
-  // fold of a zero step changes nothing), and once more after the last
-  // event.
-  struct Lane {
-    std::uint64_t at = 0;
-    double step = 0.0;
-    double level = 0.0;
-    double peak = 0.0;
-    void fold() {
-      level += step;
-      peak = level > peak ? level : peak;
-      step = 0.0;
-    }
-  };
-  std::vector<Lane> lanes(mesh + outside.size());
-  for (const auto& [t, i] : events) {
-    const core::Session& s = sessions[i];
-    // An end adds -bw, which is exactly PowerProfile's `-= bw`.
-    const double sign = s.start == t ? 1.0 : -1.0;
+  const std::size_t power_lane = mesh + outside.size();
+  power::PeakSweep sweep(power_lane + 1);
+  for (const power::Edge& e : power::sweep_edges(spans)) {
+    const core::Session& s = sessions[e.draw];
+    if (s.power != 0.0) sweep.add(power_lane, e, s.power);  // a zero draw books nothing
+    if (!loaded[e.draw]) continue;
     const double bws[] = {s.bandwidth_in, s.bandwidth_out};
     int side = 0;
     for (const auto* path : {&s.path_in, &s.path_out}) {
       const double bw = bws[side++];
-      if (bw == 0.0) continue;  // a zero draw books nothing
-      const double delta = sign * bw;
-      for (const noc::ChannelId c : *path) {
-        Lane& lane = lanes[slot_of(c)];
-        if (lane.at != t) {
-          lane.fold();
-          lane.at = t;
-        }
-        lane.step += delta;
-      }
+      if (bw == 0.0) continue;
+      for (const noc::ChannelId c : *path) sweep.add(lane_of(c), e, bw);
     }
   }
 
-  std::vector<std::pair<noc::ChannelId, double>> out;
-  out.reserve(lanes.size());
-  for (std::size_t k = 0; k < lanes.size(); ++k) {
-    lanes[k].fold();
-    if (lanes[k].peak > 0.0) out.emplace_back(channel_of(k), lanes[k].peak);
+  PlanPeaks out;
+  out.power = sweep.peak(power_lane);
+  for (std::size_t lane = 0; lane < power_lane; ++lane) {
+    const double peak = sweep.peak(lane);
+    if (peak > 0.0) out.channel_loads.emplace_back(channel_of(lane), peak);
   }
   return out;
 }
@@ -304,8 +280,8 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
   const bool circuit = sys.params().channel_model == core::ChannelModel::kCircuit;
   std::vector<RouteHops> hops(schedule.sessions.size());
   std::map<noc::ChannelId, IntervalSet> channel_busy;
-  std::vector<std::size_t> loaded;  // sessions booked as multiplexed channel load
-  loaded.reserve(schedule.sessions.size());
+  // Sessions booked as multiplexed channel load.
+  std::vector<std::uint8_t> loaded(schedule.sessions.size(), 0);
   for (std::size_t i = 0; i < schedule.sessions.size(); ++i) {
     const core::Session& s = schedule.sessions[i];
     if (!endpoint_ok(s.source_resource) || !endpoint_ok(s.sink_resource)) continue;
@@ -341,7 +317,7 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
       // A leg's bandwidth is a draw on every channel it crosses.
       if (!s.path_in.empty()) power::require_valid_draw(s.bandwidth_in);
       if (!s.path_out.empty()) power::require_valid_draw(s.bandwidth_out);
-      loaded.push_back(i);
+      loaded[i] = 1;
       continue;
     }
     const Interval iv{s.start, s.end};
@@ -357,20 +333,18 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
       }
     }
   }
-  for (const auto& [channel, peak_load] :
-       peak_channel_loads(schedule.sessions, loaded, sys.mesh().channel_count())) {
-    if (peak_load > 1.0 + 1e-9) {
+  const PlanPeaks peaks = sweep_peaks(schedule.sessions, loaded, sys.mesh().channel_count());
+  for (const auto& [channel, peak_load] : peaks.channel_loads) {
+    if (!power::within_budget(peak_load, 1.0)) {
       violation("channel ", channel, " oversubscribed: peak bandwidth ", peak_load);
     }
   }
 
-  // 6. Power: recomputed profile within budget; recorded values match
-  // the cost model, priced over the routes check 5 computed.
-  power::PowerProfile profile;
+  // 6. Power: the swept peak within budget; recorded values match the
+  // cost model, priced over the routes check 5 computed.
   for (std::size_t i = 0; i < schedule.sessions.size(); ++i) {
     const core::Session& s = schedule.sessions[i];
     if (s.end <= s.start) continue;
-    profile.add({s.start, s.end}, s.power);
     if (!endpoint_ok(s.source_resource) || !endpoint_ok(s.sink_resource)) continue;
     if (modules.find(s.module_id) == nullptr) continue;
     const core::Endpoint& src = endpoints[static_cast<std::size_t>(s.source_resource)];
@@ -399,7 +373,7 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
       violation("module ", s.module_id, ": recorded channel bandwidth != cost model");
     }
   }
-  const double peak = profile.peak();
+  const double peak = peaks.power;
   if (!power::within_budget(peak, schedule.power_limit)) {
     violation("peak power ", peak, " exceeds budget ", schedule.power_limit);
   }

@@ -108,17 +108,6 @@ TEST(IntervalSet, ZeroLengthFitsAnywhere) {
   EXPECT_EQ(s.earliest_fit(50, 0), 50u);
 }
 
-TEST(IntervalSet, OccupiedUntil) {
-  IntervalSet s;
-  s.insert({10, 20});
-  s.insert({30, 50});
-  EXPECT_EQ(s.occupied_until(0), 0u);
-  EXPECT_EQ(s.occupied_until(15), 5u);
-  EXPECT_EQ(s.occupied_until(25), 10u);
-  EXPECT_EQ(s.occupied_until(40), 20u);
-  EXPECT_EQ(s.occupied_until(1000), 30u);
-}
-
 TEST(IntervalSet, ClearResets) {
   IntervalSet s;
   s.insert({0, 10});

@@ -45,5 +45,17 @@ TEST(PowerBudget, IncludesProcessorCorePower) {
             PowerBudget::fraction_of_total(base, 0.5).limit);
 }
 
+TEST(PowerBudget, WithinBudgetAdmitsUpToOneSharedTolerance) {
+  // The planner's envelopes, the replay, the validator and the
+  // cross-check all admit exactly up to limit + 1e-9 * (|limit| + 1).
+  for (const double limit : {0.0, 0.5, 1.0, 3236.0, 4567.89, 12944.0, 1e6}) {
+    const double edge = limit + 1e-9 * (std::abs(limit) + 1.0);
+    EXPECT_TRUE(within_budget(edge, limit)) << limit;
+    EXPECT_FALSE(within_budget(std::nextafter(edge, 2.0 * edge + 1.0), limit)) << limit;
+  }
+  EXPECT_TRUE(within_budget(1e300, PowerBudget::unconstrained().limit));
+  EXPECT_FALSE(within_budget(0.0, std::nan("")));
+}
+
 }  // namespace
 }  // namespace nocsched::power

@@ -1,4 +1,4 @@
-#include "power/profile.hpp"
+#include "support/power_profile.hpp"
 
 #include <gtest/gtest.h>
 

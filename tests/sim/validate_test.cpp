@@ -9,8 +9,9 @@
 #include "common/error.hpp"
 #include "core/scheduler.hpp"
 #include "noc/routing.hpp"
-#include "power/profile.hpp"
+#include "power/step_function.hpp"
 #include "search/replan.hpp"
+#include "support/power_profile.hpp"
 
 namespace nocsched::sim {
 namespace {
@@ -125,6 +126,44 @@ TEST(Validate, DetectsChannelOversubscription) {
     }
   }
   EXPECT_TRUE(has_violation(validate(f.sys, f.schedule), "oversubscribed"));
+}
+
+/// The Fixture plan with every leg bandwidth zeroed except two
+/// overlapping stimulus legs on one path, drawing 0.5 and `second`.
+Fixture shared_stimulus_path(double second) {
+  Fixture f;
+  for (Session& s : f.schedule.sessions) {
+    s.bandwidth_in = 0.0;
+    s.bandwidth_out = 0.0;
+  }
+  std::vector<Session*> legs;
+  for (Session& s : f.schedule.sessions) {
+    if (!s.path_in.empty() && legs.size() < 2) legs.push_back(&s);
+  }
+  EXPECT_EQ(legs.size(), 2u);
+  Session& a = *legs[0];
+  Session& b = *legs[1];
+  b.path_in = a.path_in;
+  b.end = a.start + b.duration();
+  b.start = a.start;
+  a.bandwidth_in = 0.5;
+  b.bandwidth_in = second;
+  return f;
+}
+
+TEST(Validate, ChannelCapacityUsesThePlannersTolerance) {
+  // The planner's load envelope admits a second leg that brings the
+  // channel to 1.0 + 1.5e-9, inside within_budget's 1e-9 * (1 + 1)
+  // slack at capacity 1.0; the validator must not flag that load.
+  power::StepFunction envelope;
+  envelope.add({0, 10}, 0.5);
+  EXPECT_TRUE(envelope.fits_at(0, 0.5 + 1.5e-9, 1.0));
+  EXPECT_FALSE(envelope.fits_at(0, 0.5 + 3e-9, 1.0));
+
+  Fixture admitted = shared_stimulus_path(0.5 + 1.5e-9);
+  EXPECT_FALSE(has_violation(validate(admitted.sys, admitted.schedule), "oversubscribed"));
+  Fixture over = shared_stimulus_path(0.5 + 3e-9);
+  EXPECT_TRUE(has_violation(validate(over.sys, over.schedule), "oversubscribed"));
 }
 
 TEST(Validate, DetectsChannelDoubleBookingInCircuitModel) {

@@ -1,20 +1,16 @@
-#include "power/profile.hpp"
+#include "support/power_profile.hpp"
 
 #include <cmath>
 
-#include "common/error.hpp"
+#include "power/budget.hpp"
 
 namespace nocsched::power {
 
 namespace {
-// Tolerance for budget comparisons: power values are sums of a handful
-// of doubles, so a relative epsilon on the limit is plenty.
+// The oracle's own copy of power::within_budget's tolerance, kept
+// separate so the production predicate is checked, not shared.
 double slack(double limit) { return 1e-9 * (std::abs(limit) + 1.0); }
 }  // namespace
-
-void require_valid_draw(double value) {
-  ensure(std::isfinite(value) && value >= 0.0, "PowerProfile: bad power value ", value);
-}
 
 void PowerProfile::add(const Interval& iv, double value) {
   require_valid_draw(value);

@@ -1,5 +1,8 @@
 #pragma once
-// Piecewise-constant power-over-time bookkeeping.
+// Piecewise-constant power-over-time bookkeeping as a std::map of
+// deltas — the test oracle for the production step functions
+// (power::StepFunction, power::PeakSweep) and the reference planner's
+// power and channel-load envelopes.
 //
 // Sessions contribute a constant power draw over their interval; the
 // planner must know, before committing a session, whether the summed
@@ -13,10 +16,6 @@
 #include "common/interval_set.hpp"
 
 namespace nocsched::power {
-
-/// Throw nocsched::Error unless `value` is a legal constant draw
-/// (finite and non-negative) — the check every profile's add() applies.
-void require_valid_draw(double value);
 
 class PowerProfile {
  public:

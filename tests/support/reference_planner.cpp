@@ -18,7 +18,7 @@
 #include <span>
 
 #include "common/error.hpp"
-#include "power/profile.hpp"
+#include "support/power_profile.hpp"
 #include "support/reservation.hpp"
 
 namespace nocsched::core::oracle {
