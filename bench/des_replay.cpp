@@ -5,7 +5,8 @@
 // warm-up's byte for byte (compared after each batch's clock stops).  The simulator is a
 // validation tool — it must stay fast enough to cross-check every plan
 // a sweep produces (hundreds per experiment), so its own speed is a
-// tracked headline number (rows feed scripts/bench_headline_json.sh).
+// tracked headline number: each system and processor kind is also a
+// "des_replay" row of BENCH_headline.json (bench_row.hpp).
 
 #include <algorithm>
 #include <chrono>
@@ -13,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_row.hpp"
 #include "core/scheduler.hpp"
 #include "des/replay.hpp"
 #include "report/trace_report.hpp"
@@ -27,6 +29,7 @@ int main() {
     std::cout << "Flit-level replay throughput (4 processors, no power limit)\n\n";
     std::cout << "system    cpu     sessions  events    packets   sim-cycles  wall-ms  "
                  "events/s\n";
+    std::vector<bench::Row> rows;
     for (const std::string& soc : itc02::builtin_names()) {
       for (const auto kind : {itc02::ProcessorKind::kLeon, itc02::ProcessorKind::kPlasma}) {
         const core::SystemModel sys = core::SystemModel::paper_system(soc, kind, 4, params);
@@ -69,14 +72,23 @@ int main() {
         const double events_per_sec =
             ms > 0.0 ? static_cast<double>(trace.events_processed) / (ms / 1000.0) : 0.0;
         const std::string cpu{itc02::to_string(kind)};
-        std::cout << "DESR " << soc << std::string(soc.size() < 8 ? 8 - soc.size() : 1, ' ')
+        std::cout << soc << std::string(soc.size() < 8 ? 8 - soc.size() : 1, ' ')
                   << cpu << std::string(cpu.size() < 8 ? 8 - cpu.size() : 1, ' ')
                   << trace.sessions.size() << "        " << trace.events_processed << "     "
                   << trace.packets_delivered << "      " << trace.observed_makespan << "     "
                   << ms << "  " << static_cast<std::uint64_t>(events_per_sec) << "\n";
+        rows.emplace_back("des_replay")
+            .str("soc", soc)
+            .str("cpu", cpu)
+            .num("events", trace.events_processed)
+            .num("packets", trace.packets_delivered)
+            .num("sim_cycles", trace.observed_makespan)
+            .num("wall_ms", ms)
+            .num("events_per_sec", static_cast<std::uint64_t>(events_per_sec));
       }
     }
-    std::cout << "\n(DESR rows are machine-parsed by scripts/bench_headline_json.sh)\n";
+    std::cout << "\n";
+    for (const bench::Row& row : rows) std::cout << row;
   } catch (const std::exception& e) {
     std::cerr << "bench failed: " << e.what() << "\n";
     return 1;

@@ -8,11 +8,8 @@
 //               table and warm-start the search from the surviving
 //               order (what sim::replay_timeline actually does).
 //
-// The machine-readable "FST" rows feed the fault_stream section of
-// BENCH_headline.json (via scripts/bench_headline_json.sh):
-//
-//   FST <soc> <procs> <events> <covered> <total> <coverage> <stretch>
-//       <cold_p50_ms> <cold_p99_ms> <incr_p50_ms> <incr_p99_ms> <speedup_p50>
+// Each table row is also a "fault_stream" row of BENCH_headline.json
+// (bench_row.hpp).
 //
 // (latency quantiles are over the per-event best-of-R repeats; coverage
 // and stretch come from a full deterministic timeline replay of the
@@ -25,10 +22,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <iomanip>
 #include <iostream>
 #include <vector>
 
+#include "bench_row.hpp"
 #include "common/error.hpp"
 #include "core/pair_table.hpp"
 #include "core/scheduler.hpp"
@@ -66,10 +63,11 @@ int main() {
               << "(seed 0xFA017), best of " << kRepeats << " repeats per event,\n"
               << "cold (from-scratch table, no warm start) vs incremental "
               << "(chained apply_faults + warm-started search)\n\n";
-    std::cout << "    soc procs events covered total coverage stretch cold_p50 cold_p99 "
+    std::cout << "soc procs events covered total coverage stretch cold_p50 cold_p99 "
                  "incr_p50 incr_p99 speedup\n";
 
     bool incremental_won = true;
+    std::vector<bench::Row> rows;
     for (const std::string& soc : itc02::builtin_names()) {
       const int procs = soc == "d695" ? 6 : 8;
       const core::SystemModel sys =
@@ -155,16 +153,26 @@ int main() {
 
       const std::size_t covered = timeline.covered_modules.size();
       const std::size_t total = covered + timeline.uncovered_modules.size();
-      std::cout << "FST " << soc << " " << procs << " " << kEvents << " " << covered << " "
-                << total << " " << std::fixed << std::setprecision(3)
-                << timeline.coverage_retained() << " " << timeline.makespan_stretch() << " "
-                << quantile(cold_ms, 0.5) << " " << quantile(cold_ms, 0.99) << " "
-                << quantile(incr_ms, 0.5) << " " << quantile(incr_ms, 0.99) << " "
-                << std::setprecision(2) << quantile(cold_ms, 0.5) / quantile(incr_ms, 0.5)
-                << "\n";
-      std::cout.unsetf(std::ios::fixed);
+      const bench::Row& row =
+          rows.emplace_back("fault_stream")
+              .str("soc", soc)
+              .num("procs", procs)
+              .num("events", kEvents)
+              .num("covered", covered)
+              .num("total", total)
+              .fixed(3)
+              .num("coverage_retained", timeline.coverage_retained())
+              .num("makespan_stretch", timeline.makespan_stretch())
+              .num("cold_p50_ms", quantile(cold_ms, 0.5))
+              .num("cold_p99_ms", quantile(cold_ms, 0.99))
+              .num("incr_p50_ms", quantile(incr_ms, 0.5))
+              .num("incr_p99_ms", quantile(incr_ms, 0.99))
+              .fixed(2)
+              .num("speedup_p50", quantile(cold_ms, 0.5) / quantile(incr_ms, 0.5));
+      std::cout << row.cells() << "\n";
     }
-    std::cout << "\n(FST rows are parsed into BENCH_headline.json's fault_stream section)\n";
+    std::cout << "\n";
+    for (const bench::Row& row : rows) std::cout << row;
     if (!incremental_won) {
       std::cerr << "bench failed: the incremental + warm-started replan did not beat the "
                    "cold replan on every event\n";

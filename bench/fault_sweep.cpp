@@ -1,17 +1,13 @@
 // Fault-aware replanning throughput: how fast the controller recovers a
 // plan after a fault, comparing the incremental PairTable path (copy
 // the pristine table, re-enumerate only the fault-touched modules) with
-// a full from-scratch rebuild of the degraded table.  The
-// machine-readable "FS" rows feed the fault_sweep section of
-// BENCH_headline.json (via scripts/bench_headline_json.sh).
+// a full from-scratch rebuild of the degraded table.  Each table row
+// is also a "fault_sweep" row of BENCH_headline.json (bench_row.hpp).
 //
-//   FS <soc> <procs> <scenarios> <rebuilt_avg> <full_ms> <incr_ms> <table_speedup>
-//      <replan_full_per_sec> <replan_incr_per_sec>
-//
-// (<rebuilt_avg> is the mean number of pair lists the incremental path
+// (rebuilt_avg is the mean number of pair lists the incremental path
 // re-enumerated per scenario — the work the fault actually required;
-// <full_ms>/<incr_ms> time the two table paths alone; the replan
-// columns time the whole greedy replan, table included, both ways.)
+// full_ms/incr_ms time the two table paths alone; the replan columns
+// time the whole greedy replan, table included, both ways.)
 //
 // The bench asserts the two table paths are bit-identical on every
 // scenario, and exits non-zero unless the incremental path is faster on
@@ -19,9 +15,10 @@
 // regression that erases the gap should fail loudly.
 
 #include <chrono>
-#include <iomanip>
 #include <iostream>
+#include <vector>
 
+#include "bench_row.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/pair_table.hpp"
@@ -49,10 +46,11 @@ int main() {
     std::cout << "Fault-aware replanning: " << kScenarios
               << " random fault scenarios per system (seed 0xFA017),\n"
               << "incremental PairTable rebuild vs from-scratch degraded build\n\n";
-    std::cout << "   soc procs scenarios rebuilt_avg full_ms incr_ms speedup "
+    std::cout << "soc procs scenarios rebuilt_avg full_ms incr_ms speedup "
                  "replan_full/s replan_incr/s\n";
 
     bool incremental_won = true;
+    std::vector<bench::Row> rows;
     for (const std::string& soc : itc02::builtin_names()) {
       const int procs = soc == "d695" ? 6 : 8;
       const core::SystemModel sys =
@@ -106,14 +104,22 @@ int main() {
 
       const double n = static_cast<double>(kScenarios);
       if (incr_ms >= full_ms || replan_incr_ms >= replan_full_ms) incremental_won = false;
-      std::cout << "FS " << soc << " " << procs << " " << kScenarios << " " << std::fixed
-                << std::setprecision(2) << static_cast<double>(rebuilt_total) / n << " "
-                << full_ms << " " << incr_ms << " " << full_ms / incr_ms << " "
-                << std::setprecision(0) << 1000.0 * n / replan_full_ms << " "
-                << 1000.0 * n / replan_incr_ms << "\n";
-      std::cout.unsetf(std::ios::fixed);
+      const bench::Row& row = rows.emplace_back("fault_sweep")
+                                  .str("soc", soc)
+                                  .num("procs", procs)
+                                  .num("scenarios", kScenarios)
+                                  .fixed(2)
+                                  .num("rebuilt_avg", static_cast<double>(rebuilt_total) / n)
+                                  .num("full_ms", full_ms)
+                                  .num("incr_ms", incr_ms)
+                                  .num("table_speedup", full_ms / incr_ms)
+                                  .fixed(0)
+                                  .num("replan_full_per_sec", 1000.0 * n / replan_full_ms)
+                                  .num("replan_incr_per_sec", 1000.0 * n / replan_incr_ms);
+      std::cout << row.cells() << "\n";
     }
-    std::cout << "\n(FS rows are parsed into BENCH_headline.json's fault_sweep section)\n";
+    std::cout << "\n";
+    for (const bench::Row& row : rows) std::cout << row;
     if (!incremental_won) {
       std::cerr << "bench failed: the incremental PairTable path did not beat the full "
                    "rebuild everywhere\n";

@@ -6,10 +6,13 @@
 //   C3 "despite of this, imposing power constraints the test reduction
 //       reaches up to 37%"
 // This bench prints paper-vs-measured for each claim (best reduction
-// over the processor-count grid, per power setting).
+// over the processor-count grid, per power setting), then each claim as
+// a "claims" row of BENCH_headline.json (bench_row.hpp).
 
 #include <iostream>
+#include <vector>
 
+#include "bench_row.hpp"
 #include "report/experiments.hpp"
 
 namespace {
@@ -35,6 +38,7 @@ int main() {
     std::cout << "Headline claims (best test-time reduction across the reuse sweep, "
                  "Leon systems)\n\n";
     std::cout << "claim  system    power series      paper  measured\n";
+    std::vector<bench::Row> rows;
     for (const Claim& c : claims) {
       const report::ReuseSweep sweep =
           report::run_paper_panel(c.soc, itc02::ProcessorKind::kLeon, params);
@@ -51,15 +55,24 @@ int main() {
           best_procs = p.processors;
         }
       }
+      const int measured_pct = static_cast<int>(best * 100.0 + 0.5);
       std::cout << c.id << "     " << c.soc << (std::string(10 - std::string(c.soc).size(), ' '))
                 << (c.constrained ? "50% power limit " : "no power limit  ") << "  "
-                << c.paper_pct << "%    " << static_cast<int>(best * 100.0 + 0.5) << "% (at "
+                << c.paper_pct << "%    " << measured_pct << "% (at "
                 << report::proc_label(best_procs) << ")\n";
+      rows.emplace_back("claims")
+          .str("id", c.id)
+          .str("soc", c.soc)
+          .str("power_limit", c.constrained ? "50%" : "none")
+          .num("paper_pct", c.paper_pct)
+          .num("measured_pct", measured_pct)
+          .str("at", report::proc_label(best_procs));
     }
     std::cout << "\nAbsolute numbers are not expected to match (reconstructed benchmark\n"
                  "data and pinned model constants — see DESIGN.md); the comparison\n"
                  "targets the paper's qualitative claims: double-digit reductions,\n"
-                 "larger systems gain more, power limits temper but do not erase gains.\n";
+                 "larger systems gain more, power limits temper but do not erase gains.\n\n";
+    for (const bench::Row& row : rows) std::cout << row;
   } catch (const std::exception& e) {
     std::cerr << "bench failed: " << e.what() << "\n";
     return 1;

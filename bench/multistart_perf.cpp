@@ -1,31 +1,27 @@
 // Planner hot-path throughput: restart-strategy orders planned per second,
-// single- and multi-threaded, on the three paper systems.  The
-// machine-readable "MSP" rows feed the planner_perf section of
-// BENCH_headline.json (via scripts/bench_headline_json.sh) so the
+// single- and multi-threaded, on the three paper systems.  Each run is a
+// "planner_perf" row of BENCH_headline.json (bench_row.hpp), so the
 // planner's speed is tracked across revisions; the bench also asserts
 // that the parallel run reproduces the serial result bit-for-bit.
 //
-//   MSP <soc> <procs> <orders> <jobs> <wall_ms> <orders_per_sec> <best> <hw_threads> <strategy> <iters>
-//
-// (<hw_threads> is the recording machine's hardware concurrency —
+// (hw_threads is the recording machine's hardware concurrency —
 // multi-job rows only show real scaling when jobs <= hw_threads.
-// <strategy>/<iters> name the search strategy and its iteration budget
+// strategy/iters name the search strategy and its iteration budget
 // so planner_perf trajectories stay comparable across revisions that
 // change the search engine; this bench times the `restart` strategy,
 // the planner's raw orders/sec floor.)
 //
 // It also prices the observability layer on the biggest paper system:
 // the same restart search A/B-timed with metrics collection off and
-// on (bench::with_metrics, min of interleaved reps).  The "MOH" row
-// feeds the metrics_overhead section of BENCH_headline.json, where
-// scripts/check_overhead.sh gates the <1% enabled-path claim.
-//
-//   MOH <soc> <procs> <orders> <disabled_ms> <enabled_ms> <overhead_pct>
+// on (bench::with_metrics, min of interleaved reps).  That row goes to
+// the metrics_overhead section, where `scripts/bench_headline.py
+// check-overhead` gates the <1% enabled-path claim.
 
 #include <algorithm>
 #include <chrono>
 #include <iostream>
 
+#include "bench_row.hpp"
 #include "common/parallel.hpp"
 #include "search/driver.hpp"
 #include "sim/validate.hpp"
@@ -93,10 +89,17 @@ int main() {
       for (const auto& [jobs, ms, r] :
            {std::tuple<unsigned, double, const search::SearchResult&>{1, serial_ms, serial},
             {hw, parallel_ms, parallel}}) {
-        std::cout << "MSP " << soc << " " << procs << " " << orders(r) << " " << jobs << " "
-                  << ms << " " << 1000.0 * static_cast<double>(orders(r)) / ms << " "
-                  << r.best.makespan << " " << hardware_jobs() << " restart " << kRestarts
-                  << "\n";
+        std::cout << bench::Row("planner_perf")
+                         .str("soc", soc)
+                         .num("procs", procs)
+                         .num("orders", orders(r))
+                         .num("jobs", jobs)
+                         .num("wall_ms", ms)
+                         .num("orders_per_sec", 1000.0 * static_cast<double>(orders(r)) / ms)
+                         .num("best_makespan", r.best.makespan)
+                         .num("hw_threads", hardware_jobs())
+                         .str("strategy", "restart")
+                         .num("iters", kRestarts);
       }
     }
     {
@@ -112,13 +115,16 @@ int main() {
       const bench::MetricsOverhead moh = bench::with_metrics(
           [&] { scratch = restart_search(big, kOrders, 1); },
           101);
-      std::cout << "MOH p93791 8 " << orders(scratch) << " " << moh.disabled_ms << " "
-                << moh.enabled_ms << " " << moh.overhead_pct << "\n";
+      std::cout << bench::Row("metrics_overhead")
+                       .str("soc", "p93791")
+                       .num("procs", 8)
+                       .num("orders", orders(scratch))
+                       .num("disabled_ms", moh.disabled_ms)
+                       .num("enabled_ms", moh.enabled_ms)
+                       .num("overhead_pct", moh.overhead_pct);
     }
 
-    std::cout << "\n(orders/sec = planner runs per second; MSP rows are parsed\n"
-                 "into BENCH_headline.json's planner_perf section, MOH rows into\n"
-                 "metrics_overhead)\n";
+    std::cout << "\n(orders_per_sec = planner runs per second)\n";
     if (!identical) {
       std::cerr << "bench failed: parallel restarts diverged from the serial result\n";
       return 1;

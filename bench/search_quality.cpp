@@ -1,16 +1,14 @@
 // Search strategy quality at an equal order-evaluation budget: every
 // strategy gets the same number of planner runs on the same system,
 // power setting, and seed, so the only difference is how it spends
-// them.  The machine-readable "SQ" rows feed the search_quality section
-// of BENCH_headline.json (via scripts/bench_headline_json.sh),
-// recording whether adaptive search (anneal / local) actually buys
-// schedule quality over blind restarts.
+// them.  Each table row is also a "search_quality" row of
+// BENCH_headline.json (bench_row.hpp), recording whether adaptive
+// search (anneal / local) actually buys schedule quality over blind
+// restarts.
 //
-//   SQ <soc> <procs> <power> <strategy> <iters> <evals> <greedy> <best> <improvement_pct>
-//
-// (<power> is "none" or the power-limit fraction; <evals> counts orders
+// (power is "none" or the power-limit fraction; evals counts orders
 // actually planned including the deterministic pass — local descents
-// may converge below the budget.  <greedy> is the deterministic
+// may converge below the budget.  greedy is the deterministic
 // priority-order makespan every strategy starts from.)
 //
 // Each system also gets one "LB" line with its provable makespan lower
@@ -26,10 +24,11 @@
 // ATE-bound critical core no order can move, while d695 (and any
 // power-constrained run) still rewards smarter orders.
 
-#include <iomanip>
 #include <iostream>
 #include <optional>
+#include <vector>
 
+#include "bench_row.hpp"
 #include "common/error.hpp"
 #include "core/bounds.hpp"
 #include "search/driver.hpp"
@@ -43,8 +42,9 @@ int main() {
     constexpr std::uint64_t kSeed = 0x5EED;
     std::cout << "Search quality at an equal budget of " << kIters
               << " order evaluations (Leon, seed 0x5EED)\n\n";
-    std::cout << "   soc procs power strategy iters evals greedy best improvement_pct\n";
+    std::cout << "soc procs power strategy iters evals greedy best improvement_pct\n";
     bool adaptive_won = false;
+    std::vector<bench::Row> rows;
     for (const std::string& soc : itc02::builtin_names()) {
       const int procs = soc == "d695" ? 6 : 8;
       const core::SystemModel sys =
@@ -76,17 +76,24 @@ int main() {
                              (static_cast<double>(result.first_makespan) -
                               static_cast<double>(result.best.makespan)) /
                              static_cast<double>(result.first_makespan);
-          std::cout << "SQ " << soc << " " << procs << " "
-                    << (fraction ? cat(*fraction) : std::string("none")) << " "
-                    << result.metrics.info_or("search.strategy") << " " << kIters << " "
-                    << result.metrics.counter_or("search.evaluations") << " "
-                    << result.first_makespan << " "
-                    << result.best.makespan << " " << std::fixed << std::setprecision(2)
-                    << pct << "\n";
+          const bench::Row& row =
+              rows.emplace_back("search_quality")
+                  .str("soc", soc)
+                  .num("procs", procs)
+                  .str("power_limit", fraction ? cat(*fraction) : std::string("none"))
+                  .str("strategy", result.metrics.info_or("search.strategy"))
+                  .num("iters", kIters)
+                  .num("evals", result.metrics.counter_or("search.evaluations"))
+                  .num("greedy_makespan", result.first_makespan)
+                  .num("best_makespan", result.best.makespan)
+                  .fixed(2)
+                  .num("improvement_pct", pct);
+          std::cout << row.cells() << "\n";
         }
       }
     }
-    std::cout << "\n(SQ rows are parsed into BENCH_headline.json's search_quality section)\n";
+    std::cout << "\n";
+    for (const bench::Row& row : rows) std::cout << row;
     if (!adaptive_won) {
       std::cerr << "bench failed: neither anneal nor local beat restart anywhere\n";
       return 1;

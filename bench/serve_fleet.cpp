@@ -25,11 +25,8 @@
 //               there, which is why the speedup gate lives on the
 //               serial lanes).
 //
-// The machine-readable "SRV" row feeds the serve section of
-// BENCH_headline.json (via scripts/bench_headline_json.sh):
-//
-//   SRV <requests> <distinct_specs> <jobs> <cold_ms> <warm_ms>
-//       <speedup> <batch_plans_per_sec> <warm_p50_us> <warm_p99_us>
+// The summary is also the "serve" row of BENCH_headline.json
+// (bench_row.hpp).
 //
 // The bench exits non-zero unless (a) the warm serial pass beats the
 // cold serial pass (speedup > 1 — the amortization the cache exists
@@ -46,6 +43,7 @@
 #include <sstream>
 #include <vector>
 
+#include "bench_row.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
@@ -201,10 +199,19 @@ int main() {
               << " deterministic in-band errors (power-infeasible mixes)\n"
               << "JSONL loop: " << ok_lines << "/" << total_lines << " ok results\n\n";
 
-    std::cout << "SRV " << kRequests << " " << kSpecs << " 1 " << std::setprecision(1)
-              << cold_ms << " " << warm_ms << " " << std::setprecision(2) << speedup << " "
-              << std::setprecision(0) << plans_per_sec << " " << p50_us << " " << p99_us
-              << "\n";
+    std::cout << bench::Row("serve")
+                     .num("requests", kRequests)
+                     .num("distinct_specs", kSpecs)
+                     .num("jobs", 1)
+                     .fixed(1)
+                     .num("cold_ms", cold_ms)
+                     .num("warm_ms", warm_ms)
+                     .fixed(2)
+                     .num("warm_speedup", speedup)
+                     .fixed(0)
+                     .num("batch_plans_per_sec", plans_per_sec)
+                     .num("warm_p50_us", p50_us)
+                     .num("warm_p99_us", p99_us);
 
     if (speedup <= 1.0) {
       std::cerr << "serve_fleet: warm-cache pass did not beat the cold pass (speedup "

@@ -25,7 +25,6 @@ void CsvWriter::row(const std::vector<std::string>& cells) {
   ensure(cells.size() == width_, "CsvWriter: row has ", cells.size(),
          " cells, header has ", width_);
   emit(cells);
-  ++rows_;
 }
 
 void CsvWriter::emit(const std::vector<std::string>& cells) {

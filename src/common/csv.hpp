@@ -24,8 +24,6 @@ class CsvWriter {
     row(std::vector<std::string>{to_cell(cells)...});
   }
 
-  [[nodiscard]] std::size_t rows_written() const { return rows_; }
-
  private:
   template <typename T>
   static std::string to_cell(const T& v) {
@@ -40,7 +38,6 @@ class CsvWriter {
 
   std::ostream& out_;
   std::size_t width_;
-  std::size_t rows_ = 0;
 };
 
 /// Quote a single CSV field if it contains comma, quote, or newline.

@@ -19,18 +19,6 @@ std::string_view trim(std::string_view s) {
   return s.substr(b, e - b);
 }
 
-std::vector<std::string_view> split_ws(std::string_view s) {
-  std::vector<std::string_view> out;
-  std::size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && is_space(s[i])) ++i;
-    std::size_t b = i;
-    while (i < s.size() && !is_space(s[i])) ++i;
-    if (i > b) out.push_back(s.substr(b, i - b));
-  }
-  return out;
-}
-
 std::vector<std::string_view> split(std::string_view s, char delim) {
   std::vector<std::string_view> out;
   std::size_t b = 0;
@@ -63,12 +51,6 @@ double parse_double(std::string_view s, std::string_view what) {
   ensure(ec == std::errc() && ptr == s.data() + s.size() && !s.empty(),
          "expected a number for ", what, ", got '", std::string(s), "'");
   return v;
-}
-
-std::string to_lower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
 }
 
 std::string join(const std::vector<std::string>& parts, std::string_view sep) {

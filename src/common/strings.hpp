@@ -11,9 +11,6 @@ namespace nocsched {
 /// Strip ASCII whitespace from both ends.
 [[nodiscard]] std::string_view trim(std::string_view s);
 
-/// Split on any run of ASCII whitespace; no empty tokens.
-[[nodiscard]] std::vector<std::string_view> split_ws(std::string_view s);
-
 /// Split on a single character delimiter; keeps empty fields.
 [[nodiscard]] std::vector<std::string_view> split(std::string_view s, char delim);
 
@@ -26,9 +23,6 @@ namespace nocsched {
 
 /// Parse a double; throws nocsched::Error on junk.
 [[nodiscard]] double parse_double(std::string_view s, std::string_view what);
-
-/// Lower-case ASCII copy.
-[[nodiscard]] std::string to_lower(std::string_view s);
 
 /// Join tokens with a separator.
 [[nodiscard]] std::string join(const std::vector<std::string>& parts, std::string_view sep);

@@ -127,6 +127,11 @@ search::SearchOptions PlanRequest::search_options() const {
   return opts;
 }
 
+void PlanRequest::set_power(double pct, std::string_view what) {
+  ensure(pct > 0.0 && pct <= 100.0, what, " must be in (0, 100], got ", pct);
+  power_pct = pct;
+}
+
 power::PowerBudget PlanRequest::budget(const core::SystemModel& sys) const {
   return power_pct ? power::PowerBudget::fraction_of_total(sys.soc(), *power_pct / 100.0)
                    : power::PowerBudget::unconstrained();
@@ -416,10 +421,7 @@ PlanRequest parse_request(std::string_view text, std::string_view source, std::s
         sc.prefixed([&] { req.system.set_mesh(mesh, "\"mesh\""); });
       } else if (key == "power") {
         const double pct = sc.parse_number("\"power\"");
-        if (!(pct > 0.0 && pct <= 100.0)) {
-          sc.die("\"power\" must be in (0, 100], got ", pct);
-        }
-        req.power_pct = pct;
+        sc.prefixed([&] { req.set_power(pct, "\"power\""); });
       } else if (key == "search") {
         const std::string_view s = sc.parse_string("\"search\"");
         req.strategy = sc.prefixed([&] { return search::parse_strategy(s); });

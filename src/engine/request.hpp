@@ -16,7 +16,7 @@
 // diagnostic is prefixed "<source>:<line>: ".  The fault lists of both
 // formats, and the CLI's --fail-* flags, resolve against a built system
 // through one routine, FaultSpec::resolve; --mesh and "mesh" share
-// SystemSpec::set_mesh.
+// SystemSpec::set_mesh, and --power and "power" PlanRequest::set_power.
 
 #include <cstdint>
 #include <istream>
@@ -112,6 +112,10 @@ struct PlanRequest {
   /// The search effort: the strategy (default restart) with `iters`
   /// evaluations (default 256) when searching(), else plain greedy.
   [[nodiscard]] search::SearchOptions search_options() const;
+
+  /// Set power_pct, which must be in (0, 100]; the diagnostic starts
+  /// with `what`.
+  void set_power(double pct, std::string_view what);
 
   /// The peak-power budget `power_pct` names on `sys` (unconstrained
   /// when unset).

@@ -29,15 +29,8 @@ std::string result_json(const PlanResult& result) {
                ", \"best_makespan\": ", m.gauge_or("search.best_makespan"), "}");
   }
   if (result.faulted) {
-    auto id_list = [](const std::vector<int>& ids) {
-      std::string list = "[";
-      for (std::size_t i = 0; i < ids.size(); ++i) {
-        list += cat(ids[i], i + 1 < ids.size() ? ", " : "");
-      }
-      return list + "]";
-    };
-    out += cat(", \"dead\": ", id_list(result.dead_modules),
-               ", \"untestable\": ", id_list(result.untestable_modules),
+    out += cat(", \"dead\": ", report::json_int_array(result.dead_modules),
+               ", \"untestable\": ", report::json_int_array(result.untestable_modules),
                ", \"pairs_rebuilt\": ", result.pairs_rebuilt);
   }
   if (result.cross_check) {

@@ -59,8 +59,11 @@ struct Soc {
   std::string name;
   std::vector<Module> modules;  ///< ids 1..N in ascending order
 
-  /// Module lookup by id; throws nocsched::Error if absent.  O(1) when
-  /// the ids are 1..N in order (every validated SoC), a scan otherwise.
+  /// The module with `id`, or nullptr if absent.  O(1) when the ids are
+  /// 1..N in order (every validated SoC), a scan otherwise.
+  [[nodiscard]] const Module* find(int id) const;
+
+  /// find(id), throwing nocsched::Error if absent.
   [[nodiscard]] const Module& module(int id) const;
 
   /// Number of modules.

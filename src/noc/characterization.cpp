@@ -14,10 +14,6 @@ std::uint64_t Characterization::path_setup_cycles(int hops) const {
   return static_cast<std::uint64_t>(hops) * (routing_latency + flow_control_latency);
 }
 
-std::uint64_t Characterization::stream_cycles(std::uint64_t flits) const {
-  return flits * flow_control_latency;
-}
-
 double Characterization::transport_power(int hops_in, int hops_out) const {
   return hop_power * static_cast<double>(hops_in + hops_out);
 }

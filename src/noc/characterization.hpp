@@ -29,9 +29,6 @@ struct Characterization {
   /// (routing plus one flow-control transfer per hop).
   [[nodiscard]] std::uint64_t path_setup_cycles(int hops) const;
 
-  /// Steady-state cycles to stream `flits` flits into a reserved path.
-  [[nodiscard]] std::uint64_t stream_cycles(std::uint64_t flits) const;
-
   /// Transport power drawn by a session whose stimulus path has
   /// `hops_in` channels and response path `hops_out`.
   [[nodiscard]] double transport_power(int hops_in, int hops_out) const;

@@ -10,17 +10,6 @@
 
 namespace nocsched::report {
 
-namespace {
-
-template <typename T>
-void json_int_array(std::ostringstream& out, const std::vector<T>& v) {
-  out << "[";
-  for (std::size_t i = 0; i < v.size(); ++i) out << (i > 0 ? ", " : "") << v[i];
-  out << "]";
-}
-
-}  // namespace
-
 std::string robustness_table(const core::SystemModel& sys, const noc::FaultSet& faults,
                              const sim::RobustnessReport& robustness,
                              const search::ReplanResult* replan) {
@@ -90,13 +79,9 @@ std::string robustness_json(const core::SystemModel& sys, const noc::FaultSet& f
   std::ostringstream out;
   out << "{\n";
   out << "  \"soc\": " << json_string(sys.soc().name) << ",\n";
-  out << "  \"faults\": {\"links\": ";
-  json_int_array(out, faults.failed_channels());
-  out << ", \"routers\": ";
-  json_int_array(out, faults.failed_routers());
-  out << ", \"processors\": ";
-  json_int_array(out, faults.failed_processors());
-  out << "},\n";
+  out << "  \"faults\": {\"links\": " << json_int_array(faults.failed_channels())
+      << ", \"routers\": " << json_int_array(faults.failed_routers())
+      << ", \"processors\": " << json_int_array(faults.failed_processors()) << "},\n";
 
   out << "  \"robustness\": {\n";
   out << "    \"planned_makespan\": " << robustness.planned_makespan << ",\n";
@@ -124,11 +109,10 @@ std::string robustness_json(const core::SystemModel& sys, const noc::FaultSet& f
     out << ",\n  \"replan\": {\n";
     out << "    \"makespan\": " << replan->schedule.makespan << ",\n";
     out << "    \"planned_modules\": " << replan->planned_modules.size() << ",\n";
-    out << "    \"dead_modules\": ";
-    json_int_array(out, replan->dead_modules);
-    out << ",\n    \"untestable_modules\": ";
-    json_int_array(out, replan->untestable_modules);
-    out << ",\n    \"pairs_rebuilt\": " << replan->pairs_rebuilt << ",\n";
+    out << "    \"dead_modules\": " << json_int_array(replan->dead_modules) << ",\n";
+    out << "    \"untestable_modules\": " << json_int_array(replan->untestable_modules)
+        << ",\n";
+    out << "    \"pairs_rebuilt\": " << replan->pairs_rebuilt << ",\n";
     out << "    \"strategy\": " << json_string(replan->metrics.info_or("search.strategy"))
         << ",\n";
     out << "    \"evaluations\": " << replan->metrics.counter_or("search.evaluations") << "\n";

@@ -34,4 +34,13 @@ std::string json_number(double v) {
   return os.str();
 }
 
+std::string json_int_array(const std::vector<int>& v) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += std::to_string(v[i]);
+  }
+  return out + "]";
+}
+
 }  // namespace nocsched::report

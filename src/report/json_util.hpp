@@ -2,6 +2,7 @@
 // Shared JSON emission helpers for the report/ serializers.
 
 #include <string>
+#include <vector>
 
 namespace nocsched::report {
 
@@ -11,5 +12,8 @@ namespace nocsched::report {
 /// Shortest round-trippable decimal for a double (15 significant
 /// digits), matching the stable output the determinism tests diff.
 [[nodiscard]] std::string json_number(double v);
+
+/// A JSON array of integers: "[1, 2, 3]", "[]" when empty.
+[[nodiscard]] std::string json_int_array(const std::vector<int>& v);
 
 }  // namespace nocsched::report

@@ -12,13 +12,6 @@ namespace nocsched::report {
 
 namespace {
 
-template <typename T>
-void json_int_array(std::ostringstream& out, const std::vector<T>& v) {
-  out << "[";
-  for (std::size_t i = 0; i < v.size(); ++i) out << (i > 0 ? ", " : "") << v[i];
-  out << "]";
-}
-
 /// The increment that opened epoch `e`: the empty set for epoch 0,
 /// which opens fault-free (every stream event breaks something).
 const noc::FaultSet& increment_of(const search::FaultStream& stream, std::size_t e) {
@@ -118,13 +111,11 @@ std::string timeline_json(const core::SystemModel& sys, const search::FaultStrea
   out << "  \"events\": [\n";
   for (std::size_t i = 0; i < stream.events.size(); ++i) {
     const search::FaultEvent& e = stream.events[i];
-    out << "    {\"cycle\": " << e.cycle << ", \"links\": ";
-    json_int_array(out, e.increment.failed_channels());
-    out << ", \"routers\": ";
-    json_int_array(out, e.increment.failed_routers());
-    out << ", \"processors\": ";
-    json_int_array(out, e.increment.failed_processors());
-    out << "}" << (i + 1 < stream.events.size() ? "," : "") << "\n";
+    out << "    {\"cycle\": " << e.cycle
+        << ", \"links\": " << json_int_array(e.increment.failed_channels())
+        << ", \"routers\": " << json_int_array(e.increment.failed_routers())
+        << ", \"processors\": " << json_int_array(e.increment.failed_processors()) << "}"
+        << (i + 1 < stream.events.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
 
@@ -138,9 +129,8 @@ std::string timeline_json(const core::SystemModel& sys, const search::FaultStrea
         << ", \"pairs_rebuilt\": " << epoch.pairs_rebuilt
         << ", \"plan_makespan\": " << epoch.replan.schedule.makespan
         << ", \"observed_makespan\": " << epoch.trace.observed_makespan
-        << ", \"pretested\": ";
-    json_int_array(out, epoch.pretested);
-    out << ", \"search_evaluations\": "
+        << ", \"pretested\": " << json_int_array(epoch.pretested)
+        << ", \"search_evaluations\": "
         << epoch.replan.metrics.counter_or("search.evaluations") << "}"
         << (i + 1 < result.epochs.size() ? "," : "") << "\n";
   }
@@ -166,11 +156,9 @@ std::string timeline_json(const core::SystemModel& sys, const search::FaultStrea
   }
   out << "  ],\n";
 
-  out << "  \"covered_modules\": ";
-  json_int_array(out, result.covered_modules);
-  out << ",\n  \"uncovered_modules\": ";
-  json_int_array(out, result.uncovered_modules);
-  out << ",\n  \"coverage_retained\": " << json_number(result.coverage_retained()) << ",\n";
+  out << "  \"covered_modules\": " << json_int_array(result.covered_modules) << ",\n";
+  out << "  \"uncovered_modules\": " << json_int_array(result.uncovered_modules) << ",\n";
+  out << "  \"coverage_retained\": " << json_number(result.coverage_retained()) << ",\n";
   out << "  \"pristine_makespan\": " << result.pristine_makespan << ",\n";
   out << "  \"final_makespan\": " << result.final_makespan << ",\n";
   out << "  \"makespan_stretch\": " << json_number(result.makespan_stretch()) << ",\n";

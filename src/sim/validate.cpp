@@ -18,33 +18,6 @@ namespace {
 
 bool near(double a, double b) { return std::abs(a - b) <= 1e-6 * (std::abs(a) + std::abs(b) + 1.0); }
 
-/// Dense module-id lookup: the validator consults the module list for
-/// every session, and a linear scan per query made validation
-/// O(sessions x modules).
-class ModuleLut {
- public:
-  explicit ModuleLut(const itc02::Soc& soc) {
-    int max_id = -1;
-    for (const itc02::Module& m : soc.modules) max_id = std::max(max_id, m.id);
-    by_id_.assign(static_cast<std::size_t>(max_id + 1), nullptr);
-    for (const itc02::Module& m : soc.modules) {
-      by_id_[static_cast<std::size_t>(m.id)] = &m;
-    }
-  }
-
-  /// The module with `id`, or nullptr for ids the SoC doesn't define.
-  [[nodiscard]] const itc02::Module* find(int id) const {
-    if (id < 0 || static_cast<std::size_t>(id) >= by_id_.size()) return nullptr;
-    return by_id_[static_cast<std::size_t>(id)];
-  }
-
-  /// One past the largest defined module id.
-  [[nodiscard]] std::size_t id_bound() const { return by_id_.size(); }
-
- private:
-  std::vector<const itc02::Module*> by_id_;
-};
-
 /// Channel counts of a session's two fault-aware routes (-1: no
 /// surviving route), all the cost model needs of them.
 struct RouteHops {
@@ -155,12 +128,15 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
 
   const auto& endpoints = sys.endpoints();
   auto endpoint_ok = [&](int r) { return r >= 0 && static_cast<std::size_t>(r) < endpoints.size(); };
-  const ModuleLut modules(sys.soc());
+  // Every SystemModel's SoC has ids 1..N, so dense per-id vectors
+  // have N + 1 slots and Soc::find is a direct lookup.
+  const itc02::Soc& soc = sys.soc();
+  const std::size_t id_bound = soc.size() + 1;
 
   // 1. Coverage: each module exactly once, or at most once unless
   // `complete`.  Counts are dense per module id; ids outside the SoC's
   // range spill to `stray`.
-  std::vector<int> seen(modules.id_bound(), 0);
+  std::vector<int> seen(id_bound, 0);
   std::map<int, int> stray;
   for (const core::Session& s : schedule.sessions) {
     if (s.module_id >= 0 && static_cast<std::size_t>(s.module_id) < seen.size()) {
@@ -169,7 +145,7 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
       stray[s.module_id] += 1;
     }
   }
-  for (const itc02::Module& m : sys.soc().modules) {
+  for (const itc02::Module& m : soc.modules) {
     int& count = seen[static_cast<std::size_t>(m.id)];
     if ((complete && count < 1) || count > 1) {
       violation("module ", m.id, " ('", m.name, "') tested ", count, " times (expected ",
@@ -212,14 +188,14 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
   // processors finished their own test in an earlier timeline epoch —
   // ready from instant 0 even though this plan has no session for them.
   // Dense by module id; nullopt = the processor was never tested.
-  std::vector<std::optional<std::uint64_t>> processor_ready(modules.id_bound());
+  std::vector<std::optional<std::uint64_t>> processor_ready(id_bound);
   for (const int id : pretested) {
-    if (const itc02::Module* m = modules.find(id); m != nullptr && m->is_processor) {
+    if (const itc02::Module* m = soc.find(id); m != nullptr && m->is_processor) {
       processor_ready[static_cast<std::size_t>(id)] = 0;
     }
   }
   for (const core::Session& s : schedule.sessions) {
-    if (const itc02::Module* m = modules.find(s.module_id); m != nullptr && m->is_processor) {
+    if (const itc02::Module* m = soc.find(s.module_id); m != nullptr && m->is_processor) {
       processor_ready[static_cast<std::size_t>(s.module_id)] = s.end;
     }
   }
@@ -243,7 +219,7 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
     if (!snk.can_sink()) {
       violation("module ", s.module_id, ": ", snk.name(), " cannot sink");
     }
-    if (const itc02::Module* m = modules.find(s.module_id);
+    if (const itc02::Module* m = soc.find(s.module_id);
         m != nullptr && m->is_processor && faults.processor_failed(s.module_id)) {
       violation("module ", s.module_id, " is a failed processor but is scheduled");
     }
@@ -287,7 +263,7 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
     if (!endpoint_ok(s.source_resource) || !endpoint_ok(s.sink_resource)) continue;
     const core::Endpoint& src = endpoints[static_cast<std::size_t>(s.source_resource)];
     const core::Endpoint& snk = endpoints[static_cast<std::size_t>(s.sink_resource)];
-    if (modules.find(s.module_id) == nullptr) continue;
+    if (soc.find(s.module_id) == nullptr) continue;
     const noc::RouterId at = sys.router_of(s.module_id);
     const auto in = noc::fault_route(sys.mesh(), faults, src.router, at);
     if (in) hops[i].in = static_cast<int>(in->size());
@@ -346,7 +322,7 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
     const core::Session& s = schedule.sessions[i];
     if (s.end <= s.start) continue;
     if (!endpoint_ok(s.source_resource) || !endpoint_ok(s.sink_resource)) continue;
-    if (modules.find(s.module_id) == nullptr) continue;
+    if (soc.find(s.module_id) == nullptr) continue;
     const core::Endpoint& src = endpoints[static_cast<std::size_t>(s.source_resource)];
     const core::Endpoint& snk = endpoints[static_cast<std::size_t>(s.sink_resource)];
     // Role violations are reported above; the cost model cannot price an

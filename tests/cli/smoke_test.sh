@@ -434,6 +434,20 @@ for bad in "--format bogus" "--soc no_such_soc" "--cpu vax" "--bogus-flag 1" "--
   fi
 done
 
+# --power shares the wire format's range check, (0, 100], and its
+# diagnostic names the flag.
+for pct in 500 0 nan; do
+  err=$("$cli" --soc d695 --procs 2 --power "$pct" 2>&1 >/dev/null)
+  rc=$?
+  case "$rc:$err" in
+    0:*) echo "FAIL: --power $pct exited 0" >&2
+         fails=$((fails + 1)) ;;
+    *"--power must be in (0, 100], got $pct"*) echo "ok: --power $pct rejected by name" ;;
+    *) echo "FAIL: --power $pct diagnostic unclear: $err" >&2
+       fails=$((fails + 1)) ;;
+  esac
+done
+
 # A bad flag's diagnostic must name the problem on stderr.
 err=$("$cli" --soc d695 --format bogus 2>&1 >/dev/null)
 case $err in

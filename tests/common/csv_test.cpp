@@ -25,7 +25,6 @@ TEST(CsvWriter, WritesHeaderImmediately) {
   std::ostringstream out;
   CsvWriter csv(out, {"a", "b"});
   EXPECT_EQ(out.str(), "a,b\n");
-  EXPECT_EQ(csv.rows_written(), 0u);
 }
 
 TEST(CsvWriter, WritesRows) {
@@ -33,7 +32,6 @@ TEST(CsvWriter, WritesRows) {
   CsvWriter csv(out, {"x", "y", "z"});
   csv.row({"1", "two", "3,5"});
   EXPECT_EQ(out.str(), "x,y,z\n1,two,\"3,5\"\n");
-  EXPECT_EQ(csv.rows_written(), 1u);
 }
 
 TEST(CsvWriter, RowOfMixedTypes) {

@@ -15,17 +15,6 @@ TEST(Trim, StripsBothEnds) {
   EXPECT_EQ(trim("   "), "");
 }
 
-TEST(SplitWs, SplitsOnRuns) {
-  const auto parts = split_ws("  a \t b\n  c ");
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[1], "b");
-  EXPECT_EQ(parts[2], "c");
-}
-
-TEST(SplitWs, EmptyInput) { EXPECT_TRUE(split_ws("").empty()); }
-TEST(SplitWs, OnlyWhitespace) { EXPECT_TRUE(split_ws(" \t\n ").empty()); }
-
 TEST(Split, KeepsEmptyFields) {
   const auto parts = split("a,,b,", ',');
   ASSERT_EQ(parts.size(), 4u);
@@ -82,11 +71,6 @@ TEST(ParseDouble, RejectsJunk) {
   EXPECT_THROW((void)parse_double("", "f"), Error);
   EXPECT_THROW((void)parse_double("1.2.3", "f"), Error);
   EXPECT_THROW((void)parse_double("abc", "f"), Error);
-}
-
-TEST(ToLower, LowersAscii) {
-  EXPECT_EQ(to_lower("AbC-12"), "abc-12");
-  EXPECT_EQ(to_lower(""), "");
 }
 
 TEST(Join, JoinsWithSeparator) {

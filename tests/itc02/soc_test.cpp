@@ -58,6 +58,13 @@ TEST(Soc, ModuleLookup) {
   EXPECT_EQ(soc.module(2).id, 2);
   EXPECT_THROW((void)soc.module(3), Error);
   EXPECT_THROW((void)soc.module(0), Error);
+  EXPECT_EQ(soc.find(2), &soc.modules[1]);
+  EXPECT_EQ(soc.find(3), nullptr);
+  EXPECT_EQ(soc.find(-1), nullptr);
+  // Ids out of slot order fall back to the scan.
+  soc.modules = {simple_module(2), simple_module(1)};
+  EXPECT_EQ(soc.find(1), &soc.modules[1]);
+  EXPECT_EQ(soc.find(2), &soc.modules[0]);
 }
 
 TEST(Soc, TotalTestPower) {

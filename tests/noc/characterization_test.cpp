@@ -28,12 +28,6 @@ TEST(Characterization, PathSetupScalesWithHops) {
   EXPECT_EQ(c.path_setup_cycles(4), 20u);
 }
 
-TEST(Characterization, StreamCycles) {
-  Characterization c;
-  c.flow_control_latency = 2;
-  EXPECT_EQ(c.stream_cycles(10), 20u);
-}
-
 TEST(Characterization, TransportPowerCountsBothPaths) {
   Characterization c;
   c.hop_power = 10.0;

@@ -10,8 +10,8 @@
 //   --soc-file <path>   load an ITC'02-style .soc file instead
 //   --cpu <kind>        leon (default) | plasma
 //   --procs <n>         reused processors appended to the SoC (default 2)
-//   --power <pct>       peak power limit in percent of total core power;
-//                       omit for no limit
+//   --power <pct>       peak power limit in percent of total core power,
+//                       in (0, 100]; omit for no limit
 //   --policy <p>        priority: longest (default) | distance | shortest
 //   --choice <c>        resource choice: greedy (default) | earliest
 //   --search <s>        order-search strategy: restart | anneal | local
@@ -219,7 +219,7 @@ Options parse_args(int argc, char** argv) {
              engine::kMaxProcs, ")");
       system.procs = static_cast<int>(procs);
     } else if (key == "power") {
-      opt.request.power_pct = parse_double(value, "--power");
+      opt.request.set_power(parse_double(value, "--power"), "--power");
     } else if (key == "policy") {
       if (value == "longest") {
         system.params.priority = core::PriorityPolicy::kLongestTestFirst;
