@@ -28,7 +28,7 @@ if [ ! -f "$BUILD/CMakeCache.txt" ]; then
   cmake -B "$BUILD" -S "$ROOT" ${NOCSCHED_CMAKE_ARGS:-}
 fi
 
-# --- 1. nocsched-lint (rules D1-D6, P1, S1) ---------------------------------
+# --- 1. nocsched-lint (rules D1-D6, P1-P2, S1) ------------------------------
 cmake --build "$BUILD" -j "$JOBS" --target nocsched-lint
 if ! "$BUILD/tools/lint/nocsched-lint" \
     --root "$ROOT" --compile-commands "$BUILD" \

@@ -47,7 +47,6 @@ core::SystemModel build_system(const SystemSpec& spec) {
 
 PlanContext::PlanContext(const SystemSpec& spec)
     : spec_(spec),
-      key_(spec.cache_key()),
       sys_(std::make_unique<const core::SystemModel>(build_system(spec))),
       scaffold_(std::make_unique<const search::EvalContext>(
           *sys_, power::PowerBudget::unconstrained())) {}
@@ -57,10 +56,9 @@ ContextCache::ContextCache(std::size_t capacity) : capacity_(capacity) {
 }
 
 ContextCache::SlotHandle ContextCache::reserve(const SystemSpec& spec) {
-  std::string key = spec.cache_key();
   const std::lock_guard<std::mutex> lock(mutex_);
   obs::MetricsRegistry& reg = obs::registry();
-  const auto it = slots_.find(key);
+  const auto it = slots_.find(spec);
   if (it != slots_.end()) {
     it->second->seq = ++seq_;
     ++stats_.hits;
@@ -69,9 +67,8 @@ ContextCache::SlotHandle ContextCache::reserve(const SystemSpec& spec) {
   }
   auto slot = std::make_shared<Slot>();
   slot->spec = spec;
-  slot->key = key;
   slot->seq = ++seq_;
-  slots_.emplace(std::move(key), slot);
+  slots_.emplace(spec, slot);
   ++stats_.misses;
   if (reg.enabled()) reg.counter("serve.cache.misses").inc();
   while (slots_.size() > capacity_) {
@@ -121,13 +118,14 @@ std::size_t ContextCache::size() const {
 
 std::vector<std::string> ContextCache::keys_by_recency() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::pair<std::uint64_t, std::string>> order;
+  std::vector<std::pair<std::uint64_t, const SystemSpec*>> order;
   order.reserve(slots_.size());
-  for (const auto& [key, slot] : slots_) order.emplace_back(slot->seq, key);
-  std::sort(order.begin(), order.end());
+  for (const auto& [spec, slot] : slots_) order.emplace_back(slot->seq, &spec);
+  std::sort(order.begin(), order.end(),
+            [](const auto& x, const auto& y) { return x.first < y.first; });
   std::vector<std::string> keys;
   keys.reserve(order.size());
-  for (auto& [seq, key] : order) keys.push_back(std::move(key));
+  for (const auto& [seq, spec] : order) keys.push_back(spec->cache_key());
   return keys;
 }
 

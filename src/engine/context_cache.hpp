@@ -12,12 +12,17 @@
 // contexts via EvalContext::with_budget, which shares the pristine
 // table and copies the scaffold's budget-independent order data.
 //
-// Determinism: eviction is LRU over a monotonic reservation counter —
-// a pure function of the reserve() call sequence.  The engine's batch
-// driver reserves serially in request order and only materializes
-// (builds) in parallel, so the cache's contents after a batch depend
-// on nothing but the request sequence.  Handles are shared_ptrs: an
-// evicted context stays alive for requests still holding it.
+// Key: the SystemSpec itself, ordered field by field by SpecLess (no
+// string is rendered or hashed on a lookup; SystemSpec::cache_key() is
+// the same fields as text, for diagnostics and keys_by_recency()).
+//
+// Determinism: slots live in an ordered map, and eviction is LRU over a
+// monotonic reservation counter — a pure function of the reserve() call
+// sequence.  The engine's batch driver reserves serially in request
+// order and only materializes (builds) in parallel, so the cache's
+// contents after a batch depend on nothing but the request sequence.
+// Handles are shared_ptrs: an evicted context stays alive for requests
+// still holding it.
 
 #include <cstdint>
 #include <map>
@@ -43,7 +48,6 @@ class PlanContext {
   explicit PlanContext(const SystemSpec& spec);
 
   [[nodiscard]] const SystemSpec& spec() const { return spec_; }
-  [[nodiscard]] const std::string& key() const { return key_; }
   [[nodiscard]] const core::SystemModel& system() const { return *sys_; }
   /// Unconstrained-budget scaffolding: base priority order, tiers,
   /// eligibility — budget-independent, so any request can read them.
@@ -55,7 +59,6 @@ class PlanContext {
 
  private:
   SystemSpec spec_;
-  std::string key_;
   std::unique_ptr<const core::SystemModel> sys_;  ///< address-stable: scaffold_ refers to it
   std::unique_ptr<const search::EvalContext> scaffold_;
 };
@@ -71,12 +74,11 @@ class ContextCache {
 
   /// One cache slot: reserved serially (deterministic recency and
   /// eviction), built at most once, shared by every request naming the
-  /// same key.  The first caller builds while holding `build`; callers
+  /// same spec.  The first caller builds while holding `build`; callers
   /// arriving meanwhile wait on it and then read the outcome.
   struct Slot {
     enum class State : std::uint8_t { kUnbuilt, kBuilt, kFailed };
     SystemSpec spec;
-    std::string key;
     std::uint64_t seq = 0;  ///< last reservation, the LRU recency stamp
     std::mutex build;       ///< guards state, context and error
     State state = State::kUnbuilt;
@@ -114,15 +116,15 @@ class ContextCache {
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  /// Cached keys, least-recently reserved first — the eviction order
-  /// the determinism tests pin down.
+  /// The cache_key() of every cached spec, least-recently reserved
+  /// first — the eviction order the determinism tests pin down.
   [[nodiscard]] std::vector<std::string> keys_by_recency() const;
 
  private:
   const std::size_t capacity_;
   mutable std::mutex mutex_;
   std::uint64_t seq_ = 0;
-  std::map<std::string, SlotHandle> slots_;
+  std::map<SystemSpec, SlotHandle, SpecLess> slots_;
   Stats stats_;
 };
 

@@ -100,8 +100,7 @@ PlanResult Engine::execute(const PlanRequest& request, const ContextCache::SlotH
   } catch (const std::exception& e) {
     res = PlanResult{};
     res.id = request.id;
-    res.error = request.origin.empty() ? std::string(e.what())
-                                       : cat(request.origin, ": ", e.what());
+    res.error = request.origin.empty() ? e.what() : request.origin + ": " + e.what();
   }
   return res;
 }

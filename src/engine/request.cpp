@@ -1,9 +1,12 @@
 #include "engine/request.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <bitset>
 #include <charconv>
 #include <fstream>
 #include <limits>
+#include <tuple>
 #include <utility>
 
 #include "common/error.hpp"
@@ -16,17 +19,14 @@ namespace nocsched::engine {
 namespace {
 
 void append_rates(std::string& key, const core::CpuRates& r) {
-  key += report::json_number(r.per_stimulus_flit);
+  for (const double v : {r.per_stimulus_flit, r.per_response_flit, r.per_pattern_overhead,
+                         r.setup_cycles, r.active_power}) {
+    report::append_json_number(key, v);
+    key += ',';
+  }
+  key += std::to_string(r.program_bytes);
   key += ',';
-  key += report::json_number(r.per_response_flit);
-  key += ',';
-  key += report::json_number(r.per_pattern_overhead);
-  key += ',';
-  key += report::json_number(r.setup_cycles);
-  key += ',';
-  key += report::json_number(r.active_power);
-  key += ',';
-  key += cat(r.program_bytes, ',', r.memory_bytes);
+  key += std::to_string(r.memory_bytes);
 }
 
 /// One or more decimal digits and nothing else.
@@ -34,23 +34,61 @@ bool all_digits(std::string_view s) {
   return !s.empty() && std::all_of(s.begin(), s.end(), [](char c) { return c >= '0' && c <= '9'; });
 }
 
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+auto rate_fields(const core::CpuRates& r) {
+  return std::make_tuple(bits(r.per_stimulus_flit), bits(r.per_response_flit),
+                         bits(r.per_pattern_overhead), bits(r.setup_cycles),
+                         bits(r.active_power), r.program_bytes, r.memory_bytes);
+}
+
+/// Every field cache_key() renders, in its order: the source (a file
+/// when one is set, else the SoC name, which a file overrides), then
+/// each scalar, doubles as their bit patterns.
+auto key_fields(const SystemSpec& s) {
+  const core::PlannerParams& p = s.params;
+  const std::string_view source = s.soc_file.empty() ? s.soc : s.soc_file;
+  return std::tuple_cat(
+      std::make_tuple(s.soc_file.empty(), source, s.cpu, s.procs, s.mesh_cols, s.mesh_rows,
+                      p.wrapper_chains, p.priority, p.resource_choice, p.pair_order,
+                      p.channel_model, p.processors_first, p.allow_cross_pairing,
+                      p.noc.flit_width_bits, p.noc.routing_latency, p.noc.flow_control_latency,
+                      bits(p.noc.hop_power)),
+      rate_fields(p.leon), rate_fields(p.plasma));
+}
+
 }  // namespace
+
+bool SpecLess::operator()(const SystemSpec& a, const SystemSpec& b) const {
+  return key_fields(a) < key_fields(b);
+}
 
 std::string SystemSpec::cache_key() const {
   // The source spec first (a file path may contain any character, so it
   // goes last in its segment, length-prefixed by the '|' structure
   // being unambiguous: every other field is enum/number-valued).
-  std::string key = soc_file.empty() ? cat("soc=", soc) : cat("file=", soc_file);
-  key += cat("|cpu=", to_string(cpu), "|procs=", procs, "|mesh=", mesh_cols, "x", mesh_rows);
-  key += cat("|wrap=", params.wrapper_chains,
-             "|prio=", static_cast<int>(params.priority),
-             "|choice=", static_cast<int>(params.resource_choice),
-             "|pair=", static_cast<int>(params.pair_order),
-             "|chan=", static_cast<int>(params.channel_model),
-             "|pfirst=", params.processors_first ? 1 : 0,
-             "|cross=", params.allow_cross_pairing ? 1 : 0);
-  key += cat("|noc=", params.noc.flit_width_bits, ",", params.noc.routing_latency, ",",
-             params.noc.flow_control_latency, ",", report::json_number(params.noc.hop_power));
+  std::string key = soc_file.empty() ? "soc=" + soc : "file=" + soc_file;
+  key += "|cpu=";
+  key += to_string(cpu);
+  for (const auto& [label, value] :
+       {std::pair<const char*, std::int64_t>{"|procs=", procs},
+        {"|mesh=", mesh_cols},
+        {"x", mesh_rows},
+        {"|wrap=", params.wrapper_chains},
+        {"|prio=", static_cast<int>(params.priority)},
+        {"|choice=", static_cast<int>(params.resource_choice)},
+        {"|pair=", static_cast<int>(params.pair_order)},
+        {"|chan=", static_cast<int>(params.channel_model)},
+        {"|pfirst=", params.processors_first ? 1 : 0},
+        {"|cross=", params.allow_cross_pairing ? 1 : 0},
+        {"|noc=", params.noc.flit_width_bits},
+        {",", params.noc.routing_latency},
+        {",", params.noc.flow_control_latency}}) {
+    key += label;
+    key += std::to_string(value);
+  }
+  key += ',';
+  report::append_json_number(key, params.noc.hop_power);
   key += "|leon=";
   append_rates(key, params.leon);
   key += "|plasma=";
@@ -345,26 +383,31 @@ search::FaultEvent parse_event(std::string_view text, const core::SystemModel& s
   return event;
 }
 
+/// The keys parse_request accepts.
+constexpr std::string_view kRequestKeys[] = {
+    "id",   "soc",   "soc_file", "cpu",    "procs", "wrapper",  "policy", "choice",
+    "mesh", "power", "search",   "iters",  "seed",  "simulate", "faults"};
+
 }  // namespace
 
 PlanRequest parse_request(std::string_view text, std::string_view source, std::size_t line) {
   Scanner sc(text, source, line);
   PlanRequest req;
-  req.id = cat("line-", line);
-  req.origin = cat(source, ":", line);
-  std::vector<std::string> seen;
-  auto once = [&](std::string_view key) {
-    if (std::find(seen.begin(), seen.end(), key) != seen.end()) {
-      sc.die("duplicate \"", key, "\" key");
-    }
-    seen.emplace_back(key);
-  };
+  const std::string line_text = std::to_string(line);
+  req.id = "line-" + line_text;
+  req.origin.append(source).append(":").append(line_text);
+  std::bitset<std::size(kRequestKeys)> seen;  // seen[i]: kRequestKeys[i] was read
   sc.expect('{', "to open the request object");
   if (!sc.eat('}')) {
     do {
-      const std::string key(sc.parse_string("a key"));
+      const std::string_view key = sc.parse_string("a key");
       sc.expect(':', "after key \"", key, "\"");
-      once(key);
+      const auto known = std::find(std::begin(kRequestKeys), std::end(kRequestKeys), key);
+      if (known != std::end(kRequestKeys)) {
+        const auto i = static_cast<std::size_t>(known - std::begin(kRequestKeys));
+        if (seen.test(i)) sc.die("duplicate \"", key, "\" key");
+        seen.set(i);
+      }
       if (key == "id") {
         req.id = std::string(sc.parse_string("\"id\""));
       } else if (key == "soc") {

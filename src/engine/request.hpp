@@ -44,8 +44,9 @@ inline constexpr std::uint64_t kMaxWrapperChains = 1024;
 inline constexpr std::uint64_t kMaxMeshRouters = 1024;
 
 /// Names one buildable system: the cacheable, request-independent part
-/// of a PlanRequest.  Two requests with equal cache_key()s share one
-/// PlanContext (SystemModel + pristine PairTable + search scaffolding).
+/// of a PlanRequest.  Two requests whose specs SpecLess finds equivalent
+/// share one PlanContext (SystemModel + pristine PairTable + search
+/// scaffolding).
 struct SystemSpec {
   /// Built-in SoC name (d695 | p22810 | p93791) or "rand:<seed>" for a
   /// seeded random SoC (itc02::random_soc); ignored when soc_file is set.
@@ -61,10 +62,23 @@ struct SystemSpec {
   /// kMaxMeshRouters routers); diagnostics start with `what`.
   void set_mesh(std::string_view cxr, std::string_view what);
 
-  /// Canonical cache key: every field that changes the built system —
-  /// including every PlannerParams scalar, since policy, wrapper width,
-  /// and characterized rates are baked into the cached artifacts.
+  /// Every field that changes the built system, rendered as one line
+  /// for diagnostics and ContextCache::keys_by_recency() — including
+  /// every PlannerParams scalar, since policy, wrapper width, and
+  /// characterized rates are baked into the cached artifacts.  The
+  /// cache itself compares the fields (SpecLess), never this string.
   [[nodiscard]] std::string cache_key() const;
+};
+
+/// The ContextCache's key order: a strict total order over exactly the
+/// fields cache_key() renders (`soc` only when no `soc_file` overrides
+/// it), doubles compared by bit pattern so equivalence holds even for
+/// NaN and tells -0 from 0.  Two specs are equivalent exactly when
+/// their cache_key()s are equal, except for doubles that agree in 15
+/// significant digits or NaNs with other payloads, which the rendering
+/// merges and this order keeps apart; no request line sets a double.
+struct SpecLess {
+  [[nodiscard]] bool operator()(const SystemSpec& a, const SystemSpec& b) const;
 };
 
 /// Raw fault references, resolved against the built system at execution

@@ -3,6 +3,7 @@
 #include <exception>
 #include <istream>
 #include <ostream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -16,34 +17,54 @@ namespace nocsched::engine {
 
 std::string result_json(const PlanResult& result) {
   if (!result.ok) return error_json(result.id, result.error);
-  std::string out = cat("{\"id\": ", report::json_string(result.id), ", \"ok\": true");
-  out += cat(", \"soc\": ", report::json_string(result.context->system().soc().name));
-  out += cat(", \"makespan\": ", result.schedule.makespan);
-  out += cat(", \"peak_power\": ", report::json_number(result.schedule.peak_power));
-  out += cat(", \"sessions\": ", result.schedule.sessions.size());
+  // Appends only: the success path formats no stream.
+  std::string out = "{\"id\": ";
+  out += report::json_string(result.id);
+  out += ", \"ok\": true, \"soc\": ";
+  out += report::json_string(result.context->system().soc().name);
+  out += ", \"makespan\": ";
+  out += std::to_string(result.schedule.makespan);
+  out += ", \"peak_power\": ";
+  report::append_json_number(out, result.schedule.peak_power);
+  out += ", \"sessions\": ";
+  out += std::to_string(result.schedule.sessions.size());
   if (result.search_metrics) {
     const obs::MetricsSnapshot& m = *result.search_metrics;
-    out += cat(", \"search\": {\"strategy\": ", report::json_string(m.info_or("search.strategy")),
-               ", \"evaluations\": ", m.counter_or("search.evaluations"),
-               ", \"first_makespan\": ", m.gauge_or("search.first_makespan"),
-               ", \"best_makespan\": ", m.gauge_or("search.best_makespan"), "}");
+    out += ", \"search\": {\"strategy\": ";
+    out += report::json_string(m.info_or("search.strategy"));
+    out += ", \"evaluations\": ";
+    out += std::to_string(m.counter_or("search.evaluations"));
+    out += ", \"first_makespan\": ";
+    out += std::to_string(m.gauge_or("search.first_makespan"));
+    out += ", \"best_makespan\": ";
+    out += std::to_string(m.gauge_or("search.best_makespan"));
+    out += '}';
   }
   if (result.faulted) {
-    out += cat(", \"dead\": ", report::json_int_array(result.dead_modules),
-               ", \"untestable\": ", report::json_int_array(result.untestable_modules),
-               ", \"pairs_rebuilt\": ", result.pairs_rebuilt);
+    out += ", \"dead\": ";
+    out += report::json_int_array(result.dead_modules);
+    out += ", \"untestable\": ";
+    out += report::json_int_array(result.untestable_modules);
+    out += ", \"pairs_rebuilt\": ";
+    out += std::to_string(result.pairs_rebuilt);
   }
   if (result.cross_check) {
-    out += cat(", \"observed_makespan\": ", result.cross_check->observed_makespan,
-               ", \"cross_check_ok\": ", result.cross_check->ok() ? "true" : "false");
+    out += ", \"observed_makespan\": ";
+    out += std::to_string(result.cross_check->observed_makespan);
+    out += ", \"cross_check_ok\": ";
+    out += result.cross_check->ok() ? "true" : "false";
   }
-  out += "}";
+  out += '}';
   return out;
 }
 
 std::string error_json(const std::string& id, const std::string& message) {
-  return cat("{\"id\": ", report::json_string(id), ", \"ok\": false, \"error\": ",
-             report::json_string(message), "}");
+  std::string out = "{\"id\": ";
+  out += report::json_string(id);
+  out += ", \"ok\": false, \"error\": ";
+  out += report::json_string(message);
+  out += '}';
+  return out;
 }
 
 int serve(std::istream& in, std::ostream& out, const ServeOptions& options) {
@@ -98,7 +119,7 @@ int serve(std::istream& in, std::ostream& out, const ServeOptions& options) {
       requests.push_back(std::move(request));
     } catch (const std::exception& e) {
       if (reg.enabled()) reg.counter("serve.parse_errors").inc();
-      item.error_line = error_json(cat("line-", line), e.what());
+      item.error_line = error_json("line-" + std::to_string(line), e.what());
     }
     items.push_back(std::move(item));
     if (items.size() >= options.batch) flush();

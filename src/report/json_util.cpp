@@ -1,8 +1,7 @@
 #include "report/json_util.hpp"
 
+#include <charconv>
 #include <cstdio>
-#include <iomanip>
-#include <sstream>
 
 namespace nocsched::report {
 
@@ -29,9 +28,18 @@ std::string json_string(const std::string& s) {
 }
 
 std::string json_number(double v) {
-  std::ostringstream os;
-  os << std::setprecision(15) << v;
-  return os.str();
+  std::string out;
+  append_json_number(out, v);
+  return out;
+}
+
+void append_json_number(std::string& out, double v) {
+  // "%.15g", as `os << std::setprecision(15) << v` prints it, without a
+  // stream: 32 bytes hold any double at 15 significant digits.
+  char buf[32];
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 15);
+  out.append(buf, r.ptr);
 }
 
 std::string json_int_array(const std::vector<int>& v) {

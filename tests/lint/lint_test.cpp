@@ -92,6 +92,8 @@ const Fixture kFixtures[] = {
     {"d6_clean.cpp", "src/core/d6_clean.cpp"},
     {"p1_violation.cpp", "src/core/p1_violation.cpp"},
     {"p1_clean.cpp", "src/core/p1_clean.cpp"},
+    {"p2_violation.cpp", "src/engine/p2_violation.cpp"},
+    {"p2_clean.cpp", "src/engine/p2_clean.cpp"},
     {"suppress.cpp", "src/itc02/suppress.cpp"},
     {"s1_zone.cpp", "src/core/s1_zone.cpp"},
 };
@@ -111,7 +113,7 @@ TEST(LintGolden, FixturesMatchExpectMarkers) {
 TEST(LintGolden, CleanTwinsProduceNoFindings) {
   for (const char* name :
        {"d1_clean.cpp", "d2_clean.cpp", "d3_clean.cpp", "d4_clean.cpp", "d4_engine_clean.cpp",
-        "d5_clean.cpp", "d6_clean.cpp", "p1_clean.cpp"}) {
+        "d5_clean.cpp", "d6_clean.cpp", "p1_clean.cpp", "p2_clean.cpp"}) {
     SCOPED_TRACE(name);
     EXPECT_TRUE(parse_expects(read_fixture(name)).empty())
         << "clean fixtures must not carry expect markers";
@@ -161,6 +163,9 @@ TEST(LintScoping, RuleAppliesMatchesTheCatalogue) {
   EXPECT_TRUE(rule_applies("P1", "src/core/session_model.cpp"));
   EXPECT_TRUE(rule_applies("P1", "src/sim/validate.cpp"));
   EXPECT_FALSE(rule_applies("P1", "tools/nocsched_cli.cpp"));
+  EXPECT_TRUE(rule_applies("P2", "src/engine/serve.cpp"));
+  EXPECT_FALSE(rule_applies("P2", "src/report/json_util.cpp"));
+  EXPECT_FALSE(rule_applies("P2", "tools/nocsched_cli.cpp"));
   EXPECT_TRUE(rule_applies("S1", "src/core/schedule.cpp"));
   EXPECT_TRUE(rule_applies("S1", "src/search/driver.cpp"));
   EXPECT_TRUE(rule_applies("S1", "src/engine/serve.cpp"));
@@ -176,6 +181,18 @@ TEST(LintRules, P1FlagsEagerMessageFormattingOnlyInSrc) {
   }
   EXPECT_TRUE(nocsched::lint::lint_source("tests/sim/p1.cpp", text).empty());
   EXPECT_TRUE(nocsched::lint::lint_source("tools/p1.cpp", text).empty());
+}
+
+TEST(LintRules, P2FlagsStreamFormattingOnlyInEngine) {
+  const std::string text = read_fixture("p2_violation.cpp");
+  const auto in_engine = nocsched::lint::lint_source("src/engine/p2.cpp", text);
+  EXPECT_EQ(found_set(in_engine), parse_expects(text)) << describe(found_set(in_engine));
+  for (const Diagnostic& d : in_engine) {
+    EXPECT_NE(d.message.find("fail(...)"), std::string::npos) << d.message;
+  }
+  // Reports and the CLI format with streams freely.
+  EXPECT_TRUE(nocsched::lint::lint_source("src/report/p2.cpp", text).empty());
+  EXPECT_TRUE(nocsched::lint::lint_source("tools/p2.cpp", text).empty());
 }
 
 TEST(LintSuppression, AllowedRulesAreSilencedOnlyWhereScoped) {
@@ -265,7 +282,7 @@ TEST(LintCli, ListRulesNamesTheCatalogue) {
   const fs::path out = fs::path(testing::TempDir()) / "lint_rules.txt";
   EXPECT_EQ(run_lint("--list-rules", out), 0);
   const std::string text = slurp(out);
-  for (const char* rule : {"D1", "D2", "D3", "D4", "D5", "D6", "S1"}) {
+  for (const char* rule : {"D1", "D2", "D3", "D4", "D5", "D6", "P1", "P2", "S1"}) {
     EXPECT_NE(text.find(rule), std::string::npos) << text;
   }
   fs::remove(out);

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdlib>
+#include <iomanip>
+#include <limits>
+#include <sstream>
 #include <string>
 
 #include "common/rng.hpp"
@@ -99,6 +104,71 @@ TEST(JsonString, RoundTripsRandomByteStrings) {
     const std::string quoted = json_string(s);
     EXPECT_EQ(json_unescape(quoted), s) << "mis-escaped: " << quoted;
   }
+}
+
+/// The formatting json_number replaced: a stream at precision 15.
+std::string stream_number(double v) {
+  std::ostringstream os;
+  os << std::setprecision(15) << v;
+  return os.str();
+}
+
+TEST(JsonNumber, MatchesAStreamAtPrecision15) {
+  using limits = std::numeric_limits<double>;
+  const double specials[] = {0.0,
+                             -0.0,
+                             limits::infinity(),
+                             -limits::infinity(),
+                             limits::quiet_NaN(),
+                             -limits::quiet_NaN(),
+                             limits::denorm_min(),
+                             -limits::denorm_min(),
+                             limits::min(),
+                             limits::max(),
+                             -limits::max(),
+                             limits::epsilon(),
+                             0.1,
+                             1.0 / 3.0,
+                             40.0,
+                             7700.5,
+                             1e15,
+                             1e15 - 1,
+                             1e15 + 1,
+                             999999999999999.0,
+                             999999999999999.5,
+                             1e16,
+                             1e16 + 2,
+                             9999999999999998.0,
+                             1e-5,
+                             1e-4,
+                             0.0001234567890123456,
+                             123456789012345678.0};
+  for (const double v : specials) {
+    EXPECT_EQ(json_number(v), stream_number(v)) << std::bit_cast<std::uint64_t>(v);
+    EXPECT_EQ(json_number(-v), stream_number(-v)) << std::bit_cast<std::uint64_t>(-v);
+  }
+  // Random bit patterns cover every exponent (denormals, inf, NaN
+  // payloads included); values near powers of ten sit where "%.15g"
+  // switches between fixed and exponent form.
+  Rng rng(0x7C4A);
+  for (int i = 0; i < 20000; ++i) {
+    const double bits = std::bit_cast<double>(rng.next_u64());
+    EXPECT_EQ(json_number(bits), stream_number(bits)) << std::bit_cast<std::uint64_t>(bits);
+    const double decade = std::pow(10.0, static_cast<double>(rng.below(40)) - 20.0);
+    const double near = decade * (1.0 - 1e-15 * static_cast<double>(rng.below(16)));
+    EXPECT_EQ(json_number(near), stream_number(near)) << std::bit_cast<std::uint64_t>(near);
+    const double scaled = rng.uniform01() * decade;
+    EXPECT_EQ(json_number(scaled), stream_number(scaled))
+        << std::bit_cast<std::uint64_t>(scaled);
+  }
+}
+
+TEST(JsonNumber, AppendsToTheGivenString) {
+  std::string out = "peak=";
+  append_json_number(out, 7700.5);
+  out += ',';
+  append_json_number(out, -0.0);
+  EXPECT_EQ(out, "peak=7700.5,-0");
 }
 
 }  // namespace

@@ -36,9 +36,14 @@
 //       the message arguments of nocsched::ensure in src/ — they are
 //       evaluated even when the condition holds; hot preconditions
 //       format only on failure (`if (!cond) fail(...)`)
+//   P2  in src/engine/, `cat(...)` and std::ostringstream appear only
+//       inside the argument list of a fail(...), die(...) or Error(...)
+//       call — every served request runs the engine's parse, cache and
+//       serialize path, which builds its text with appends and
+//       std::to_chars and formats through a stream only on failure
 //   S1  `nocsched-lint: allow(...)` suppressions are banned in
-//       src/core/ and src/search/ (the determinism-critical zones);
-//       S1 itself cannot be suppressed
+//       src/core/, src/search/ and src/engine/ (the determinism-critical
+//       zones); S1 itself cannot be suppressed
 //
 // Inline suppression: `// nocsched-lint: allow(D1)` (or a comma list)
 // silences matching findings on its own line, or on the next line when
@@ -55,7 +60,7 @@ struct Diagnostic {
   std::string file;  ///< repo-relative path with '/' separators
   int line = 0;
   int col = 0;
-  std::string rule;     ///< "D1".."D6", "P1", "S1"
+  std::string rule;     ///< "D1".."D6", "P1", "P2", "S1"
   std::string message;  ///< human-readable explanation
 };
 

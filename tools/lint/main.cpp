@@ -21,7 +21,7 @@ int usage(std::ostream& os, int code) {
   os << "usage: nocsched-lint [--root DIR] [--compile-commands DIR]\n"
         "                     [--backend auto|token|ast] [--format text|json]\n"
         "                     [--json-out FILE] [--list-rules] [targets...]\n"
-        "Checks the nocsched determinism & concurrency invariants (rules D1-D6, P1, S1).\n"
+        "Checks the nocsched determinism & concurrency invariants (rules D1-D6, P1-P2, S1).\n"
         "Targets default to src/ under --root.  Exit: 0 clean, 1 findings, 2 error.\n";
   return code;
 }
@@ -41,8 +41,11 @@ void list_rules(std::ostream& os) {
         "if/while/for conditions (allowlist for the clock itself: src/obs/clock.*)\n"
         "P1  no .name()/cat(...)/describe() in ensure(...) message arguments in "
         "src/: they are formatted even when the condition holds\n"
-        "S1  'nocsched-lint: allow(...)' suppressions banned in src/core/ and "
-        "src/search/ (cannot itself be suppressed)\n"
+        "P2  src/engine/: cat(...) and std::ostringstream only inside the arguments "
+        "of a fail(...)/die(...)/Error(...) call, so the request path formats only on "
+        "failure\n"
+        "S1  'nocsched-lint: allow(...)' suppressions banned in src/core/, "
+        "src/search/ and src/engine/ (cannot itself be suppressed)\n"
         "Suppress elsewhere with: // nocsched-lint: allow(D1) or allow(D1, D4)\n";
 }
 

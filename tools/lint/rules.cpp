@@ -9,6 +9,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "lexer.hpp"
 #include "lint.hpp"
@@ -61,6 +62,7 @@ bool rule_applies(std::string_view rule, std::string_view rel_path) {
     return starts_with(rel_path, "src/core/") || starts_with(rel_path, "src/search/");
   }
   if (rule == "P1") return starts_with(rel_path, "src/");
+  if (rule == "P2") return starts_with(rel_path, "src/engine/");
   if (rule == "S1") {
     return starts_with(rel_path, "src/core/") || starts_with(rel_path, "src/search/") ||
            starts_with(rel_path, "src/engine/");
@@ -720,6 +722,49 @@ void rule_p1(const Stream& s, const Sink& sink) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// P2 — src/engine/ formats through a stream only on failure.
+// Every served request runs the engine's parse → cache → serialize path,
+// so `cat(...)` and std::ostringstream may appear there only inside the
+// argument list of a fail(...), die(...) or Error(...) call — text that
+// is built only when the request is already failing.  Success-path text
+// is built with appends and std::to_chars.
+
+const std::set<std::string_view> kFailureCalls = {"fail", "die", "Error"};
+
+void rule_p2(const Stream& s, const Sink& sink) {
+  // One entry per open bracket: whether it opens a failure call's
+  // argument list.  `inside` counts the true entries.
+  std::vector<bool> open;
+  int inside = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const std::string_view t = s.at(i).text;
+    if (t == "(" || t == "[" || t == "{") {
+      const bool failure = t == "(" && i > 0 && s.ident(i - 1) &&
+                           kFailureCalls.count(s.at(i - 1).text) != 0;
+      open.push_back(failure);
+      inside += failure ? 1 : 0;
+      continue;
+    }
+    if (t == ")" || t == "]" || t == "}") {
+      if (!open.empty()) {
+        inside -= open.back() ? 1 : 0;
+        open.pop_back();
+      }
+      continue;
+    }
+    if (inside > 0 || !s.ident(i)) continue;
+    const bool stream = t == "ostringstream";
+    const bool concat = t == "cat" && s.is(i + 1, "(") && !s.is(i - 1, ".") && !s.is(i - 1, "->");
+    if (!stream && !concat) continue;
+    sink.add(s.at(i), "P2",
+             "'" + std::string(t) + (concat ? "(...)" : "") +
+                 "' formats through a stream on the engine's request path: build the text "
+                 "with appends and std::to_chars, or format only inside fail(...), "
+                 "die(...) or Error(...)");
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -742,6 +787,7 @@ std::vector<Diagnostic> lint_source(std::string_view rel_path, std::string_view 
   if (rule_applies("D5", rel_path)) rule_d5(s, sink);
   if (rule_applies("D6", rel_path)) rule_d6(s, sink);
   if (rule_applies("P1", rel_path)) rule_p1(s, sink);
+  if (rule_applies("P2", rel_path)) rule_p2(s, sink);
 
   const std::vector<Suppression> sups = parse_suppressions(lexed.comments);
   const auto by_line = suppression_map(sups);
