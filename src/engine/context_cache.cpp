@@ -51,39 +51,74 @@ PlanContext::PlanContext(const SystemSpec& spec)
       scaffold_(std::make_unique<const search::EvalContext>(
           *sys_, power::PowerBudget::unconstrained())) {}
 
-ContextCache::ContextCache(std::size_t capacity) : capacity_(capacity) {
+ContextCache::ContextCache(std::size_t capacity)
+    : capacity_(capacity), a1in_share_(std::max<std::size_t>(capacity / 4, 1)) {
   ensure(capacity_ > 0, "ContextCache: capacity must be at least 1");
+}
+
+void ContextCache::link(Slot& slot, SlotList& list, Slot::Segment segment) {
+  slot.segment = segment;
+  slot.pos = list.insert(list.end(), &slot);
 }
 
 ContextCache::SlotHandle ContextCache::reserve(const SystemSpec& spec) {
   const std::lock_guard<std::mutex> lock(mutex_);
   obs::MetricsRegistry& reg = obs::registry();
-  const auto it = slots_.find(spec);
-  if (it != slots_.end()) {
-    it->second->seq = ++seq_;
+  auto it = slots_.find(spec);
+  if (it != slots_.end() && it->second->segment != Slot::Segment::kA1out) {
+    Slot& slot = *it->second;
+    if (slot.segment == Slot::Segment::kAm) am_.splice(am_.end(), am_, slot.pos);
     ++stats_.hits;
     if (reg.enabled()) reg.counter("serve.cache.hits").inc();
     return it->second;
   }
-  auto slot = std::make_shared<Slot>();
-  slot->spec = spec;
-  slot->seq = ++seq_;
-  slots_.emplace(spec, slot);
   ++stats_.misses;
   if (reg.enabled()) reg.counter("serve.cache.misses").inc();
-  while (slots_.size() > capacity_) {
-    // Evict the least-recently reserved slot.  In-flight holders keep
-    // the context alive through their shared_ptr; the cache just stops
-    // vending it.
-    auto victim = slots_.begin();
-    for (auto cand = slots_.begin(); cand != slots_.end(); ++cand) {
-      if (cand->second->seq < victim->second->seq) victim = cand;
-    }
-    slots_.erase(victim);
+  if (it == slots_.end()) {
+    auto slot = std::make_shared<Slot>();
+    slot->spec = spec;
+    it = slots_.emplace(spec, std::move(slot)).first;
+    link(*it->second, a1in_, Slot::Segment::kA1in);
+  } else {
+    // A ghost is never vended, so its slot is still unbuilt and can
+    // serve as the fresh Am slot.
+    a1out_.erase(it->second->pos);
+    link(*it->second, am_, Slot::Segment::kAm);
+    ++stats_.promotions;
+    if (reg.enabled()) reg.counter("serve.cache.promotions").inc();
+  }
+  while (a1in_.size() + am_.size() > capacity_) {
+    evict_one(it->second.get());
     ++stats_.evictions;
     if (reg.enabled()) reg.counter("serve.cache.evictions").inc();
   }
-  return slot;
+  return it->second;
+}
+
+void ContextCache::evict_one(const Slot* fresh) {
+  // Over capacity means at least two resident slots, so when the chosen
+  // list's head is `fresh` (alone in its list) the other list has one.
+  const bool from_a1in = a1in_.size() > a1in_share_ || am_.empty();
+  SlotList* list = from_a1in ? &a1in_ : &am_;
+  if (list->front() == fresh) list = from_a1in ? &am_ : &a1in_;
+  Slot* victim = list->front();
+  list->pop_front();
+  const auto entry = slots_.find(victim->spec);
+  // In-flight holders keep the victim and its context alive through
+  // their shared_ptr; the cache just stops vending it.
+  if (list == &am_) {
+    slots_.erase(entry);
+    return;
+  }
+  // An A1in victim leaves a ghost: a fresh slot holding the spec only.
+  entry->second = std::make_shared<Slot>();
+  entry->second->spec = entry->first;
+  link(*entry->second, a1out_, Slot::Segment::kA1out);
+  if (a1out_.size() > capacity_) {
+    const Slot* oldest = a1out_.front();
+    a1out_.pop_front();
+    slots_.erase(slots_.find(oldest->spec));
+  }
 }
 
 ContextCache::Handle ContextCache::context(const SlotHandle& slot) {
@@ -113,19 +148,16 @@ ContextCache::Stats ContextCache::stats() const {
 
 std::size_t ContextCache::size() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return slots_.size();
+  return a1in_.size() + am_.size();
 }
 
 std::vector<std::string> ContextCache::keys_by_recency() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::pair<std::uint64_t, const SystemSpec*>> order;
-  order.reserve(slots_.size());
-  for (const auto& [spec, slot] : slots_) order.emplace_back(slot->seq, &spec);
-  std::sort(order.begin(), order.end(),
-            [](const auto& x, const auto& y) { return x.first < y.first; });
   std::vector<std::string> keys;
-  keys.reserve(order.size());
-  for (const auto& [seq, spec] : order) keys.push_back(spec->cache_key());
+  keys.reserve(a1in_.size() + am_.size());
+  for (const SlotList* list : {&a1in_, &am_}) {
+    for (const Slot* slot : *list) keys.push_back(slot->spec.cache_key());
+  }
   return keys;
 }
 

@@ -16,15 +16,29 @@
 // string is rendered or hashed on a lookup; SystemSpec::cache_key() is
 // the same fields as text, for diagnostics and keys_by_recency()).
 //
-// Determinism: slots live in an ordered map, and eviction is LRU over a
-// monotonic reservation counter — a pure function of the reserve() call
-// sequence.  The engine's batch driver reserves serially in request
-// order and only materializes (builds) in parallel, so the cache's
-// contents after a batch depend on nothing but the request sequence.
-// Handles are shared_ptrs: an evicted context stays alive for requests
-// still holding it.
+// Policy: 2Q (Johnson & Shasha, VLDB '94), so a cycle over more specs
+// than the cache holds keeps hitting instead of evicting every slot
+// just before its next use, as LRU does.  A first-time spec enters
+// A1in, a FIFO that a hit does not reorder.  A spec evicted from A1in
+// leaves a ghost in A1out, a FIFO of up to `capacity` specs without
+// contexts.  Reserving a ghost's spec again builds a fresh slot in Am,
+// an LRU of specs seen twice.  While more than `capacity` slots are
+// resident, the A1in head becomes a ghost if A1in holds more than its
+// share (capacity/4, at least 1) or Am is empty; otherwise Am's least
+// recent slot is dropped.  The slot a reserve() call has just placed is
+// never its own victim.  Until the cache first fills nothing is
+// evicted, so a working set of at most `capacity` specs hits exactly
+// as it would under any policy.
+//
+// Determinism: every decision above is a pure function of the
+// reserve() call sequence.  The engine's batch driver reserves serially
+// in request order and only materializes (builds) in parallel, so the
+// cache's contents after a batch depend on nothing but the request
+// sequence.  Handles are shared_ptrs: an evicted context stays alive
+// for requests still holding it.
 
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -72,18 +86,23 @@ class ContextCache {
  public:
   using Handle = std::shared_ptr<const PlanContext>;
 
-  /// One cache slot: reserved serially (deterministic recency and
+  /// One cache slot: reserved serially (deterministic placement and
   /// eviction), built at most once, shared by every request naming the
   /// same spec.  The first caller builds while holding `build`; callers
   /// arriving meanwhile wait on it and then read the outcome.
   struct Slot {
     enum class State : std::uint8_t { kUnbuilt, kBuilt, kFailed };
+    /// The 2Q list holding the slot; a kA1out slot is a ghost, never
+    /// vended and never built.
+    enum class Segment : std::uint8_t { kA1in, kAm, kA1out };
     SystemSpec spec;
-    std::uint64_t seq = 0;  ///< last reservation, the LRU recency stamp
-    std::mutex build;       ///< guards state, context and error
+    std::mutex build;  ///< guards state, context and error
     State state = State::kUnbuilt;
     Handle context;     ///< kBuilt: the context
     std::string error;  ///< kFailed: the build's diagnostic
+    // Guarded by the cache's mutex: the slot's list and its place there.
+    Segment segment = Segment::kA1in;
+    std::list<Slot*>::iterator pos;
   };
   using SlotHandle = std::shared_ptr<Slot>;
 
@@ -91,15 +110,17 @@ class ContextCache {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
+    std::uint64_t promotions = 0;  ///< misses on a ghost, placed in Am
   };
 
   explicit ContextCache(std::size_t capacity);
 
-  /// Find-or-insert the slot for `spec`, touch its recency, and evict
-  /// the least-recently reserved slot while over capacity.  Cheap (no
-  /// building) and mutex-serialized; callers wanting deterministic
-  /// eviction must serialize their reserve() order themselves (the
-  /// engine reserves a whole batch in request order before any build).
+  /// Find-or-insert the slot for `spec`, update its 2Q place, and evict
+  /// while more than capacity() slots are resident.  Cheap (no building,
+  /// no pass over the slots) and mutex-serialized; callers wanting
+  /// deterministic eviction must serialize their reserve() order
+  /// themselves (the engine reserves a whole batch in request order
+  /// before any build).
   [[nodiscard]] SlotHandle reserve(const SystemSpec& spec);
 
   /// The built context for a reserved slot, building it on first use.
@@ -114,17 +135,29 @@ class ContextCache {
   [[nodiscard]] Handle acquire(const SystemSpec& spec);
 
   [[nodiscard]] Stats stats() const;
+  /// Resident slots (ghosts excluded).
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  /// The cache_key() of every cached spec, least-recently reserved
-  /// first — the eviction order the determinism tests pin down.
+  /// The cache_key() of every resident spec: A1in oldest first, then
+  /// Am least recent first — the order the determinism tests pin down.
   [[nodiscard]] std::vector<std::string> keys_by_recency() const;
 
  private:
+  using SlotList = std::list<Slot*>;
+
+  /// Append `slot` to `list` as `segment`.
+  static void link(Slot& slot, SlotList& list, Slot::Segment segment);
+  /// Evict one resident slot other than `fresh`.
+  void evict_one(const Slot* fresh);
+
   const std::size_t capacity_;
+  const std::size_t a1in_share_;  ///< A1in's bound once the cache is full
   mutable std::mutex mutex_;
-  std::uint64_t seq_ = 0;
+  /// Resident slots and ghosts, one entry per spec.
   std::map<SystemSpec, SlotHandle, SpecLess> slots_;
+  SlotList a1in_;   ///< first-time specs, oldest first
+  SlotList am_;     ///< specs reserved again as ghosts, least recent first
+  SlotList a1out_;  ///< ghosts, oldest first
   Stats stats_;
 };
 

@@ -31,7 +31,7 @@
 namespace nocsched::engine {
 
 struct EngineOptions {
-  std::size_t cache_capacity = 32;  ///< PlanContexts kept (LRU beyond that)
+  std::size_t cache_capacity = 32;  ///< resident PlanContexts (2Q eviction beyond that)
   unsigned jobs = 0;  ///< batch workers (0 = one per hardware thread)
 };
 

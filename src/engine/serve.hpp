@@ -8,7 +8,7 @@
 // Engine::run_batch, so result bytes are independent of batch size,
 // cache state, and worker count (the engine's determinism contract).
 // Instrumented through the obs layer under serve.* (requests, results,
-// errors, batches, cache hits/misses/evictions) with wall time in the
+// errors, batches, cache hits/misses/evictions/promotions) with wall time in the
 // wall.serve.* namespace, which the byte-stable outputs drop.
 
 #include <cstddef>
@@ -21,7 +21,7 @@ namespace nocsched::engine {
 
 struct ServeOptions {
   std::size_t batch = 64;           ///< requests executed per engine batch
-  std::size_t cache_capacity = 32;  ///< PlanContexts kept across requests
+  std::size_t cache_capacity = 32;  ///< resident PlanContexts, 2Q-evicted beyond that
   unsigned jobs = 0;                ///< batch workers (0 = hardware threads)
   std::string source = "stdin";     ///< name in diagnostics ("<source>:<line>: ...")
 };

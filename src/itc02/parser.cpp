@@ -13,14 +13,15 @@ namespace nocsched::itc02 {
 namespace {
 
 // One logical line with its 1-based number for error messages.
+// Diagnostics name the line and the field, never the line's bytes: a
+// served request can point soc_file at any file the server can read.
 struct Line {
   int number = 0;
-  std::string_view text;
   std::vector<std::string_view> tokens;
 };
 
 [[noreturn]] void syntax_error(const Line& line, const std::string& why) {
-  fail("line ", line.number, ": ", why, " (in '", std::string(trim(line.text)), "')");
+  fail("line ", line.number, ": ", why);
 }
 
 // Tokenize one line, keeping a single-quoted name as one token
@@ -56,17 +57,17 @@ std::optional<std::string_view> find_value(const Line& line, std::size_t from,
 }
 
 // Parse a non-negative integer no larger than `max`, reporting junk,
-// sign, and overflow with the line number.  Every count in a .soc file
-// goes through here: the model stores 32-bit counts, so an unchecked
-// static_cast would silently truncate absurd inputs into plausible
-// small numbers.
+// sign, and overflow with the line number and field name.  Every count
+// in a .soc file goes through here: the model stores 32-bit counts, so
+// an unchecked static_cast would silently truncate absurd inputs into
+// plausible small numbers.
 std::uint64_t checked_u64(const Line& line, std::string_view value, std::string_view what,
                           std::uint64_t max) {
   std::uint64_t v = 0;
   try {
     v = parse_u64(value, what);
-  } catch (const Error& e) {
-    syntax_error(line, e.what());
+  } catch (const Error&) {
+    syntax_error(line, cat("expected a non-negative integer for ", std::string(what)));
   }
   if (v > max) {
     syntax_error(line, cat(std::string(what), " value ", v, " is out of range (max ", max, ")"));
@@ -99,7 +100,6 @@ Soc parse(std::string_view text) {
       if (trim(raw).empty()) continue;
       Line line;
       line.number = number;
-      line.text = raw;
       line.tokens = tokenize(raw, number);
       lines.push_back(std::move(line));
     }
@@ -151,8 +151,8 @@ Soc parse(std::string_view text) {
     if (!power) syntax_error(header, "missing 'TestPower' field");
     try {
       m.test_power = parse_double(*power, "TestPower");
-    } catch (const Error& e) {
-      syntax_error(header, e.what());
+    } catch (const Error&) {
+      syntax_error(header, "expected a number for TestPower");
     }
     if (const auto proc = find_value(header, 3, "Processor")) {
       m.is_processor = checked_u64(header, *proc, "Processor", kMaxU32) != 0;

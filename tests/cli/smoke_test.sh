@@ -352,6 +352,27 @@ case "$serve_m:$serve_merr" in
      fails=$((fails + 1)) ;;
 esac
 
+# The context cache resists a cycle longer than itself: 40 specs cycled
+# 15 times through the default 32 slots hit on most requests (an LRU
+# cache misses on every one).
+cycle_in=$(awk 'BEGIN { for (n = 0; n < 600; n++)
+  printf "{\"id\": \"c%d\", \"soc\": \"rand:%d\"}\n", n, n % 40 }')
+cycle_out=$(printf '%s\n' "$cycle_in" | "$cli" --serve --metrics json 2>/dev/null)
+cycle_err=$(printf '%s\n' "$cycle_in" | "$cli" --serve --metrics json 2>&1 >/dev/null)
+cycle_ok=$(printf '%s\n' "$cycle_out" | grep -c '"ok": true')
+cache_count() {
+  n=$(printf '%s\n' "$cycle_err" | sed -n "s/.*\"serve\.cache\.$1\": \([0-9]*\).*/\1/p")
+  echo "${n:-0}"
+}
+cycle_hits=$(cache_count hits)
+cycle_misses=$(cache_count misses)
+if [ "$cycle_ok" -eq 600 ] && [ "$cycle_hits" -gt "$cycle_misses" ]; then
+  echo "ok: a 40-spec cycle hits the 32-slot cache ($cycle_hits hits, $cycle_misses misses)"
+else
+  echo "FAIL: 40-spec cycle: $cycle_ok/600 ok, $cycle_hits hits, $cycle_misses misses" >&2
+  fails=$((fails + 1))
+fi
+
 # Observability: --metrics reports to stderr in every exposition
 # format while stdout stays byte-identical to an uninstrumented run.
 plain=$("$cli" --soc d695 --procs 4 --format csv 2>/dev/null)

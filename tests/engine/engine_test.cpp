@@ -201,33 +201,6 @@ TEST(Engine, PowerLimitedSearchMatchesAFromScratchSearch) {
   EXPECT_EQ(warm.schedule.sessions, reference.schedule.sessions);
 }
 
-TEST(ContextCacheTest, EvictionIsLruOverTheReserveSequence) {
-  engine::SystemSpec a = request("", "d695", 2).system;
-  engine::SystemSpec b = request("", "d695", 4).system;
-  engine::SystemSpec c = request("", "p22810", 2).system;
-
-  engine::ContextCache cache(2);
-  (void)cache.reserve(a);
-  (void)cache.reserve(b);
-  EXPECT_EQ(cache.keys_by_recency(), (std::vector<std::string>{a.cache_key(), b.cache_key()}));
-
-  // Third distinct key evicts the least-recently reserved (a).
-  (void)cache.reserve(c);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.keys_by_recency(), (std::vector<std::string>{b.cache_key(), c.cache_key()}));
-
-  // Touching b refreshes its recency, so re-reserving a evicts c.
-  (void)cache.reserve(b);
-  EXPECT_EQ(cache.keys_by_recency(), (std::vector<std::string>{c.cache_key(), b.cache_key()}));
-  (void)cache.reserve(a);
-  EXPECT_EQ(cache.keys_by_recency(), (std::vector<std::string>{b.cache_key(), a.cache_key()}));
-
-  const engine::ContextCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.misses, 4u);  // a, b, c, a
-  EXPECT_EQ(stats.hits, 1u);    // the b touch
-  EXPECT_EQ(stats.evictions, 2u);
-}
-
 TEST(ContextCacheTest, EvictedContextsSurviveThroughTheirHandles) {
   engine::ContextCache cache(1);
   const engine::ContextCache::Handle kept = cache.acquire(request("", "d695", 2).system);

@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "engine/serve.hpp"
+#include "obs/metrics.hpp"
 
 namespace {
 
@@ -133,6 +136,64 @@ TEST(Serve, OutputBytesAreIndependentOfBatchSizeAndJobs) {
   tiny.cache_capacity = 1;
   tiny.jobs = 2;
   EXPECT_EQ(serve_lines(input, tiny), reference);
+}
+
+TEST(Serve, CacheCountersCountGhostPromotions) {
+  // Capacity 1 over a b a a b: a and b each leave A1in as a ghost and
+  // come back through a promotion into Am; the second a hits there.
+  obs::MetricsRegistry& reg = obs::registry();
+  reg.set_enabled(true);
+  reg.reset();
+  engine::ServeOptions options;
+  options.cache_capacity = 1;
+  options.jobs = 1;
+  const std::vector<std::string> lines = serve_lines(
+      "{\"soc\": \"rand:1\"}\n{\"soc\": \"rand:2\"}\n{\"soc\": \"rand:1\"}\n"
+      "{\"soc\": \"rand:1\"}\n{\"soc\": \"rand:2\"}\n",
+      options);
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  reg.reset();
+  reg.set_enabled(false);
+  EXPECT_EQ(lines.size(), 5u);
+  EXPECT_EQ(snap.counter_or("serve.cache.hits"), 1u);
+  EXPECT_EQ(snap.counter_or("serve.cache.misses"), 4u);
+  EXPECT_EQ(snap.counter_or("serve.cache.evictions"), 3u);
+  EXPECT_EQ(snap.counter_or("serve.cache.promotions"), 2u);
+}
+
+TEST(Serve, SocFileDiagnosticsNameTheLineNeverItsBytes) {
+  // A request may point soc_file at any readable file; a rejection
+  // names the line and the field but echoes none of the file's bytes.
+  const std::string sentinel = "S3NT1NEL";
+  const std::string module = "Module 1 'S3NT1NEL' Inputs 1 Outputs 1 Bidirs 0 TestPower 1";
+  struct Case {
+    std::string text;
+    std::string line;    ///< expected "line N" fragment
+    std::string needle;  ///< expected field or phrase
+  };
+  const std::vector<Case> cases = {
+      {"user:x:1000:1000:S3NT1NEL:/home/user:/bin/sh\nbin:x:2:2:S3NT1NEL:/bin\n", "line 1",
+       "SocName"},
+      {"SocName S3NT1NEL\nTotalModules S3NT1NEL\n", "line 2", "TotalModules"},
+      {"SocName S3NT1NEL\nModule 1 'S3NT1NEL' Inputs 1 Outputs 1 Bidirs 0 TestPower S3NT1NEL\n",
+       "line 2", "TestPower"},
+      {"SocName S3NT1NEL\n" + module + "\nScanChains 1 : S3NT1NEL\n", "line 3",
+       "scan chain length"},
+      {"SocName S3NT1NEL\n" + module + "\nScanChains 0 # S3NT1NEL\nTest 1 Patterns S3NT1NEL\n",
+       "line 4", "Patterns"},
+  };
+  const std::string path = ::testing::TempDir() + "nocsched_sentinel.soc";
+  for (const Case& c : cases) {
+    std::ofstream(path) << c.text;
+    const std::vector<std::string> lines =
+        serve_lines("{\"id\": \"leak\", \"soc_file\": \"" + path + "\"}\n");
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_EQ(lines[0].find("{\"id\": \"leak\", \"ok\": false"), 0u) << lines[0];
+    EXPECT_NE(lines[0].find(c.line), std::string::npos) << lines[0];
+    EXPECT_NE(lines[0].find(c.needle), std::string::npos) << lines[0];
+    EXPECT_EQ(lines[0].find(sentinel), std::string::npos) << lines[0];
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace
