@@ -5,7 +5,9 @@
 // validator rows re-check a finished plan, fault-free and on a degraded
 // mid-timeline epoch, so its cost reads next to the plan it checks.  The
 // evaluate rows price one search candidate per iteration — the order
-// search's hot path — so its cost reads next to the greedy plan.
+// search's hot path — so its cost reads next to the greedy plan.  The
+// apply_faults rows degrade the pristine pair table to one link or one
+// router fault, the table half of a fault replan.
 
 #include <benchmark/benchmark.h>
 
@@ -100,6 +102,26 @@ void bench_validate_degraded(benchmark::State& state, const char* soc, int procs
   }
 }
 
+// The incremental pair-table path of a fault replan: copy the pristine
+// table and degrade it to one fault, either a mid-mesh link or a
+// mid-mesh router (the copy is timed too, as search::replan pays it).
+void bench_apply_faults(benchmark::State& state, const char* soc, bool router) {
+  const core::PlannerParams params = core::PlannerParams::paper();
+  const core::SystemModel sys =
+      core::SystemModel::paper_system(soc, itc02::ProcessorKind::kLeon, 4, params);
+  const core::PairTable pristine(sys);
+  noc::FaultSet faults;
+  if (router) {
+    faults.fail_router(sys.mesh().router_count() / 2);
+  } else {
+    faults.fail_channel(sys.mesh().channel_count() / 2);
+  }
+  for (auto _ : state) {
+    core::PairTable degraded = pristine;
+    benchmark::DoNotOptimize(degraded.apply_faults(sys, faults));
+  }
+}
+
 }  // namespace
 
 BENCHMARK_CAPTURE(bench_plan, d695_noproc, "d695", 0, false);
@@ -120,5 +142,9 @@ BENCHMARK_CAPTURE(bench_evaluate, p93791_8proc_power, "p93791", 8, true);
 BENCHMARK_CAPTURE(bench_validate, d695_6proc, "d695", 6);
 BENCHMARK_CAPTURE(bench_validate, p93791_8proc, "p93791", 8);
 BENCHMARK_CAPTURE(bench_validate_degraded, p22810_4proc, "p22810", 4);
+BENCHMARK_CAPTURE(bench_apply_faults, p22810_4proc_link, "p22810", false);
+BENCHMARK_CAPTURE(bench_apply_faults, p22810_4proc_router, "p22810", true);
+BENCHMARK_CAPTURE(bench_apply_faults, p93791_4proc_link, "p93791", false);
+BENCHMARK_CAPTURE(bench_apply_faults, p93791_4proc_router, "p93791", true);
 
 BENCHMARK_MAIN();

@@ -43,7 +43,8 @@ void flush_build(const std::vector<std::vector<PairChoice>>& by_module) {
 }  // namespace
 
 void PairTable::build_module(const SystemModel& sys, const itc02::Module& m,
-                             const noc::FaultSet& faults) {
+                             noc::FaultRouter& router) {
+  const noc::FaultSet& faults = router.faults();
   std::vector<PairChoice>& pairs = by_module_[static_cast<std::size_t>(m.id - 1)];
   pairs.clear();
   const std::vector<Endpoint>& eps = sys.endpoints();
@@ -65,7 +66,7 @@ void PairTable::build_module(const SystemModel& sys, const itc02::Module& m,
       if (!cross && s != k && (src.is_processor() || snk.is_processor())) {
         continue;  // default: ATE pair or one self-contained processor
       }
-      std::optional<SessionPlan> plan = plan_session(sys, m.id, src, snk, faults);
+      std::optional<SessionPlan> plan = plan_session(sys, m.id, src, snk, router);
       if (!plan) continue;  // no surviving route under the faults
       PairChoice choice;
       choice.source = s;
@@ -98,7 +99,8 @@ PairTable::PairTable(const SystemModel& sys, const noc::FaultSet& faults) {
   by_module_.resize(sys.soc().modules.size());
   cheapest_.resize(sys.soc().modules.size());
   masks_.resize(sys.soc().modules.size());
-  for (const itc02::Module& m : sys.soc().modules) build_module(sys, m, faults);
+  noc::FaultRouter router(sys.mesh(), faults);
+  for (const itc02::Module& m : sys.soc().modules) build_module(sys, m, router);
   flush_build(by_module_);
 }
 
@@ -106,6 +108,7 @@ std::size_t PairTable::apply_faults(const SystemModel& sys, const noc::FaultSet&
   ensure(by_module_.size() == sys.soc().modules.size(),
          "PairTable::apply_faults: table was built from a different system");
   if (faults.empty()) return 0;
+  noc::FaultRouter router(sys.mesh(), faults);
   const std::vector<Endpoint>& eps = sys.endpoints();
   std::size_t rebuilt = 0;
   std::size_t stale = 0;  // pairs that could not be kept verbatim
@@ -118,14 +121,13 @@ std::size_t PairTable::apply_faults(const SystemModel& sys, const noc::FaultSet&
       const PairChoice& p = pairs[i];
       touched = endpoint_failed(eps[p.source], faults) ||
                 endpoint_failed(eps[p.sink], faults) ||
-                !faults.route_usable(sys.mesh(), p.plan.path_in) ||
-                !faults.route_usable(sys.mesh(), p.plan.path_out);
+                !router.usable(p.plan.path_in) || !router.usable(p.plan.path_out);
     }
     if (!touched) continue;
     ++rebuilt;
 
     // Surgical rebuild: a pair whose endpoints are alive and whose
-    // routes dodge the faults keeps its plan verbatim (fault_route
+    // routes dodge the faults keeps its plan verbatim (the router
     // would return the same routes, so this is bit-identical to the
     // from-scratch build); only stale pairs are re-priced, dropping
     // the ones the degraded mesh cannot serve at all.
@@ -139,13 +141,12 @@ std::size_t PairTable::apply_faults(const SystemModel& sys, const noc::FaultSet&
           ++stale;
           continue;
         }
-        if (faults.route_usable(sys.mesh(), p.plan.path_in) &&
-            faults.route_usable(sys.mesh(), p.plan.path_out)) {
+        if (router.usable(p.plan.path_in) && router.usable(p.plan.path_out)) {
           next.push_back(std::move(p));
           continue;
         }
         ++stale;
-        std::optional<SessionPlan> plan = plan_session(sys, m.id, src, snk, faults);
+        std::optional<SessionPlan> plan = plan_session(sys, m.id, src, snk, router);
         if (!plan) continue;
         PairChoice detoured;
         detoured.source = p.source;

@@ -14,8 +14,10 @@
 // Every table is built over a fault set — the pristine system is the
 // empty one: pairs whose endpoints died or whose routes cannot survive
 // the fault set disappear, and surviving pairs are priced over their
-// fault-aware (possibly detoured) routes.  apply_faults is the
-// incremental path — only modules whose existing pairs touch the fault
+// fault-aware (possibly detoured) routes; each build or apply_faults
+// call routes through one noc::FaultRouter of its own, so the surviving
+// graph is searched once per call, not once per pair.  apply_faults is
+// the incremental path — only modules whose existing pairs touch the fault
 // set are re-enumerated, and the result is bit-identical to a
 // from-scratch degraded build (asserted by the tests/fault property
 // suite).
@@ -113,8 +115,7 @@ class PairTable {
     return static_cast<std::size_t>(module_id - 1);
   }
   [[noreturn]] static void unknown_module(int module_id);
-  void build_module(const SystemModel& sys, const itc02::Module& m,
-                    const noc::FaultSet& faults);
+  void build_module(const SystemModel& sys, const itc02::Module& m, noc::FaultRouter& router);
   /// Refresh the per-module summaries (cheapest_, masks_) of module
   /// index `i` from its pair list.
   void summarize(std::size_t i);

@@ -99,12 +99,12 @@ bool session_dead(const SystemModel& sys, int module_id, const Endpoint& source,
 
 std::optional<SessionPlan> plan_session(const SystemModel& sys, int module_id,
                                         const Endpoint& source, const Endpoint& sink,
-                                        const noc::FaultSet& faults) {
-  if (session_dead(sys, module_id, source, sink, faults)) return std::nullopt;
+                                        noc::FaultRouter& router) {
+  if (session_dead(sys, module_id, source, sink, router.faults())) return std::nullopt;
   const noc::RouterId at = sys.router_of(module_id);
-  auto path_in = noc::fault_route(sys.mesh(), faults, source.router, at);
+  auto path_in = router.route(source.router, at);
   if (!path_in) return std::nullopt;
-  auto path_out = noc::fault_route(sys.mesh(), faults, at, sink.router);
+  auto path_out = router.route(at, sink.router);
   if (!path_out) return std::nullopt;
   SessionPlan plan = price_session(sys, module_id, source, sink,
                                    static_cast<int>(path_in->size()),
@@ -112,6 +112,13 @@ std::optional<SessionPlan> plan_session(const SystemModel& sys, int module_id,
   plan.path_in = std::move(*path_in);
   plan.path_out = std::move(*path_out);
   return plan;
+}
+
+std::optional<SessionPlan> plan_session(const SystemModel& sys, int module_id,
+                                        const Endpoint& source, const Endpoint& sink) {
+  const noc::FaultSet none;
+  noc::FaultRouter router(sys.mesh(), none);
+  return plan_session(sys, module_id, source, sink, router);
 }
 
 std::uint64_t bist_memory_bytes(const SystemModel& sys, int module_id,

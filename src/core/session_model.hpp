@@ -42,26 +42,34 @@ struct SessionPlan {
 };
 
 /// Compute the plan for testing `module_id` from `source` to `sink`
-/// over the mesh degraded by `faults`: both legs follow
-/// noc::fault_route, which is the XY route whenever it survives, so the
+/// over the mesh degraded by `router.faults()`: both legs follow
+/// router.route(), which is the XY route whenever it survives, so the
 /// fault-free system is exactly the empty FaultSet.  The cost model
 /// depends on routes only through their length, so a detour lengthens
 /// setup and transport power consistently.  Returns nullopt when the
-/// session cannot exist under `faults` — the module under test, the
+/// session cannot exist under the faults — the module under test, the
 /// source, or the sink is a failed processor, or no surviving route
-/// connects the endpoints (never, for an empty set).
-/// `source.can_source()` and `sink.can_sink()` must hold.
+/// connects the endpoints (never, for an empty set).  `router` must be
+/// built over `sys.mesh()`; a caller pricing many sessions under one
+/// fault set passes the same router to each, so the surviving graph is
+/// searched once.  `source.can_source()` and `sink.can_sink()` must
+/// hold.
 [[nodiscard]] std::optional<SessionPlan> plan_session(const SystemModel& sys, int module_id,
                                                       const Endpoint& source,
                                                       const Endpoint& sink,
-                                                      const noc::FaultSet& faults = {});
+                                                      noc::FaultRouter& router);
+
+/// plan_session on the pristine system (the empty FaultSet).
+[[nodiscard]] std::optional<SessionPlan> plan_session(const SystemModel& sys, int module_id,
+                                                      const Endpoint& source,
+                                                      const Endpoint& sink);
 
 /// The pricing half of plan_session: duration, power and bandwidths of
 /// testing `module_id` from `source` to `sink` over a stimulus route of
 /// `h_in` channels and a response route of `h_out` — the cost model
 /// depends on routes only through their length.  The paths of the
 /// returned plan are left empty: plan_session fills in the two
-/// noc::fault_route legs it priced, and a caller that has already
+/// FaultRouter legs it priced, and a caller that has already
 /// routed a session (the validator) prices it here without routing
 /// again.  Throws nocsched::Error when `source` cannot source, `sink`
 /// cannot sink, or either is the processor under test.

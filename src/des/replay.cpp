@@ -197,8 +197,9 @@ class Replayer {
   /// processor, or a leg has no surviving route.  The transitive
   /// serving-processor losses are cascaded by build_sessions after
   /// every direct loss is known.
-  std::string direct_loss_reason(const core::Session& planned, const noc::FaultSet& faults,
+  std::string direct_loss_reason(const core::Session& planned, noc::FaultRouter& router,
                                  FaultRoutes& routes) const {
+    const noc::FaultSet& faults = router.faults();
     const auto& endpoints = sys_.endpoints();
     const core::Endpoint& src = endpoints[static_cast<std::size_t>(planned.source_resource)];
     const core::Endpoint& snk = endpoints[static_cast<std::size_t>(planned.sink_resource)];
@@ -213,11 +214,11 @@ class Replayer {
       return cat("sink processor ", snk.processor_module, " failed");
     }
     const noc::RouterId at = sys_.router_of(planned.module_id);
-    auto in = noc::fault_route(sys_.mesh(), faults, src.router, at);
+    auto in = router.route(src.router, at);
     if (!in) {
       return cat("no surviving route from ", src.name(), " to the core");
     }
-    auto out = noc::fault_route(sys_.mesh(), faults, at, snk.router);
+    auto out = router.route(at, snk.router);
     if (!out) {
       return cat("no surviving route from the core to ", snk.name());
     }
@@ -248,9 +249,10 @@ class Replayer {
     // can never launch (the replay gates on processor_done).
     std::map<int, std::string> lost_reason;  // module id -> why
     std::vector<FaultRoutes> routes(schedule_.sessions.size());  // by plan position
+    noc::FaultRouter router(sys_.mesh(), faults);
     for (std::size_t i = 0; i < schedule_.sessions.size(); ++i) {
       const core::Session& planned = schedule_.sessions[i];
-      std::string reason = direct_loss_reason(planned, faults, routes[i]);
+      std::string reason = direct_loss_reason(planned, router, routes[i]);
       if (!reason.empty()) lost_reason.emplace(planned.module_id, std::move(reason));
     }
     for (bool changed = true; changed;) {

@@ -80,7 +80,7 @@ struct DegradedReplay {
 
 /// Replay `schedule` — planned for the pristine system — on `sys`
 /// degraded by `faults`.  Sessions are routed fault-aware
-/// (noc::fault_route), so a detour costs extra setup hops and real
+/// (noc::FaultRouter), so a detour costs extra setup hops and real
 /// channel contention; a session is lost when its module or an endpoint
 /// is a dead processor, no surviving route connects its endpoints, or
 /// the processor serving it lost its own test (transitively).  Lost

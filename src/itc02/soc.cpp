@@ -66,27 +66,29 @@ std::vector<int> Soc::processor_ids() const {
 }
 
 void validate(const Soc& soc) {
+  // Diagnostics name modules by id only: a .soc file may be any file a
+  // served request points at, and its names are its own bytes.
   ensure(!soc.name.empty(), "SoC has no name");
-  ensure(!soc.modules.empty(), "SoC '", soc.name, "' has no modules");
+  ensure(!soc.modules.empty(), "SoC has no modules");
   int expected_id = 1;
   for (const Module& m : soc.modules) {
-    ensure(m.id == expected_id, "SoC '", soc.name, "': module ids must be 1..N ascending; got ",
-           m.id, " where ", expected_id, " was expected");
+    ensure(m.id == expected_id, "module ids must be 1..N ascending; got ", m.id, " where ",
+           expected_id, " was expected");
     ++expected_id;
     ensure(!m.name.empty(), "module ", m.id, " has no name");
-    ensure(!m.tests.empty(), "module ", m.id, " ('", m.name, "') has no tests");
+    ensure(!m.tests.empty(), "module ", m.id, " has no tests");
     for (const CoreTest& t : m.tests) {
-      ensure(t.patterns > 0, "module ", m.id, " ('", m.name, "') has a test with 0 patterns");
-      ensure(!t.uses_scan || !m.scan_chains.empty(),
-             "module ", m.id, " ('", m.name, "') has a scan test but no scan chains");
+      ensure(t.patterns > 0, "module ", m.id, " has a test with 0 patterns");
+      ensure(!t.uses_scan || !m.scan_chains.empty(), "module ", m.id,
+             " has a scan test but no scan chains");
     }
     for (std::uint32_t len : m.scan_chains) {
-      ensure(len > 0, "module ", m.id, " ('", m.name, "') has a zero-length scan chain");
+      ensure(len > 0, "module ", m.id, " has a zero-length scan chain");
     }
-    ensure(std::isfinite(m.test_power) && m.test_power >= 0.0,
-           "module ", m.id, " ('", m.name, "') has invalid test power");
-    ensure(m.inputs + m.outputs + m.bidirs + m.scan_flops() > 0,
-           "module ", m.id, " ('", m.name, "') has no terminals and no scan — untestable");
+    ensure(std::isfinite(m.test_power) && m.test_power >= 0.0, "module ", m.id,
+           " has invalid test power");
+    ensure(m.inputs + m.outputs + m.bidirs + m.scan_flops() > 0, "module ", m.id,
+           " has no terminals and no scan — untestable");
   }
 }
 

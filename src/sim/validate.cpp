@@ -258,6 +258,7 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
   std::map<noc::ChannelId, IntervalSet> channel_busy;
   // Sessions booked as multiplexed channel load.
   std::vector<std::uint8_t> loaded(schedule.sessions.size(), 0);
+  noc::FaultRouter router(sys.mesh(), faults);
   for (std::size_t i = 0; i < schedule.sessions.size(); ++i) {
     const core::Session& s = schedule.sessions[i];
     if (!endpoint_ok(s.source_resource) || !endpoint_ok(s.sink_resource)) continue;
@@ -265,13 +266,13 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
     const core::Endpoint& snk = endpoints[static_cast<std::size_t>(s.sink_resource)];
     if (soc.find(s.module_id) == nullptr) continue;
     const noc::RouterId at = sys.router_of(s.module_id);
-    const auto in = noc::fault_route(sys.mesh(), faults, src.router, at);
+    const auto in = router.route(src.router, at);
     if (in) hops[i].in = static_cast<int>(in->size());
     if (!in || s.path_in != *in) {
       violation("module ", s.module_id,
                 ": recorded stimulus path is not the XY route or its fault-aware detour");
     }
-    const auto out = noc::fault_route(sys.mesh(), faults, at, snk.router);
+    const auto out = router.route(at, snk.router);
     if (out) hops[i].out = static_cast<int>(out->size());
     if (!out || s.path_out != *out) {
       violation("module ", s.module_id,
@@ -281,9 +282,9 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
     // and a schedule that crosses dead silicon must fail loudly even if
     // the route comparison above is someday relaxed.
     for (const auto* path : {&s.path_in, &s.path_out}) {
-      if (faults.route_usable(sys.mesh(), *path)) continue;
+      if (router.usable(*path)) continue;
       for (noc::ChannelId c : *path) {
-        if (!faults.channel_usable(sys.mesh(), c)) {
+        if (!router.channel_usable(c)) {
           violation("module ", s.module_id, ": path traverses failed channel ", c);
         }
       }

@@ -168,7 +168,7 @@ TEST(Serve, SocFileDiagnosticsNameTheLineNeverItsBytes) {
   const std::string module = "Module 1 'S3NT1NEL' Inputs 1 Outputs 1 Bidirs 0 TestPower 1";
   struct Case {
     std::string text;
-    std::string line;    ///< expected "line N" fragment
+    std::string line;    ///< expected "line N" fragment ("" for whole-SoC checks)
     std::string needle;  ///< expected field or phrase
   };
   const std::vector<Case> cases = {
@@ -181,6 +181,13 @@ TEST(Serve, SocFileDiagnosticsNameTheLineNeverItsBytes) {
        "scan chain length"},
       {"SocName S3NT1NEL\n" + module + "\nScanChains 0 # S3NT1NEL\nTest 1 Patterns S3NT1NEL\n",
        "line 4", "Patterns"},
+      // Structural checks run on the parsed SoC: they name modules by
+      // id, never by the file's SocName or module names.
+      {"SocName S3NT1NEL\nModule 2 'S3NT1NEL' Inputs 1 Outputs 1 Bidirs 0 TestPower 1\n"
+       "ScanChains 0\nTest 1 Patterns 1 ScanUse 0\n",
+       "", "module ids must be 1..N ascending; got 2 where 1 was expected"},
+      {"SocName S3NT1NEL\n" + module + "\nScanChains 1 : 0\nTest 1 Patterns 1 ScanUse 1\n", "",
+       "module 1 has a zero-length scan chain"},
   };
   const std::string path = ::testing::TempDir() + "nocsched_sentinel.soc";
   for (const Case& c : cases) {

@@ -96,9 +96,10 @@ TEST(FaultSet, FailedRouterKillsTouchingChannels) {
 TEST(FaultRoute, NoFaultsReproducesXY) {
   const Mesh mesh(4, 3);
   const FaultSet none;
+  FaultRouter router(mesh, none);
   for (RouterId a = 0; a < mesh.router_count(); ++a) {
     for (RouterId b = 0; b < mesh.router_count(); ++b) {
-      const auto route = fault_route(mesh, none, a, b);
+      const auto route = router.route(a, b);
       ASSERT_TRUE(route.has_value());
       EXPECT_EQ(*route, xy_route(mesh, a, b));
     }
@@ -107,12 +108,14 @@ TEST(FaultRoute, NoFaultsReproducesXY) {
 
 TEST(FaultRoute, SameRouterIsEmptyUnlessRouterDied) {
   const Mesh mesh(2, 2);
+  const FaultSet none;
+  EXPECT_EQ(FaultRouter(mesh, none).route(1, 1), std::vector<ChannelId>{});
   FaultSet faults;
-  EXPECT_EQ(fault_route(mesh, faults, 1, 1), std::vector<ChannelId>{});
   faults.fail_router(1);
-  EXPECT_FALSE(fault_route(mesh, faults, 1, 1).has_value());
-  EXPECT_FALSE(fault_route(mesh, faults, 0, 1).has_value());
-  EXPECT_FALSE(fault_route(mesh, faults, 1, 0).has_value());
+  FaultRouter router(mesh, faults);
+  EXPECT_FALSE(router.route(1, 1).has_value());
+  EXPECT_FALSE(router.route(0, 1).has_value());
+  EXPECT_FALSE(router.route(1, 0).has_value());
 }
 
 TEST(FaultRoute, DetoursAroundFailedXYChannel) {
@@ -122,7 +125,7 @@ TEST(FaultRoute, DetoursAroundFailedXYChannel) {
   const std::vector<ChannelId> xy = xy_route(mesh, from, to);
   FaultSet faults;
   faults.fail_channel(xy.front());  // cut the XY route's first hop
-  const auto route = fault_route(mesh, faults, from, to);
+  const auto route = FaultRouter(mesh, faults).route(from, to);
   ASSERT_TRUE(route.has_value());
   EXPECT_EQ(route->size(), xy.size());  // a 2x2 mesh offers an equal-length detour
   expect_route_well_formed(mesh, faults, from, to, *route);
@@ -134,27 +137,30 @@ TEST(FaultRoute, LineMeshHasNoDetour) {
   const Mesh mesh(4, 1);
   FaultSet faults;
   faults.fail_channel(mesh.channel_between(1, 2));
-  EXPECT_FALSE(fault_route(mesh, faults, 0, 3).has_value());
-  EXPECT_FALSE(fault_route(mesh, faults, 1, 2).has_value());
+  FaultRouter router(mesh, faults);
+  EXPECT_FALSE(router.route(0, 3).has_value());
+  EXPECT_FALSE(router.route(1, 2).has_value());
   // The reverse direction still works (directed channels fail one-way).
-  const auto back = fault_route(mesh, faults, 3, 0);
+  const auto back = router.route(3, 0);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->size(), 3u);
   // And routes that avoid the cut are untouched.
-  EXPECT_EQ(fault_route(mesh, faults, 0, 1), xy_route(mesh, 0, 1));
+  EXPECT_EQ(router.route(0, 1), xy_route(mesh, 0, 1));
 }
 
 TEST(FaultRoute, LowestChannelIdTieBreakIsDeterministic) {
   // 3x3, center router dead: from NW to SE both clockwise and
   // counter-clockwise detours have length 4; the walk must pick the
-  // lowest usable channel id at every step, twice identically.
+  // lowest usable channel id at every step, identically from a fresh
+  // router and from one whose memo already holds the destination.
   const Mesh mesh(3, 3);
   FaultSet faults;
   faults.fail_router(mesh.router_at(1, 1));
   const RouterId from = mesh.router_at(0, 0);
   const RouterId to = mesh.router_at(2, 2);
-  const auto a = fault_route(mesh, faults, from, to);
-  const auto b = fault_route(mesh, faults, from, to);
+  FaultRouter router(mesh, faults);
+  const auto a = router.route(from, to);
+  const auto b = router.route(from, to);
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(*a, *b);
   EXPECT_EQ(a->size(), 4u);
@@ -181,9 +187,10 @@ TEST(FaultRouteProperty, SurvivingRoutesAreShortestAndFaultFree) {
       faults.fail_router(
           static_cast<RouterId>(rng.below(static_cast<std::uint64_t>(mesh.router_count()))));
     }
+    FaultRouter router(mesh, faults);
     for (RouterId a = 0; a < mesh.router_count(); ++a) {
       for (RouterId b = 0; b < mesh.router_count(); ++b) {
-        const auto route = fault_route(mesh, faults, a, b);
+        const auto route = router.route(a, b);
         const int dist = reference_distance(mesh, faults, a, b);
         if (!route.has_value()) {
           EXPECT_EQ(dist, -1) << "route missing though a path exists (" << a << "->" << b
