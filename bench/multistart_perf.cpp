@@ -1,8 +1,14 @@
-// Planner hot-path throughput: restart-strategy orders planned per second,
+// Planner hot-path throughput: restart-strategy orders priced per second,
 // single- and multi-threaded, on the three paper systems.  Each run is a
 // "planner_perf" row of BENCH_headline.json (bench_row.hpp), so the
 // planner's speed is tracked across revisions; the bench also asserts
 // that the parallel run reproduces the serial result bit-for-bit.
+//
+// orders_per_sec counts every priced order, including the ones the
+// kernel cut off once its residual bound showed they could not beat the
+// deterministic pass (a restart chain's cutoff); pruned_share is that
+// fraction of the run's planner runs (planner.pruned / planner.runs),
+// counted in an untimed serial run with metrics collection on.
 //
 // (hw_threads is the recording machine's hardware concurrency —
 // multi-job rows only show real scaling when jobs <= hw_threads.
@@ -23,6 +29,7 @@
 
 #include "bench_row.hpp"
 #include "common/parallel.hpp"
+#include "obs/metrics.hpp"
 #include "search/driver.hpp"
 #include "sim/validate.hpp"
 #include "with_metrics.hpp"
@@ -46,6 +53,23 @@ search::SearchResult restart_search(const core::SystemModel& sys, std::uint64_t 
 /// Orders planned, including the deterministic pass.
 std::uint64_t orders(const search::SearchResult& r) {
   return r.metrics.counter_or("search.evaluations");
+}
+
+/// planner.pruned / planner.runs over one serial restart search, with
+/// the obs registry collecting only for that run.
+double pruned_share(const core::SystemModel& sys, std::uint64_t restarts) {
+  obs::MetricsRegistry& reg = obs::registry();
+  const bool was_enabled = reg.enabled();
+  reg.reset();
+  reg.set_enabled(true);
+  (void)restart_search(sys, restarts, 1);
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  reg.reset();
+  reg.set_enabled(was_enabled);
+  const std::uint64_t runs = snap.counter_or("planner.runs");
+  return runs == 0 ? 0.0
+                   : static_cast<double>(snap.counter_or("planner.pruned")) /
+                         static_cast<double>(runs);
 }
 
 double run_timed(const core::SystemModel& sys, std::uint64_t restarts, unsigned jobs,
@@ -82,6 +106,8 @@ int main() {
       search::SearchResult parallel;
       const double parallel_ms = run_timed(sys, kRestarts, hw, parallel);
 
+      const double pruned = pruned_share(sys, kRestarts);
+
       identical = identical && serial.best.makespan == parallel.best.makespan &&
                   serial.metrics.counters == parallel.metrics.counters &&
                   serial.best.sessions == parallel.best.sessions;
@@ -96,6 +122,7 @@ int main() {
                          .num("jobs", jobs)
                          .num("wall_ms", ms)
                          .num("orders_per_sec", 1000.0 * static_cast<double>(orders(r)) / ms)
+                         .num("pruned_share", pruned)
                          .num("best_makespan", r.best.makespan)
                          .num("hw_threads", hardware_jobs())
                          .str("strategy", "restart")
@@ -124,7 +151,7 @@ int main() {
                        .num("overhead_pct", moh.overhead_pct);
     }
 
-    std::cout << "\n(orders_per_sec = planner runs per second)\n";
+    std::cout << "\n(orders_per_sec = planner runs per second, pruned ones included)\n";
     if (!identical) {
       std::cerr << "bench failed: parallel restarts diverged from the serial result\n";
       return 1;

@@ -85,19 +85,23 @@ void PairTable::build_module(const SystemModel& sys, const itc02::Module& m,
 
 void PairTable::summarize(std::size_t i) {
   double cheapest = std::numeric_limits<double>::infinity();
+  std::uint64_t shortest = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t mandatory = ~std::uint64_t{0};
   std::vector<std::uint64_t>& masks = masks_[i];
   masks.clear();
   for (const PairChoice& p : by_module_[i]) {
     cheapest = std::min(cheapest, p.plan.power);
+    shortest = std::min(shortest, p.plan.duration);
     masks.push_back(endpoint_bit(p.source) | endpoint_bit(p.sink));
+    mandatory &= masks.back();
   }
-  cheapest_[i] = cheapest;
+  summaries_[i] = Summary{cheapest, masks.empty() ? 0 : shortest, masks.empty() ? 0 : mandatory};
 }
 
 PairTable::PairTable(const SystemModel& sys, const noc::FaultSet& faults) {
   const obs::Span span("pair_table_build");
   by_module_.resize(sys.soc().modules.size());
-  cheapest_.resize(sys.soc().modules.size());
+  summaries_.resize(sys.soc().modules.size());
   masks_.resize(sys.soc().modules.size());
   noc::FaultRouter router(sys.mesh(), faults);
   for (const itc02::Module& m : sys.soc().modules) build_module(sys, m, router);
@@ -222,7 +226,6 @@ std::vector<bool> PairTable::testable_modules(const SystemModel& sys, double pow
 
 bool PairTable::has_pairs(int module_id) const { return !by_module_[index_of(module_id)].empty(); }
 
-double PairTable::cheapest_power(int module_id) const { return cheapest_[index_of(module_id)]; }
 
 void PairTable::unknown_module(int module_id) {
   fail("PairTable: unknown module id ", module_id);

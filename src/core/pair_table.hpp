@@ -72,7 +72,9 @@ class PairTable {
 
   /// Smallest session power over the module's pairs (infinity when the
   /// module has no legal pair) — the feasibility-precheck input.
-  [[nodiscard]] double cheapest_power(int module_id) const;
+  [[nodiscard]] double cheapest_power(int module_id) const {
+    return summaries_[index_of(module_id)].cheapest_power;
+  }
 
   /// Endpoint bitmask of each of the module's pairs, parallel to
   /// pairs(): bit `source` | bit `sink`.  The planning kernel screens a
@@ -82,6 +84,21 @@ class PairTable {
   /// index >= 64 contributes no bit.
   [[nodiscard]] std::span<const std::uint64_t> endpoint_masks(int module_id) const {
     return masks_[index_of(module_id)];
+  }
+
+  /// Shortest session duration over the module's pairs (0 when it has
+  /// none): the least time any plan spends testing it.
+  [[nodiscard]] std::uint64_t min_duration(int module_id) const {
+    return summaries_[index_of(module_id)].min_duration;
+  }
+
+  /// Endpoints every one of the module's pairs uses — the AND of its
+  /// endpoint_masks() (0 when it has no pair).  Any plan holds each of
+  /// them for at least min_duration(); the kernel's residual makespan
+  /// bound sums that work per endpoint.  Like endpoint_masks(), an
+  /// endpoint index >= 64 contributes no bit, which only drops terms.
+  [[nodiscard]] std::uint64_t mandatory_endpoints(int module_id) const {
+    return summaries_[index_of(module_id)].mandatory;
   }
 
   friend bool operator==(const PairTable&, const PairTable&) = default;
@@ -116,12 +133,20 @@ class PairTable {
   }
   [[noreturn]] static void unknown_module(int module_id);
   void build_module(const SystemModel& sys, const itc02::Module& m, noc::FaultRouter& router);
-  /// Refresh the per-module summaries (cheapest_, masks_) of module
+  /// Refresh the per-module summaries (summaries_, masks_) of module
   /// index `i` from its pair list.
   void summarize(std::size_t i);
 
   std::vector<std::vector<PairChoice>> by_module_;  // module id - 1 (ids are 1..N)
-  std::vector<double> cheapest_;
+  /// What the kernel reads of a module's pair list besides its pairs.
+  struct Summary {
+    double cheapest_power = 0.0;
+    std::uint64_t min_duration = 0;
+    std::uint64_t mandatory = 0;
+
+    friend bool operator==(const Summary&, const Summary&) = default;
+  };
+  std::vector<Summary> summaries_;  // parallel to by_module_
   std::vector<std::vector<std::uint64_t>> masks_;  // parallel to by_module_
 };
 

@@ -25,10 +25,21 @@
 // earliest completion asks its window fits and next breakpoints, first
 // available asks fits_at, whose floor folds away the past since `t`
 // never decreases.
+//
+// The residual bound.  Given a cutoff, a first-available plan stops at
+// the start of the first pass whose lower bound on the final makespan
+// reaches it.  Every session still to come starts at or after the pass
+// time `t`, and an endpoint serves one session at a time, so each
+// endpoint r must still run, one after another and no earlier than
+// max(t, its free-from frontier), every pending module that uses r on
+// all of its pairs, each for at least its shortest session.  The bound
+// is the latest of those finishes and the latest committed end; it
+// never exceeds the makespan the full plan would reach.
 
 #include "core/scheduler.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <optional>
 #include <span>
@@ -52,6 +63,7 @@ std::size_t channel_index(noc::ChannelId c) { return static_cast<std::size_t>(c)
 struct PlannerStats {
   std::uint64_t probes = 0;         ///< pair feasibility probes
   std::uint64_t time_advances = 0;  ///< first-available passes after the first
+  bool pruned = false;              ///< the plan stopped at its cutoff
 };
 
 /// The kernel and the scheduling state it mutates.  The state is
@@ -114,25 +126,36 @@ class Planner {
   /// precheck first (every module needs a pair whose power fits the
   /// budget in isolation) and throws on an infeasible module or a stuck
   /// plan.  Orders are not validated here: core::plan_tests* and
-  /// core::plan_makespan check them first.
-  void plan(const std::vector<int>& order) {
+  /// core::plan_makespan check them first.  A first-available plan
+  /// given a `cutoff` stops once the residual bound reaches it; the
+  /// makespan is then that bound and the plan is not materializable.
+  void plan(const std::vector<int>& order, std::uint64_t cutoff) {
     precheck(order);
     if (first_available_) {
       pending_.assign(order.begin(), order.end());
-      if (!pending_.empty()) run_first_available();
+      if (!pending_.empty()) {
+        if (cutoff == kNoCutoff) {
+          run_first_available<false>(cutoff);
+        } else {
+          run_first_available<true>(cutoff);
+        }
+      }
     } else {
       run_earliest_completion(order);
     }
-    makespan_ = ends_.empty() ? 0 : ends_.back();
+    if (!stats_.pruned) makespan_ = ends_.empty() ? 0 : ends_.back();
     peak_power_ = profile_.peak();
   }
 
   [[nodiscard]] std::uint64_t makespan() const { return makespan_; }
 
+  [[nodiscard]] std::size_t commits() const { return commits_.size(); }
+
   [[nodiscard]] const PlannerStats& stats() const { return stats_; }
 
-  /// The last plan as a full Schedule.
+  /// The last plan as a full Schedule (never a pruned one).
   [[nodiscard]] Schedule materialize() const {
+    NOCSCHED_ASSERT(!stats_.pruned);
     Schedule out;
     out.sessions.reserve(commits_.size());
     for (const CommitRec& rec : commits_) {
@@ -181,22 +204,22 @@ class Planner {
     // Every module offered for planning must have at least one pair
     // whose session power fits the budget in isolation.  (Iterating the
     // order — not the SoC — is what lets the fault-aware replanner plan
-    // a surviving subset; for a full order they agree.)
+    // a surviving subset; for a full order they agree.)  Modules are
+    // named by id only: a served error never quotes `.soc` text.
     for (const int id : order) {
       const double cheapest = table_->cheapest_power(id);
-      // Negated so a NaN limit fails too; the message (and its module
-      // name lookup) is formatted only on failure.
+      // Negated so a NaN limit fails too; the message is formatted only
+      // on failure.
       if (!(cheapest <= budget_.limit)) {
-        fail("infeasible: module ", id, " ('", sys_->soc().module(id).name, "') needs at least ",
-             cheapest, " power but the budget is ", budget_.limit);
+        fail("infeasible: module ", id, " needs at least ", cheapest,
+             " power but the budget is ", budget_.limit);
       }
     }
   }
 
   [[noreturn]] void diagnose_stuck(int module_id, std::uint64_t t) const {
-    const itc02::Module& m = sys_->soc().module(module_id);
-    fail("planner stuck at t=", t, ": module ", module_id, " ('", m.name,
-         "') cannot start any session — the power budget ", budget_.limit,
+    fail("planner stuck at t=", t, ": module ", module_id,
+         " cannot start any session — the power budget ", budget_.limit,
          " is too tight for the concurrent set, or no interface can reach the core");
   }
 
@@ -316,13 +339,64 @@ class Planner {
     return false;
   }
 
+  /// Adds (`sign` +1) or retires (-1) `module_id`'s shortest session
+  /// on each endpoint all of its pairs use.
+  void count_mandatory(int module_id, int sign) {
+    const std::uint64_t work = table_->min_duration(module_id);
+    for (std::uint64_t m = table_->mandatory_endpoints(module_id); m != 0; m &= m - 1) {
+      std::uint64_t& w = mandatory_work_[static_cast<std::size_t>(std::countr_zero(m))];
+      w = sign > 0 ? w + work : w - work;
+    }
+  }
+
+  /// The residual lower bound on the final makespan at pass time `t`
+  /// (see the file comment).  A processor not yet available serves no
+  /// earlier than `t` either.
+  [[nodiscard]] std::uint64_t residual_bound(std::uint64_t t) const {
+    std::uint64_t bound = ends_.empty() ? 0 : ends_.back();
+    for (std::size_t r = 0; r < mandatory_work_.size(); ++r) {
+      if (mandatory_work_[r] == 0) continue;
+      const std::uint64_t from = free_from_[r] == kNever ? t : std::max(t, free_from_[r]);
+      bound = std::max(bound, from + mandatory_work_[r]);
+    }
+    return bound;
+  }
+
   /// The paper's greedy: offer every pending module at each time step.
-  void run_first_available() {
+  /// `Bounded` plans check the residual bound against `cutoff` at the
+  /// start of every pass; unbounded ones carry no bound code at all.
+  ///
+  /// A pruned plan cannot hide a "planner stuck" throw.  Stuck is
+  /// diagnosed only at an idle instant: no session running, so every
+  /// endpoint and channel is free and the power envelope is zero.  In a
+  /// context whose modules are all testable (PairTable::
+  /// testable_modules; the fault-aware search context plans only
+  /// those), such a pass always has a startable module — the first
+  /// pending one in the fixpoint's growth order, whose in-budget pair
+  /// needs only the ATE ports and processors already tested — so no
+  /// order gets stuck.  Otherwise the untestable modules never commit in
+  /// any order, so every order gets stuck, and the search's
+  /// deterministic pass, planned in full without a cutoff before any
+  /// candidate is priced, throws first.
+  template <bool Bounded>
+  void run_first_available(std::uint64_t cutoff) {
     // One pass in priority order per instant; starting a session never
     // frees capacity, so a single pass is exhaustive, and the next pass
     // runs at the next session end.
+    if constexpr (Bounded) {
+      mandatory_work_.assign(std::min<std::size_t>(free_from_.size(), 64), 0);
+      for (const int module_id : pending_) count_mandatory(module_id, +1);
+    }
     std::uint64_t t = 0;
     for (;;) {
+      if constexpr (Bounded) {
+        const std::uint64_t bound = residual_bound(t);
+        if (bound >= cutoff) {
+          makespan_ = bound;
+          stats_.pruned = true;
+          return;
+        }
+      }
       // Bit r: endpoint r is free at t (only kept while every endpoint
       // fits the mask).
       std::uint64_t mask = 0;
@@ -343,6 +417,7 @@ class Planner {
         }
         if (const auto c = probe_first_available(module_id, t)) {
           commit(module_id, *c);
+          if constexpr (Bounded) count_mandatory(module_id, -1);
           it = pending_.erase(it);
           if (mask_filter_) {
             mask &= ~((std::uint64_t{1} << c->source) | (std::uint64_t{1} << c->sink));
@@ -481,23 +556,26 @@ class Planner {
   double peak_power_ = 0.0;
   /// Modules not yet committed, in order (first-available scratch).
   std::vector<int> pending_;
+  /// Per endpoint (< 64): summed shortest sessions of the pending
+  /// modules that need it on every pair (bounded plans only).
+  std::vector<std::uint64_t> mandatory_work_;
 
   PlannerStats stats_;
 };
 
 /// The one planning entry behind plan_tests* and plan_makespan (inputs
 /// already checked): plans `order` on a per-thread kernel that init()
-/// re-targets per call and returns the kernel holding the plan.  Its
-/// buffers keep their capacity, so a warm thread plans without
-/// allocating, and the result stays a pure function of the arguments —
-/// init() discards everything the previous plan left behind, even a
-/// plan that threw.
+/// re-targets per call, stopping at `cutoff` (plan_makespan only), and
+/// returns the kernel holding the plan.  Its buffers keep their
+/// capacity, so a warm thread plans without allocating, and the result
+/// stays a pure function of the arguments — init() discards everything
+/// the previous plan left behind, even a plan that threw.
 const Planner& run_planner(const SystemModel& sys, const power::PowerBudget& budget,
                            const std::vector<int>& order, const PairTable& pairs,
-                           std::span<const int> pretested) {
+                           std::span<const int> pretested, std::uint64_t cutoff = kNoCutoff) {
   thread_local Planner kernel;
   kernel.init(sys, budget, pairs, pretested);
-  kernel.plan(order);
+  kernel.plan(order, cutoff);
 
   // Single flush per plan: the kernel's hot loops touch only its plain
   // tallies, so the disabled path costs one branch here.  The Counter&
@@ -510,12 +588,15 @@ const Planner& run_planner(const SystemModel& sys, const power::PowerBudget& bud
     static obs::Counter& prechecks = reg.counter("planner.prechecks");
     static obs::Counter& commits = reg.counter("planner.commits");
     static obs::Counter& advances = reg.counter("planner.time_advances");
+    static obs::Counter& pruned = reg.counter("planner.pruned");
     runs.inc();
     probes.add(kernel.stats().probes);
-    // A plan that returns has checked and committed every module once.
+    // A plan that returns has checked every module once; a pruned one
+    // committed only some of them.
     prechecks.add(order.size());
-    commits.add(order.size());
+    commits.add(kernel.commits());
     advances.add(kernel.stats().time_advances);
+    if (kernel.stats().pruned) pruned.inc();
   }
   return kernel;
 }
@@ -676,13 +757,13 @@ Schedule plan_tests_subset(const SystemModel& sys, const power::PowerBudget& bud
 
 std::uint64_t plan_makespan(const SystemModel& sys, const power::PowerBudget& budget,
                             const std::vector<int>& order, const PairTable& pairs, bool subset,
-                            std::span<const int> pretested) {
+                            std::span<const int> pretested, std::uint64_t cutoff) {
   if (!subset) {
     check_permutation(sys, order);
-    return run_planner(sys, budget, order, pairs, {}).makespan();
+    return run_planner(sys, budget, order, pairs, {}, cutoff).makespan();
   }
   check_subset(sys, order, pretested);
-  return run_planner(sys, budget, order, pairs, pretested).makespan();
+  return run_planner(sys, budget, order, pairs, pretested, cutoff).makespan();
 }
 
 }  // namespace nocsched::core

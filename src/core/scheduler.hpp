@@ -20,6 +20,7 @@
 // finishes earliest, which removes the anomaly (ablation A1).
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -86,14 +87,25 @@ namespace nocsched::core {
                                          const std::vector<int>& order, const PairTable& pairs,
                                          std::span<const int> pretested = {});
 
+/// plan_makespan's "no cutoff": every plan is priced in full.
+inline constexpr std::uint64_t kNoCutoff = std::numeric_limits<std::uint64_t>::max();
+
 /// The makespan of plan_tests_with_order(sys, budget, order, pairs) —
 /// or, with `subset` set, of plan_tests_subset(sys, budget, order,
 /// pairs, pretested); `pretested` is read only then — after the same
 /// checks, without building the Schedule.  The order search prices
 /// every candidate order this way and plans only the winner in full.
+///
+/// With a `cutoff`, a first-available plan stops as soon as a residual
+/// lower bound on its makespan reaches the cutoff and returns that
+/// bound instead: the result is the exact makespan when that is below
+/// `cutoff`, and otherwise lies in [cutoff, makespan].  Callers pass a
+/// cutoff only where every value at or above it means the same thing
+/// ("cannot win").  Earliest-completion plans are always exact.
 [[nodiscard]] std::uint64_t plan_makespan(const SystemModel& sys,
                                           const power::PowerBudget& budget,
                                           const std::vector<int>& order, const PairTable& pairs,
-                                          bool subset, std::span<const int> pretested = {});
+                                          bool subset, std::span<const int> pretested = {},
+                                          std::uint64_t cutoff = kNoCutoff);
 
 }  // namespace nocsched::core

@@ -149,8 +149,8 @@ noc::FaultSet FaultSpec::resolve(const core::SystemModel& sys, std::string_view 
   for (const std::uint64_t raw : procs) {
     ensure(raw >= 1 && raw <= sys.soc().modules.size(), where, "procs: no module ", raw);
     const int id = static_cast<int>(raw);
-    ensure(sys.soc().module(id).is_processor, where, "procs: module ", id, " ('",
-           sys.soc().module(id).name, "') is not a processor");
+    ensure(sys.soc().module(id).is_processor, where, "procs: module ", id,
+           " is not a processor");
     faults.fail_processor(id);
   }
   return faults;

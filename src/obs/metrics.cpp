@@ -1,16 +1,59 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <array>
+#include <mutex>
 
 #include "common/error.hpp"
 
 namespace nocsched::obs {
 
-unsigned shard_index() {
-  static std::atomic<unsigned> next{0};
-  thread_local const unsigned mine =
-      next.fetch_add(1, std::memory_order_relaxed) % static_cast<unsigned>(kShards);
-  return mine;
+namespace {
+
+/// Which shards below kSharedShard a live thread holds.  Leaked, so a
+/// thread exiting during static destruction still finds it.
+struct ShardPool {
+  std::mutex mutex;
+  std::array<bool, kSharedShard> leased{};
+};
+
+ShardPool& shard_pool() {
+  static ShardPool* const pool = new ShardPool;
+  return *pool;
+}
+
+/// Returns the thread's leased shard to the pool at thread exit.  The
+/// pool's mutex orders the old owner's last store before the next
+/// owner's first load.  Any later write from this thread goes to the
+/// shared shard.
+struct ShardLease {
+  ShardLease() = default;
+  ShardLease(const ShardLease&) = delete;
+  ShardLease& operator=(const ShardLease&) = delete;
+  ~ShardLease() {
+    const unsigned mine = detail::this_shard;
+    detail::this_shard = kSharedShard;
+    if (mine >= kSharedShard) return;
+    ShardPool& pool = shard_pool();
+    const std::lock_guard<std::mutex> lock(pool.mutex);
+    pool.leased[mine] = false;
+  }
+};
+
+}  // namespace
+
+unsigned detail::lease_shard() {
+  thread_local ShardLease lease;  // constructed once per thread: releases at exit
+  ShardPool& pool = shard_pool();
+  const std::lock_guard<std::mutex> lock(pool.mutex);
+  const auto free = std::find(pool.leased.begin(), pool.leased.end(), false);
+  if (free == pool.leased.end()) {
+    this_shard = kSharedShard;
+  } else {
+    *free = true;
+    this_shard = static_cast<unsigned>(free - pool.leased.begin());
+  }
+  return this_shard;
 }
 
 // ---------------------------------------------------------------------------
@@ -30,9 +73,10 @@ Histogram::Histogram(std::vector<std::uint64_t> bounds)
 void Histogram::observe(std::uint64_t v) {
   const std::size_t bucket = static_cast<std::size_t>(
       std::lower_bound(bounds_.begin(), bounds_.end(), v) - bounds_.begin());
-  std::atomic<std::uint64_t>* shard = slots_.get() + shard_index() * stride_;
-  shard[bucket].fetch_add(1, std::memory_order_relaxed);
-  shard[stride_ - 1].fetch_add(v, std::memory_order_relaxed);
+  const unsigned index = shard_index();
+  std::atomic<std::uint64_t>* shard = slots_.get() + index * stride_;
+  shard_add(shard[bucket], index, 1);
+  shard_add(shard[stride_ - 1], index, v);
 }
 
 std::vector<std::uint64_t> Histogram::bucket_counts() const {

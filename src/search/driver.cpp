@@ -55,6 +55,10 @@ obs::MetricsSnapshot publish(const RunTotals& t) {
     static obs::Counter& resets = reg.counter("search.resets");
     static obs::Counter& improvements = reg.counter("search.improvements");
     static obs::Counter& converged = reg.counter("search.converged_chains");
+    static obs::Gauge& iterations = reg.gauge("search.iterations");
+    static obs::Gauge& chains = reg.gauge("search.chains");
+    static obs::Gauge& first_makespan = reg.gauge("search.first_makespan");
+    static obs::Gauge& best_makespan = reg.gauge("search.best_makespan");
     runs.inc();
     evaluations.add(t.evaluations);
     proposals.add(t.proposals);
@@ -62,10 +66,10 @@ obs::MetricsSnapshot publish(const RunTotals& t) {
     resets.add(t.resets);
     improvements.add(t.improvements);
     converged.add(t.converged_chains);
-    reg.gauge("search.iterations").set(static_cast<std::int64_t>(t.iters));
-    reg.gauge("search.chains").set(static_cast<std::int64_t>(t.chains));
-    reg.gauge("search.first_makespan").set(static_cast<std::int64_t>(t.first_makespan));
-    reg.gauge("search.best_makespan").set(static_cast<std::int64_t>(t.best_makespan));
+    iterations.set(static_cast<std::int64_t>(t.iters));
+    chains.set(static_cast<std::int64_t>(t.chains));
+    first_makespan.set(static_cast<std::int64_t>(t.first_makespan));
+    best_makespan.set(static_cast<std::int64_t>(t.best_makespan));
     reg.set_info("search.strategy", t.strategy);
   }
   return snap;
@@ -98,7 +102,12 @@ ChainOutcome run_chain(const EvalContext& ctx, const Strategy& strategy,
     // evaluation re-deriving it.
     state.makespan = base_makespan;
   } else {
-    state.makespan = ctx.evaluate(state.order);
+    // A chain whose whole budget is this one evaluation (every restart
+    // chain) reports just its makespan, and the serial reduction takes
+    // only chains strictly better than the deterministic pass: at or
+    // above base_makespan its exact value changes nothing.
+    state.makespan =
+        ctx.evaluate(state.order, budget == 1 ? base_makespan : core::kNoCutoff);
     out.evals = 1;
   }
   if (record_best_order) out.best_order = state.order;
@@ -112,9 +121,12 @@ ChainOutcome run_chain(const EvalContext& ctx, const Strategy& strategy,
     }
     ++state.step;
     ++out.proposals;
-    const std::uint64_t makespan = ctx.evaluate(p->order);
+    // Resets are adopted whatever they cost, so they are priced in full.
+    const std::uint64_t cutoff = p->reset ? core::kNoCutoff : strategy.cutoff(state);
+    const std::uint64_t makespan = ctx.evaluate(p->order, cutoff);
     ++out.evals;
     if (makespan < out.best_makespan) {
+      NOCSCHED_ASSERT(makespan < cutoff);  // an improvement was priced exactly
       out.best_makespan = makespan;
       if (record_best_order) out.best_order = p->order;
     }
@@ -124,6 +136,7 @@ ChainOutcome run_chain(const EvalContext& ctx, const Strategy& strategy,
       state.since_accept = 0;
       ++out.resets;
     } else if (strategy.accept(state, makespan, rng)) {
+      NOCSCHED_ASSERT(makespan < cutoff);  // an accepted proposal was priced exactly
       state.order = std::move(p->order);
       state.makespan = makespan;
       state.since_accept = 0;

@@ -86,8 +86,8 @@ EvalContext EvalContext::with_budget(const power::PowerBudget& budget) const {
   return ctx;
 }
 
-std::uint64_t EvalContext::evaluate(const std::vector<int>& order) const {
-  return core::plan_makespan(sys_, budget_, order, *pairs_, subset_, pretested_);
+std::uint64_t EvalContext::evaluate(const std::vector<int>& order, std::uint64_t cutoff) const {
+  return core::plan_makespan(sys_, budget_, order, *pairs_, subset_, pretested_, cutoff);
 }
 
 core::Schedule EvalContext::plan(const std::vector<int>& order) const {

@@ -20,6 +20,7 @@
 #include "common/rng.hpp"
 #include "core/pair_table.hpp"
 #include "core/schedule.hpp"
+#include "core/scheduler.hpp"
 #include "core/system_model.hpp"
 #include "noc/fault.hpp"
 #include "power/budget.hpp"
@@ -68,8 +69,11 @@ class EvalContext {
 
   /// Makespan of planning `sys` with `order` — the search hot path.
   /// Runs plan()'s order checks and the same kernel, but never builds
-  /// the Schedule; the driver plans only the winner in full.
-  [[nodiscard]] std::uint64_t evaluate(const std::vector<int>& order) const;
+  /// the Schedule; the driver plans only the winner in full.  With a
+  /// `cutoff` the kernel may stop early (core::plan_makespan): the
+  /// result is exact below `cutoff` and in [cutoff, makespan] otherwise.
+  [[nodiscard]] std::uint64_t evaluate(const std::vector<int>& order,
+                                       std::uint64_t cutoff = core::kNoCutoff) const;
 
   /// Full schedule for `order` (deterministic pass and final winner).
   [[nodiscard]] core::Schedule plan(const std::vector<int>& order) const;

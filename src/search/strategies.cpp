@@ -156,6 +156,10 @@ class LocalStrategy final : public Strategy {
                             Rng& /*rng*/) const override {
     return proposed < state.makespan;  // strict descent only
   }
+
+  [[nodiscard]] std::uint64_t cutoff(const ChainState& state) const override {
+    return state.makespan;  // a swap that does not descend is rejected
+  }
 };
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/scheduler.hpp"
 #include "search/eval_context.hpp"
 
 namespace nocsched::search {
@@ -105,6 +106,16 @@ class Strategy {
   /// replace the incumbent?  Called once per evaluated proposal.
   [[nodiscard]] virtual bool accept(const ChainState& state, std::uint64_t proposed,
                                     Rng& rng) const = 0;
+
+  /// The pricing cutoff of the next (non-reset) proposal: a makespan
+  /// from which accept() rejects without drawing from `rng`.  Such a
+  /// proposal cannot beat the chain's best either (that is never worse
+  /// than the incumbent), so the driver lets the kernel stop pricing it
+  /// there (EvalContext::evaluate).  The default, core::kNoCutoff,
+  /// prices every proposal in full.
+  [[nodiscard]] virtual std::uint64_t cutoff(const ChainState& /*state*/) const {
+    return core::kNoCutoff;
+  }
 };
 
 /// The built-in strategy for `kind`; the returned object is immutable

@@ -453,5 +453,38 @@ TEST(KernelOracle, PlannerCountersFlushOncePerPlan) {
   EXPECT_GT(snap.counter_or("planner.time_advances"), 0u);
 }
 
+TEST(KernelOracle, PrunedPlanCountsOnlyItsCommits) {
+  // p22810's makespan is pinned by the ATE, so a cutoff at the full
+  // plan's makespan is reached by the residual bound before the plan
+  // ends: the plan stops there, and the counters say so.
+  const SystemModel sys =
+      SystemModel::paper_system("p22810", itc02::ProcessorKind::kLeon, 4, PlannerParams::paper());
+  const PairTable pairs(sys);
+  const std::vector<int> order = priority_order(sys);
+  const power::PowerBudget loose = power::PowerBudget::unconstrained();
+  obs::MetricsRegistry& reg = obs::registry();
+  reg.set_enabled(true);
+  reg.reset();
+  const std::uint64_t full = plan_makespan(sys, loose, order, pairs, false);
+  const obs::MetricsSnapshot exact = reg.snapshot();
+  reg.reset();
+  EXPECT_EQ(plan_makespan(sys, loose, order, pairs, false, {}, full), full);
+  const obs::MetricsSnapshot pruned = reg.snapshot();
+  reg.reset();
+  EXPECT_EQ(plan_makespan(sys, loose, order, pairs, false, {}, full + 1), full);
+  const obs::MetricsSnapshot above = reg.snapshot();
+  reg.reset();
+  reg.set_enabled(false);
+
+  const std::uint64_t modules = sys.soc().modules.size();
+  EXPECT_EQ(exact.counter_or("planner.pruned"), 0u);
+  EXPECT_EQ(exact.counter_or("planner.commits"), modules);
+  EXPECT_EQ(pruned.counter_or("planner.pruned"), 1u);
+  EXPECT_LT(pruned.counter_or("planner.commits"), modules);
+  EXPECT_EQ(pruned.counter_or("planner.prechecks"), modules);
+  EXPECT_EQ(above.counter_or("planner.pruned"), 0u);
+  EXPECT_EQ(above.counter_or("planner.commits"), modules);
+}
+
 }  // namespace
 }  // namespace nocsched::core

@@ -166,34 +166,45 @@ TEST(Serve, SocFileDiagnosticsNameTheLineNeverItsBytes) {
   // names the line and the field but echoes none of the file's bytes.
   const std::string sentinel = "S3NT1NEL";
   const std::string module = "Module 1 'S3NT1NEL' Inputs 1 Outputs 1 Bidirs 0 TestPower 1";
+  // Draws far more than half the SoC's total power, which the
+  // processors' own tests stay under.
+  const std::string hungry =
+      "Module 1 'S3NT1NEL' Inputs 1 Outputs 1 Bidirs 0 TestPower 100000";
   struct Case {
     std::string text;
     std::string line;    ///< expected "line N" fragment ("" for whole-SoC checks)
     std::string needle;  ///< expected field or phrase
+    std::string keys;    ///< request keys after soc_file ("" for none)
   };
   const std::vector<Case> cases = {
       {"user:x:1000:1000:S3NT1NEL:/home/user:/bin/sh\nbin:x:2:2:S3NT1NEL:/bin\n", "line 1",
-       "SocName"},
-      {"SocName S3NT1NEL\nTotalModules S3NT1NEL\n", "line 2", "TotalModules"},
+       "SocName", ""},
+      {"SocName S3NT1NEL\nTotalModules S3NT1NEL\n", "line 2", "TotalModules", ""},
       {"SocName S3NT1NEL\nModule 1 'S3NT1NEL' Inputs 1 Outputs 1 Bidirs 0 TestPower S3NT1NEL\n",
-       "line 2", "TestPower"},
+       "line 2", "TestPower", ""},
       {"SocName S3NT1NEL\n" + module + "\nScanChains 1 : S3NT1NEL\n", "line 3",
-       "scan chain length"},
+       "scan chain length", ""},
       {"SocName S3NT1NEL\n" + module + "\nScanChains 0 # S3NT1NEL\nTest 1 Patterns S3NT1NEL\n",
-       "line 4", "Patterns"},
+       "line 4", "Patterns", ""},
       // Structural checks run on the parsed SoC: they name modules by
       // id, never by the file's SocName or module names.
       {"SocName S3NT1NEL\nModule 2 'S3NT1NEL' Inputs 1 Outputs 1 Bidirs 0 TestPower 1\n"
        "ScanChains 0\nTest 1 Patterns 1 ScanUse 0\n",
-       "", "module ids must be 1..N ascending; got 2 where 1 was expected"},
+       "", "module ids must be 1..N ascending; got 2 where 1 was expected", ""},
       {"SocName S3NT1NEL\n" + module + "\nScanChains 1 : 0\nTest 1 Patterns 1 ScanUse 1\n", "",
-       "module 1 has a zero-length scan chain"},
+       "module 1 has a zero-length scan chain", ""},
+      // A valid file: the planner's power precheck and the fault
+      // parser name the sentinel module by id too.
+      {"SocName S3NT1NEL\n" + hungry + "\nScanChains 0\nTest 1 Patterns 1 ScanUse 0\n", "",
+       "infeasible: module 1 needs at least", ", \"power\": 50"},
+      {"SocName S3NT1NEL\n" + module + "\nScanChains 0\nTest 1 Patterns 1 ScanUse 0\n", "",
+       "faults.procs: module 1 is not a processor", ", \"faults\": {\"procs\": [1]}"},
   };
   const std::string path = ::testing::TempDir() + "nocsched_sentinel.soc";
   for (const Case& c : cases) {
     std::ofstream(path) << c.text;
     const std::vector<std::string> lines =
-        serve_lines("{\"id\": \"leak\", \"soc_file\": \"" + path + "\"}\n");
+        serve_lines("{\"id\": \"leak\", \"soc_file\": \"" + path + "\"" + c.keys + "}\n");
     ASSERT_EQ(lines.size(), 1u);
     EXPECT_EQ(lines[0].find("{\"id\": \"leak\", \"ok\": false"), 0u) << lines[0];
     EXPECT_NE(lines[0].find(c.line), std::string::npos) << lines[0];

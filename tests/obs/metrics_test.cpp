@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -124,6 +125,38 @@ TEST(Registry, ConcurrentIncrementsMergeToExactTotals) {
   EXPECT_EQ(h.sum(), kThreads * 625u * 120u);
   EXPECT_EQ(h.bucket_counts(),
             (std::vector<std::uint64_t>{kThreads * 625u * 9u, kThreads * 625u * 7u}));
+}
+
+TEST(Registry, ShardsOutnumberedByLiveThreadsStillMergeExactly) {
+  // More live threads than leasable shards: the ones left over share
+  // kSharedShard through atomic adds, and no increment is lost.
+  Counter c;
+  constexpr int kThreads = static_cast<int>(kShards) + 6;
+  constexpr std::uint64_t kPerThread = 2000;
+  std::latch all_leased(kThreads);
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&c, &all_leased] {
+      c.inc();
+      all_leased.arrive_and_wait();  // every thread holds its shard now
+      for (std::uint64_t i = 1; i < kPerThread; ++i) c.inc();
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  EXPECT_EQ(c.value(), kThreads * kPerThread);
+}
+
+TEST(Registry, ExitedThreadsHandTheirShardsOn) {
+  // Threads that run one after another reuse the leases their
+  // predecessors returned: each new owner continues from the old
+  // owner's last store, so the totals stay exact.
+  Counter c;
+  for (int round = 0; round < 3 * static_cast<int>(kShards); ++round) {
+    std::thread([&c, round] { c.add(static_cast<std::uint64_t>(round)); }).join();
+  }
+  const std::uint64_t rounds = 3 * kShards;
+  EXPECT_EQ(c.value(), rounds * (rounds - 1) / 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,9 +8,18 @@
 // and random SoCs across every planner parameter variant, mid-timeline
 // contexts with pretested processors, plus the search-level contract
 // that --jobs {1, 2, 8} stay bit-identical under a power limit.
+//
+// Every priced order is also priced under cutoffs below, at and above
+// its oracle makespan: evaluate(order, cutoff) is the oracle's makespan
+// when that is below the cutoff, and otherwise lies in [cutoff, oracle]
+// (the kernel's residual-bound pruning may stop anywhere in between).
+// The local strategy, which prices its swaps with the incumbent as the
+// cutoff, must reach exactly the counters and winner of a replica
+// driver loop that prices every proposal in full.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -22,8 +31,10 @@
 #include "core/pair_table.hpp"
 #include "core/scheduler.hpp"
 #include "noc/fault.hpp"
+#include "obs/metrics.hpp"
 #include "search/driver.hpp"
 #include "search/eval_context.hpp"
+#include "search/strategy.hpp"
 #include "support/random_system.hpp"
 #include "support/reference_planner.hpp"
 
@@ -59,6 +70,23 @@ void random_swap(const EvalContext& ctx, Rng& rng, std::vector<int>& order) {
   std::swap(order[a], order[b]);
 }
 
+/// The pricing-cutoff contract for one order whose oracle makespan is
+/// `makespan`, over cutoffs below, at and above it, and no cutoff.
+void expect_cutoff_contract(const EvalContext& ctx, const std::vector<int>& order,
+                            std::uint64_t makespan) {
+  const std::uint64_t m = makespan;
+  for (const std::uint64_t cutoff : {std::uint64_t{0}, m / 2, m - m / 8, m - m / 64,
+                                     m > 0 ? m - 1 : 0, m, m + 1, 2 * m, core::kNoCutoff}) {
+    const std::uint64_t got = ctx.evaluate(order, cutoff);
+    if (m < cutoff) {
+      ASSERT_EQ(got, m) << "cutoff " << cutoff;
+    } else {
+      ASSERT_GE(got, cutoff) << "oracle " << m;
+      ASSERT_LE(got, m) << "cutoff " << cutoff;
+    }
+  }
+}
+
 using OraclePlan = std::function<core::Schedule(const std::vector<int>&)>;
 
 /// The reference planner's plan of a full order over `ctx`'s inputs.
@@ -72,7 +100,9 @@ OraclePlan full_order_oracle(const EvalContext& ctx, const power::PowerBudget& b
 /// bit-identity of evaluate() and plan() with the oracle at every step.
 void run_sequence(const EvalContext& ctx, const OraclePlan& oracle_plan, Rng& rng, int steps) {
   std::vector<int> incumbent = ctx.base_order();
-  ASSERT_EQ(ctx.evaluate(incumbent), oracle_plan(incumbent).makespan);
+  const std::uint64_t base = oracle_plan(incumbent).makespan;
+  ASSERT_EQ(ctx.evaluate(incumbent), base);
+  expect_cutoff_contract(ctx, incumbent, base);
   for (int step = 0; step < steps; ++step) {
     SCOPED_TRACE("step " + std::to_string(step));
     std::vector<int> order = incumbent;
@@ -84,6 +114,8 @@ void run_sequence(const EvalContext& ctx, const OraclePlan& oracle_plan, Rng& rn
     }
     const core::Schedule want = oracle_plan(order);
     ASSERT_EQ(ctx.evaluate(order), want.makespan);
+    expect_cutoff_contract(ctx, order, want.makespan);
+    if (::testing::Test::HasFatalFailure()) return;
     if (rng.chance(0.4)) {
       incumbent = order;
       expect_schedules_identical(ctx.plan(incumbent), want);
@@ -147,6 +179,109 @@ TEST(DeltaEvalProperty, SubsetOrdersWithPretestedProcessors) {
         },
         rng, 20);
   }
+}
+
+/// What a local search reaches when every proposal is priced in full: a
+/// replica of the driver's chain loop and serial reduction without any
+/// cutoff.
+struct FullPriceTotals {
+  std::uint64_t best_makespan = 0;
+  std::uint64_t evaluations = 1;  // the deterministic pass
+  std::uint64_t proposals = 0;
+  std::uint64_t accepted = 0;
+  std::uint64_t resets = 0;
+  std::uint64_t improvements = 0;
+};
+
+FullPriceTotals full_price_local(const EvalContext& ctx, const SearchOptions& options) {
+  const Strategy& strategy = strategy_for(StrategyKind::kLocal);
+  FullPriceTotals totals;
+  const std::uint64_t base_makespan = ctx.evaluate(ctx.base_order());
+  totals.best_makespan = base_makespan;
+  const std::uint64_t chains = std::clamp<std::uint64_t>(strategy.chains(options.iters), 1,
+                                                         options.iters);
+  for (std::uint64_t c = 0; c < chains; ++c) {
+    const std::uint64_t budget = options.iters / chains + (c < options.iters % chains ? 1 : 0);
+    Rng rng = EvalContext::chain_rng(options.seed, c);
+    ChainState state;
+    state.budget = budget;
+    std::uint64_t evals = 0;
+    if (strategy.init_chain(state, ctx, ctx.base_order(), c, rng)) {
+      state.makespan = base_makespan;
+    } else {
+      state.makespan = ctx.evaluate(state.order);
+      evals = 1;
+    }
+    std::uint64_t best = state.makespan;
+    while (evals < budget) {
+      std::optional<Proposal> p = strategy.propose(state, ctx, rng);
+      if (!p) break;
+      ++state.step;
+      ++totals.proposals;
+      const std::uint64_t makespan = ctx.evaluate(p->order);
+      ++evals;
+      best = std::min(best, makespan);
+      if (p->reset) {
+        state.order = std::move(p->order);
+        state.makespan = makespan;
+        state.since_accept = 0;
+        ++totals.resets;
+      } else if (strategy.accept(state, makespan, rng)) {
+        state.order = std::move(p->order);
+        state.makespan = makespan;
+        state.since_accept = 0;
+        ++totals.accepted;
+      } else {
+        ++state.since_accept;
+      }
+    }
+    totals.evaluations += evals;
+    if (best < totals.best_makespan) {
+      totals.best_makespan = best;
+      ++totals.improvements;
+    }
+  }
+  return totals;
+}
+
+TEST(DeltaEvalProperty, LocalCutoffsChangeNoCounterOrWinner) {
+  // The paper systems under the ATE-bound makespans where most swaps
+  // are cut off, plus random systems over every parameter variant.
+  std::vector<core::SystemModel> systems;
+  for (const char* soc : {"d695", "p22810", "p93791"}) systems.push_back(paper(soc, 4));
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    Rng rng = stream_rng(0x10CA1, seed);
+    systems.push_back(random_system(rng, params_variant(seed)));
+  }
+  obs::MetricsRegistry& reg = obs::registry();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  const std::uint64_t pruned_before = reg.snapshot().counter_or("planner.pruned");
+  for (std::size_t i = 0; i < systems.size(); ++i) {
+    const core::SystemModel& sys = systems[i];
+    for (const bool constrained : {false, true}) {
+      SCOPED_TRACE(sys.soc().name + (constrained ? " constrained" : ""));
+      const power::PowerBudget budget =
+          constrained ? power::PowerBudget::fraction_of_total(sys.soc(), 0.6)
+                      : power::PowerBudget::unconstrained();
+      const EvalContext ctx(sys, budget);
+      SearchOptions options;
+      options.strategy = StrategyKind::kLocal;
+      options.iters = 160;
+      options.seed = 11 + i;
+      const SearchResult got = search_orders(ctx, options);
+      const FullPriceTotals want = full_price_local(ctx, options);
+      EXPECT_EQ(got.best.makespan, want.best_makespan);
+      EXPECT_EQ(got.metrics.counter_or("search.evaluations"), want.evaluations);
+      EXPECT_EQ(got.metrics.counter_or("search.proposals"), want.proposals);
+      EXPECT_EQ(got.metrics.counter_or("search.accepted"), want.accepted);
+      EXPECT_EQ(got.metrics.counter_or("search.resets"), want.resets);
+      EXPECT_EQ(got.metrics.counter_or("search.improvements"), want.improvements);
+    }
+  }
+  // The cutoff is not dead code: the ATE-bound systems prune.
+  EXPECT_GT(reg.snapshot().counter_or("planner.pruned"), pruned_before);
+  reg.set_enabled(was_enabled);
 }
 
 TEST(DeltaEvalProperty, JobsBitIdenticalWithDeltaOn) {

@@ -75,7 +75,7 @@ TEST(FaultStreamParser, RejectionsNameTheLineAndField) {
   expect_rejected("{\"cycle\": 10, \"links\": [\"zero:1\"]}",
                   "test:1: links: bad router id 'zero'");
   expect_rejected("{\"cycle\": 10, \"routers\": [99]}", "test:1: routers: no router 99");
-  expect_rejected("{\"cycle\": 10, \"procs\": [1]}", "test:1: procs: module 1 (");
+  expect_rejected("{\"cycle\": 10, \"procs\": [1]}", "test:1: procs: module 1 is not a processor");
   expect_rejected("{\"cycle\": 10, \"procs\": [99]}", "test:1: procs: no module 99");
   expect_rejected("{\"cycle\": 10}", "test:1: event breaks nothing");
   expect_rejected("{\"links\": [\"0:1\"]}", "test:1: event has no \"cycle\"");

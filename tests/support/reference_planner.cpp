@@ -111,8 +111,7 @@ class Planner {
     for (const int id : order_) {
       ++prechecks_;
       const double cheapest = table_.cheapest_power(id);
-      ensure(cheapest <= budget_.limit, "infeasible: module ", id, " ('",
-             sys_.soc().module(id).name, "') needs at least ", cheapest,
+      ensure(cheapest <= budget_.limit, "infeasible: module ", id, " needs at least ", cheapest,
              " power but the budget is ", budget_.limit);
     }
   }
@@ -248,9 +247,8 @@ class Planner {
   }
 
   [[noreturn]] void diagnose_stuck(int module_id, std::uint64_t t) {
-    const itc02::Module& m = sys_.soc().module(module_id);
-    fail("planner stuck at t=", t, ": module ", module_id, " ('", m.name,
-         "') cannot start any session — the power budget ", budget_.limit,
+    fail("planner stuck at t=", t, ": module ", module_id,
+         " cannot start any session — the power budget ", budget_.limit,
          " is too tight for the concurrent set, or no interface can reach the core");
   }
 
