@@ -18,8 +18,9 @@
 // the planner's raw orders/sec floor.)
 //
 // It also prices the observability layer on the biggest paper system:
-// the same restart search A/B-timed with metrics collection off and
-// on (bench::with_metrics, min of interleaved reps).  That row goes to
+// the same restart search (`orders` each, repeated `searches` times per
+// sample) A/B-timed with metrics collection off and on
+// (bench::with_metrics, median of interleaved pairs).  That row goes to
 // the metrics_overhead section, where `scripts/bench_headline.py
 // check-overhead` gates the <1% enabled-path claim.
 
@@ -133,19 +134,25 @@ int main() {
       const core::SystemModel big =
           core::SystemModel::paper_system("p93791", itc02::ProcessorKind::kLeon, 8, params);
       constexpr std::uint64_t kOrders = 64;
+      constexpr int kSearches = 32;
       search::SearchResult scratch;
       // Timed serially — the per-run flush cost being priced is the
       // same at any job count, without the thread pool's scheduling
-      // jitter — and in many short pairs: a sub-1% verdict needs the
-      // pair count, not the body length, and a ~9ms window also gives
-      // the OS fewer chances to preempt mid-sample.
+      // jitter — in many pairs, since a sub-1% verdict needs the pair
+      // count.  Each sample repeats the search kSearches times: one
+      // search is a fraction of a millisecond, short enough that timer
+      // granularity and a single preemption swing a pair by percents; a
+      // sample of several milliseconds dilutes them.
       const bench::MetricsOverhead moh = bench::with_metrics(
-          [&] { scratch = restart_search(big, kOrders, 1); },
+          [&] {
+            for (int i = 0; i < kSearches; ++i) scratch = restart_search(big, kOrders, 1);
+          },
           101);
       std::cout << bench::Row("metrics_overhead")
                        .str("soc", "p93791")
                        .num("procs", 8)
                        .num("orders", orders(scratch))
+                       .num("searches", kSearches)
                        .num("disabled_ms", moh.disabled_ms)
                        .num("enabled_ms", moh.enabled_ms)
                        .num("overhead_pct", moh.overhead_pct);

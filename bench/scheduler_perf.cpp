@@ -45,14 +45,16 @@ void bench_plan(benchmark::State& state, const char* soc, int procs, bool constr
 
 // EvalContext::evaluate (the order checks plus a makespan-only plan)
 // cycling over 64 seeded tier-shuffled orders, as order search prices
-// its candidates.
-void bench_evaluate(benchmark::State& state, const char* soc, int procs, bool constrained) {
+// its candidates, under `power_fraction` of the total test power (0: no
+// limit).  The 4-processor rows are systems the search_budget perfbench
+// workload searches.
+void bench_evaluate(benchmark::State& state, const char* soc, int procs, double power_fraction) {
   const core::PlannerParams params = core::PlannerParams::paper();
   const core::SystemModel sys =
       core::SystemModel::paper_system(soc, itc02::ProcessorKind::kLeon, procs, params);
   const power::PowerBudget budget =
-      constrained ? power::PowerBudget::fraction_of_total(sys.soc(), 0.5)
-                  : power::PowerBudget::unconstrained();
+      power_fraction > 0 ? power::PowerBudget::fraction_of_total(sys.soc(), power_fraction)
+                         : power::PowerBudget::unconstrained();
   const search::EvalContext ctx(sys, budget);
   Rng rng = stream_rng(0xE7A1, 0);
   std::vector<std::vector<int>> orders;
@@ -133,12 +135,16 @@ BENCHMARK_CAPTURE(bench_plan, p93791_8proc_earliest, "p93791", 8, false,
                   core::ResourceChoice::kEarliestCompletion);
 BENCHMARK_CAPTURE(bench_plan, p93791_8proc_earliest_power, "p93791", 8, true,
                   core::ResourceChoice::kEarliestCompletion);
-BENCHMARK_CAPTURE(bench_evaluate, d695_6proc, "d695", 6, false);
-BENCHMARK_CAPTURE(bench_evaluate, d695_6proc_power, "d695", 6, true);
-BENCHMARK_CAPTURE(bench_evaluate, p22810_8proc, "p22810", 8, false);
-BENCHMARK_CAPTURE(bench_evaluate, p22810_8proc_power, "p22810", 8, true);
-BENCHMARK_CAPTURE(bench_evaluate, p93791_8proc, "p93791", 8, false);
-BENCHMARK_CAPTURE(bench_evaluate, p93791_8proc_power, "p93791", 8, true);
+BENCHMARK_CAPTURE(bench_evaluate, d695_6proc, "d695", 6, 0.0);
+BENCHMARK_CAPTURE(bench_evaluate, d695_6proc_power, "d695", 6, 0.5);
+BENCHMARK_CAPTURE(bench_evaluate, p22810_8proc, "p22810", 8, 0.0);
+BENCHMARK_CAPTURE(bench_evaluate, p22810_8proc_power, "p22810", 8, 0.5);
+BENCHMARK_CAPTURE(bench_evaluate, p93791_8proc, "p93791", 8, 0.0);
+BENCHMARK_CAPTURE(bench_evaluate, p93791_8proc_power, "p93791", 8, 0.5);
+BENCHMARK_CAPTURE(bench_evaluate, p22810_4proc, "p22810", 4, 0.0);
+BENCHMARK_CAPTURE(bench_evaluate, p22810_4proc_power75, "p22810", 4, 0.75);
+BENCHMARK_CAPTURE(bench_evaluate, p93791_4proc, "p93791", 4, 0.0);
+BENCHMARK_CAPTURE(bench_evaluate, p93791_4proc_power75, "p93791", 4, 0.75);
 BENCHMARK_CAPTURE(bench_validate, d695_6proc, "d695", 6);
 BENCHMARK_CAPTURE(bench_validate, p93791_8proc, "p93791", 8);
 BENCHMARK_CAPTURE(bench_validate_degraded, p22810_4proc, "p22810", 4);

@@ -11,20 +11,42 @@
 // independent reference planner that tests/support keeps as the oracle
 // (tests/core/kernel_oracle_test.cpp).
 //
-// The first-available invariant.  Under kFirstAvailable every committed
-// session starts at or before the current pass time `t` and is
-// non-empty (plan_session enforces duration > 0), so "free throughout
-// [t, t + dur)" is a check at `t` alone: an endpoint or circuit channel
-// conflicts iff its free-from frontier (the end of its latest session)
-// lies past `t`, and a load or power envelope's max over the window is
-// its level at `t` (every breakpoint after `t` is a session end, so the
-// level only falls).  Each such check gives the identical answer, down
-// to the same floating-point comparison, as the general interval check
-// earliest-completion probing has to use.  Both kinds of planning share
-// one power::StepFunction for power and one per multiplexed channel:
-// earliest completion asks its window fits and next breakpoints, first
-// available asks fits_at, whose floor folds away the past since `t`
-// never decreases.
+// The first-available invariant.  Under kFirstAvailable every session
+// starts at the current pass time `t` and is non-empty (plan_session
+// enforces duration > 0), so "free throughout [t, t + dur)" is a check at
+// `t` alone: an endpoint or circuit channel conflicts iff its free-from
+// frontier (the end of its latest session) lies past `t`, and a load or
+// power envelope's max over the window is its level at `t` (every
+// breakpoint after `t` is a session end, so the level only falls).  Each
+// such check gives the identical answer, down to the same floating-point
+// comparison, as the general interval check earliest-completion probing
+// has to use.
+//
+// The pass ledger.  Every commit starts at `t`, and every session end
+// becomes a later pass time (time advances to the next end) unless the
+// plan finishes first, so every breakpoint of the power envelope and of
+// each multiplexed channel load lies at a pass time.  Each envelope is
+// therefore a PassLane, not a step function: a folded `level` and the
+// `step` of the pass it was last booked at, that instant's deltas summed
+// in call order.  A commit adds +value to the power step and to the step
+// of each leg channel; a check reads level + step; a time advance
+// applies, as -value, the ends landing on the new `t` in commit order,
+// read from the sorted (end, commit index) log that also gives the
+// makespan and the residual bound.  A lane folds its step into its level
+// (and its peak) when it is first booked at a later pass; a lane left
+// alone holds level + step at every pass in between.
+//
+// Why the doubles are identical.  A step function (and the map-based
+// reference planner in tests/support) sums the deltas landing at one
+// instant in call order, then left-folds those sums in time order.  At a
+// pass time those deltas are first the ends of sessions committed
+// earlier, in commit order (each end was booked at its commit), then
+// this pass's starts: the ledger makes the same additions in the same
+// order.  The peak power matches because every breakpoint after the last
+// pass is an end, which can only lower the level (rounding is monotone).
+// Earliest-completion planning (ablation A1) books sessions anywhere on
+// the timeline and keeps power::StepFunction envelopes for its window
+// fits instead.
 //
 // The residual bound.  Given a cutoff, a first-available plan stops at
 // the start of the first pass whose lower bound on the final makespan
@@ -64,6 +86,29 @@ struct PlannerStats {
   std::uint64_t probes = 0;         ///< pair feasibility probes
   std::uint64_t time_advances = 0;  ///< first-available passes after the first
   bool pruned = false;              ///< the plan stopped at its cutoff
+};
+
+/// One envelope of the first-available pass ledger (see the file
+/// comment): power, or one multiplexed channel's load.
+struct PassLane {
+  std::uint64_t at = 0;  ///< the pass time `step` sums the deltas of
+  double step = 0.0;
+  double level = 0.0;  ///< the left fold of every step before `at`
+  double peak = 0.0;   ///< max(0, every folded level)
+
+  /// The level at the current pass time (`at` or later).
+  [[nodiscard]] double now() const { return level + step; }
+
+  /// Books `delta` at pass time `t`, never before `at`.
+  void add(std::uint64_t t, double delta) {
+    if (at != t) {
+      level += step;
+      if (level > peak) peak = level;
+      step = 0.0;
+      at = t;
+    }
+    step += delta;
+  }
 };
 
 /// The kernel and the scheduling state it mutates.  The state is
@@ -111,13 +156,18 @@ class Planner {
     if (circuit_) {
       channel_busy_.resize(first_available_ ? 0 : channels);
       for (IntervalSet& c : channel_busy_) c.clear();
-      channel_free_from_.assign(channels, 0);
+      channel_free_from_.assign(first_available_ ? channels : 0, 0);
+    } else if (first_available_) {
+      channel_lane_.assign(channels, PassLane{});
     } else {
       channel_load_.resize(channels);
       for (power::StepFunction& c : channel_load_) c.clear();
     }
+    power_lane_ = PassLane{};
     profile_.clear();
-    ends_.clear();
+    t_ = 0;
+    next_end_ = 0;
+    end_log_.clear();
     commits_.clear();
     stats_ = PlannerStats{};
   }
@@ -143,8 +193,11 @@ class Planner {
     } else {
       run_earliest_completion(order);
     }
-    if (!stats_.pruned) makespan_ = ends_.empty() ? 0 : ends_.back();
-    peak_power_ = profile_.peak();
+    if (!stats_.pruned) makespan_ = end_log_.empty() ? 0 : end_log_.back().end;
+    // A first-available plan's last pass is the last level that can
+    // rise; every breakpoint after it is an end.
+    peak_power_ =
+        first_available_ ? std::max(power_lane_.peak, power_lane_.now()) : profile_.peak();
   }
 
   [[nodiscard]] std::uint64_t makespan() const { return makespan_; }
@@ -193,6 +246,12 @@ class Planner {
     const SessionPlan* plan = nullptr;  ///< into *table_
   };
 
+  /// A session end, in the (end, commit index) order of end_log_.
+  struct EndRec {
+    std::uint64_t end = 0;
+    std::uint32_t commit = 0;  ///< into commits_
+  };
+
   struct Candidate {
     std::size_t source = 0;
     std::size_t sink = 0;
@@ -237,6 +296,30 @@ class Planner {
     return true;
   }
 
+  /// Books `plan` at the pass time on the first-available state: as the
+  /// session starts (its draws, and its circuit channels held to its
+  /// end), or (`Start` false) as it ends (its draws taken back).  Zero
+  /// draws are no-ops, as they are for a step function.
+  template <bool Start>
+  void book_at_pass(const SessionPlan& plan) {
+    const auto book = [this](PassLane& lane, double value) {
+      if constexpr (Start) power::require_valid_draw(value);
+      if (value != 0.0) lane.add(t_, Start ? value : -value);
+    };
+    if (!circuit_) {
+      every_leg_channel(plan, [&](std::size_t ch, double bandwidth) {
+        book(channel_lane_[ch], bandwidth);
+        return true;
+      });
+    } else if constexpr (Start) {
+      every_leg_channel(plan, [&](std::size_t ch, double) {
+        channel_free_from_[ch] = std::max(channel_free_from_[ch], t_ + plan.duration);
+        return true;
+      });
+    }
+    book(power_lane_, plan.power);
+  }
+
   /// Book one session: both endpoints, both paths, the power slice, the
   /// end event, and — for a processor's own test — that processor
   /// becoming available at the session's end ("a processor is reused
@@ -244,23 +327,30 @@ class Planner {
   void commit(int module_id, const Candidate& c) {
     const SessionPlan& plan = *c.plan;
     const Interval iv{c.start, c.start + plan.duration};
-    if (!first_available_) {
-      busy_[c.source].insert(iv);
-      if (c.sink != c.source) busy_[c.sink].insert(iv);
-    }
     free_from_[c.source] = std::max(free_from_[c.source], iv.end);
     free_from_[c.sink] = std::max(free_from_[c.sink], iv.end);
-    every_leg_channel(plan, [&](std::size_t ch, double bandwidth) {
-      if (!circuit_) {
-        channel_load_[ch].add(iv, bandwidth);
-      } else {
-        if (!first_available_) channel_busy_[ch].insert(iv);
-        channel_free_from_[ch] = std::max(channel_free_from_[ch], iv.end);
-      }
-      return true;
-    });
-    profile_.add(iv, plan.power);
-    ends_.insert(std::upper_bound(ends_.begin(), ends_.end(), iv.end), iv.end);
+    if (first_available_) {
+      NOCSCHED_ASSERT(c.start == t_);  // the invariant the pass ledger rests on
+      book_at_pass<true>(plan);
+    } else {
+      busy_[c.source].insert(iv);
+      if (c.sink != c.source) busy_[c.sink].insert(iv);
+      every_leg_channel(plan, [&](std::size_t ch, double bandwidth) {
+        if (circuit_) {
+          channel_busy_[ch].insert(iv);
+        } else {
+          channel_load_[ch].add(iv, bandwidth);
+        }
+        return true;
+      });
+      profile_.add(iv, plan.power);
+    }
+    // Past every end at or before iv.end: same-end entries stay in
+    // commit order.
+    const auto at = std::upper_bound(
+        end_log_.begin(), end_log_.end(), iv.end,
+        [](std::uint64_t end, const EndRec& rec) { return end < rec.end; });
+    end_log_.insert(at, EndRec{iv.end, static_cast<std::uint32_t>(commits_.size())});
     const std::size_t proc = proc_resource_[static_cast<std::size_t>(module_id)];
     if (proc != kNoResource) {
       // The processor had no sessions of its own yet (its frontier was
@@ -272,20 +362,38 @@ class Planner {
                                  static_cast<std::uint32_t>(c.sink), iv.start, iv.end, c.plan});
   }
 
-  /// Both legs of `plan` can start at `t` under the first-available
-  /// invariant: no circuit channel is held past `t`, or every channel's
-  /// load level at `t` leaves room for the leg's bandwidth.
-  [[nodiscard]] bool paths_free_at(const SessionPlan& plan, std::uint64_t t) {
+  /// Both legs of `plan` can start at the pass time under the
+  /// first-available invariant: no circuit channel is held past it, or
+  /// every channel's load level there leaves room for the leg's
+  /// bandwidth.
+  [[nodiscard]] bool paths_free_now(const SessionPlan& plan) const {
     if (circuit_) {
       return every_leg_channel(
-          plan, [&](std::size_t ch, double) { return channel_free_from_[ch] <= t; });
+          plan, [&](std::size_t ch, double) { return channel_free_from_[ch] <= t_; });
     }
     return every_leg_channel(plan, [&](std::size_t ch, double bandwidth) {
-      return channel_load_[ch].fits_at(t, bandwidth, 1.0);
+      return power::within_budget(channel_lane_[ch].now() + bandwidth, 1.0);
     });
   }
 
-  [[nodiscard]] std::optional<Candidate> probe_first_available(int module_id, std::uint64_t t) {
+  /// Would a draw of `power` more keep the power level at the pass time
+  /// within the budget?
+  [[nodiscard]] bool power_fits_now(double power) const {
+    return power::within_budget(power_lane_.now() + power, budget_.limit);
+  }
+
+  /// Moves the pass time to the next session end and books every end
+  /// landing there, in commit order.  Every end at or before the old
+  /// pass time is already booked, so the next one is end_log_[next_end_]
+  /// (a commit logs an end past the pass time, so after them all).
+  void advance_to_next_end() {
+    t_ = end_log_[next_end_].end;
+    for (; next_end_ < end_log_.size() && end_log_[next_end_].end == t_; ++next_end_) {
+      book_at_pass<false>(*commits_[end_log_[next_end_].commit].plan);
+    }
+  }
+
+  [[nodiscard]] std::optional<Candidate> probe_first_available(int module_id) {
     // Consider only pairs free *right now*: what makes this the paper's
     // greedy is that it never waits — a busy-but-faster interface that
     // frees moments later loses to a free-but-slower processor, which is
@@ -293,17 +401,17 @@ class Planner {
     // free pairs, PairOrder decides (nearest hops, the paper's locality
     // emphasis, or shortest session).
     //
-    // Every check is a frontier or level check at `t` (the
-    // first-available invariant), and the cheap rejects (the endpoint
-    // frontiers, which fold in availability, then the duration
+    // Every check is a frontier or level check at the pass time `t_`
+    // (the first-available invariant), and the cheap rejects (the
+    // endpoint frontiers, which fold in availability, then the duration
     // comparison against the running best) run before any envelope
     // lookup, the one power envelope before the many channel loads.
     //
     // Every pair draws at least the module's cheapest session power, and
     // `level + power` only grows with `power`, so a module whose cheapest
-    // session overflows the power envelope at `t` has no pair to probe.
-    if (power_limited_ &&
-        !profile_.fits_at(t, table_->cheapest_power(module_id), budget_.limit)) {
+    // session overflows the power envelope now has no pair to probe.
+    const std::uint64_t t = t_;
+    if (power_limited_ && !power_fits_now(table_->cheapest_power(module_id))) {
       return std::nullopt;
     }
     std::optional<Candidate> best;
@@ -322,8 +430,8 @@ class Planner {
         if (pc.plan.duration > best->plan->duration) continue;
         if (pc.plan.duration == best->plan->duration && pc.hops >= best_hops) continue;
       }
-      if (power_limited_ && !profile_.fits_at(t, pc.plan.power, budget_.limit)) continue;
-      if (!paths_free_at(pc.plan, t)) continue;
+      if (power_limited_ && !power_fits_now(pc.plan.power)) continue;
+      if (!paths_free_now(pc.plan)) continue;
       best = Candidate{pc.source, pc.sink, t, &pc.plan};
       best_hops = pc.hops;
     }
@@ -353,7 +461,7 @@ class Planner {
   /// (see the file comment).  A processor not yet available serves no
   /// earlier than `t` either.
   [[nodiscard]] std::uint64_t residual_bound(std::uint64_t t) const {
-    std::uint64_t bound = ends_.empty() ? 0 : ends_.back();
+    std::uint64_t bound = end_log_.empty() ? 0 : end_log_.back().end;
     for (std::size_t r = 0; r < mandatory_work_.size(); ++r) {
       if (mandatory_work_[r] == 0) continue;
       const std::uint64_t from = free_from_[r] == kNever ? t : std::max(t, free_from_[r]);
@@ -387,8 +495,8 @@ class Planner {
       mandatory_work_.assign(std::min<std::size_t>(free_from_.size(), 64), 0);
       for (const int module_id : pending_) count_mandatory(module_id, +1);
     }
-    std::uint64_t t = 0;
     for (;;) {
+      const std::uint64_t t = t_;
       if constexpr (Bounded) {
         const std::uint64_t bound = residual_bound(t);
         if (bound >= cutoff) {
@@ -415,7 +523,7 @@ class Planner {
           ++it;
           continue;
         }
-        if (const auto c = probe_first_available(module_id, t)) {
+        if (const auto c = probe_first_available(module_id)) {
           commit(module_id, *c);
           if constexpr (Bounded) count_mandatory(module_id, -1);
           it = pending_.erase(it);
@@ -430,9 +538,8 @@ class Planner {
         }
       }
       if (pending_.empty()) break;
-      const auto next = std::upper_bound(ends_.begin(), ends_.end(), t);
-      if (next == ends_.end()) diagnose_stuck(pending_.front(), t);
-      t = *next;
+      if (next_end_ == end_log_.size()) diagnose_stuck(pending_.front(), t);
+      advance_to_next_end();
       ++stats_.time_advances;
     }
   }
@@ -544,12 +651,22 @@ class Planner {
   /// first-available frontier.  Exact only for non-decreasing `t`,
   /// which first-available time is.
   std::vector<std::uint64_t> free_from_;
-  std::vector<IntervalSet> busy_;                  // per endpoint (kEarliestCompletion)
-  std::vector<IntervalSet> channel_busy_;          // per channel (kCircuit, kEarliestCompletion)
-  std::vector<std::uint64_t> channel_free_from_;   // per channel (kCircuit)
-  std::vector<power::StepFunction> channel_load_;  // per channel (kMultiplexed)
-  power::StepFunction profile_;                    // summed power
-  std::vector<std::uint64_t> ends_;                // sorted session ends (multiset semantics)
+  std::vector<IntervalSet> busy_;                 // per endpoint (kEarliestCompletion)
+  std::vector<IntervalSet> channel_busy_;         // per channel (kCircuit, kEarliestCompletion)
+  std::vector<std::uint64_t> channel_free_from_;  // per channel (kCircuit, kFirstAvailable)
+  /// Earliest-completion envelopes: per channel (kMultiplexed) load and
+  /// summed power.
+  std::vector<power::StepFunction> channel_load_;
+  power::StepFunction profile_;
+  /// The pass ledger (kFirstAvailable): the pass time, summed power, and
+  /// per channel (kMultiplexed) load.
+  std::uint64_t t_ = 0;
+  PassLane power_lane_;
+  std::vector<PassLane> channel_lane_;
+  /// Every session end, sorted by (end, commit index); the ends of
+  /// end_log_[0..next_end_) lie at or before the pass time and are booked.
+  std::vector<EndRec> end_log_;
+  std::size_t next_end_ = 0;
 
   std::vector<CommitRec> commits_;
   std::uint64_t makespan_ = 0;

@@ -9,8 +9,8 @@
 // order, and only then added to its level: the arithmetic of one
 // std::map<time, delta> per lane fed the draws in index order, so every
 // peak is the double that walk returns.  It shares no state or code path
-// with the planner's StepFunction, keeping the checks independent of
-// the plans they check.
+// with the planner's envelopes (its pass ledger and StepFunction),
+// keeping the checks independent of the plans they check.
 
 #include <cstdint>
 #include <span>

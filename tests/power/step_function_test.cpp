@@ -78,21 +78,6 @@ TEST(StepFunction, WindowFitsSeeTheLevelCarriedIn) {
   EXPECT_EQ(f.next_change_after(150), std::nullopt);
 }
 
-TEST(StepFunction, FitsAtReadsTheLevelAtThePassTime) {
-  StepFunction f;
-  EXPECT_TRUE(f.fits_at(0, 4.0, 4.0));
-  f.add({0, 10}, 3.0);
-  EXPECT_FALSE(f.fits_at(0, 2.0, 4.0));
-  EXPECT_TRUE(f.fits_at(0, 1.0, 4.0));
-  EXPECT_TRUE(f.fits_at(10, 4.0, 4.0));  // the draw ended at 10
-  f.add({10, 20}, 1.0);
-  EXPECT_FALSE(f.fits_at(10, 3.5, 4.0));
-  EXPECT_EQ(f.peak(), 3.0);  // the folded past still counts
-  f.clear();
-  EXPECT_EQ(f.peak(), 0.0);
-  EXPECT_TRUE(f.fits_at(0, 4.0, 4.0));  // clear() resets the floor too
-}
-
 TEST(StepFunction, EmptyIntervalAndZeroDrawAreNoops) {
   StepFunction f;
   f.add({5, 5}, 10.0);
@@ -109,8 +94,11 @@ TEST(StepFunction, RejectsBadDrawsWithTheSharedText) {
             "PowerProfile: bad power value inf");
 }
 
-// Earliest-completion pattern: adds anywhere on the timeline,
-// interleaved with window fits and next-breakpoint queries.
+// The earliest-completion pattern: adds anywhere on the timeline,
+// interleaved with window fits and next-breakpoint queries.  (The
+// first-available pattern, every add at a pass time that never
+// decreases, is the kernel's pass ledger; tests/search/
+// delta_eval_property_test.cpp checks it against the reference planner.)
 TEST(StepFunctionProperty, WindowQueriesMatchTheMapOracle) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     Rng rng(seed);
@@ -135,43 +123,6 @@ TEST(StepFunctionProperty, WindowQueriesMatchTheMapOracle) {
         }
         ASSERT_EQ(f.next_change_after(a), oracle.next_change_after(a));
       }
-    }
-  }
-}
-
-// First-available pattern: the pass time never decreases, every add
-// starts at it, and fits_at there must answer what the oracle's window
-// check from it does; window queries past the floor still hold.
-TEST(StepFunctionProperty, PassTimeQueriesMatchTheMapOracle) {
-  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-    Rng rng(seed * 7919);
-    StepFunction f;
-    PowerProfile oracle;
-    std::uint64_t t = 0;
-    for (int pass = 0; pass < 40; ++pass) {
-      const int steps = static_cast<int>(rng.below(5));
-      for (int k = 0; k < steps; ++k) {
-        const double v = random_draw(rng);
-        const Interval window{t, t + 1 + rng.below(60)};
-        for (const double limit : edge_limits(oracle.max_in(window), v)) {
-          ASSERT_EQ(f.fits_at(t, v, limit), oracle.fits(window, v, limit))
-              << "seed " << seed << " t " << t << " limit " << limit;
-        }
-        if (rng.chance(0.7)) {
-          const std::uint64_t len = rng.below(8) == 0 ? 0 : 1 + 3 * rng.below(20);
-          f.add({t, t + len}, v);
-          oracle.add({t, t + len}, v);
-        }
-      }
-      const std::uint64_t a = t + rng.below(30);
-      const Interval ahead{a, a + rng.below(30)};
-      const double v = random_draw(rng);
-      for (const double limit : edge_limits(oracle.max_in(ahead), v)) {
-        ASSERT_EQ(f.fits(ahead, v, limit), oracle.fits(ahead, v, limit));
-      }
-      ASSERT_EQ(f.next_change_after(a), oracle.next_change_after(a));
-      ASSERT_EQ(f.peak(), oracle.peak()) << "seed " << seed << " pass " << pass;
-      t += rng.below(4) == 0 ? 0 : 1 + 3 * rng.below(10);
     }
   }
 }

@@ -4,10 +4,16 @@
 // is replaced now and then — is *bit-identical* to the reference
 // planner's (tests/support oracle) plan of the same order: evaluate()
 // returns the oracle's makespan, and plan() its sessions, makespan and
-// floating-point peak power.  Asserted over the builtin paper systems
-// and random SoCs across every planner parameter variant, mid-timeline
-// contexts with pretested processors, plus the search-level contract
-// that --jobs {1, 2, 8} stay bit-identical under a power limit.
+// floating-point peak power, bit for bit.  Asserted over the builtin
+// paper systems and random SoCs across every planner parameter variant,
+// mid-timeline contexts with pretested processors, plus the search-level
+// contract that --jobs {1, 2, 8} stay bit-identical under a power limit.
+//
+// The random SoCs include systems built so that session boundaries
+// coincide (twin cores on small meshes, tight power limits): there the
+// first-available kernel's pass ledger sums same-instant ends and starts
+// in the order the oracle's map-based envelopes do, or a peak power or
+// a fits decision differs in its last bit.
 //
 // Every priced order is also priced under cutoffs below, at and above
 // its oracle makespan: evaluate(order, cutoff) is the oracle's makespan
@@ -20,8 +26,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -51,7 +59,9 @@ using support::random_system;
 
 void expect_schedules_identical(const core::Schedule& a, const core::Schedule& b) {
   EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.peak_power, b.peak_power);  // exact: same FP operations
+  // Bit for bit: the same floating-point operations in the same order.
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.peak_power), std::bit_cast<std::uint64_t>(b.peak_power))
+      << a.peak_power << " vs " << b.peak_power;
   EXPECT_EQ(a.power_limit, b.power_limit);
   ASSERT_EQ(a.sessions.size(), b.sessions.size());
   for (std::size_t i = 0; i < a.sessions.size(); ++i) {
@@ -116,12 +126,77 @@ void run_sequence(const EvalContext& ctx, const OraclePlan& oracle_plan, Rng& rn
     ASSERT_EQ(ctx.evaluate(order), want.makespan);
     expect_cutoff_contract(ctx, order, want.makespan);
     if (::testing::Test::HasFatalFailure()) return;
-    if (rng.chance(0.4)) {
-      incumbent = order;
-      expect_schedules_identical(ctx.plan(incumbent), want);
-      if (::testing::Test::HasFailure()) return;
+    expect_schedules_identical(ctx.plan(order), want);
+    if (::testing::Test::HasFailure()) return;
+    if (rng.chance(0.4)) incumbent = order;
+  }
+}
+
+/// Where the pass ledger's fold order shows in a plan: instants at which
+/// two or more sessions end and another starts, instants at which three
+/// or more end (their order changes the sum), and zero-hop legs.
+struct BoundaryCoverage {
+  int coincident_instants = 0;
+  int three_end_instants = 0;
+  int zero_hop_legs = 0;
+
+  void count(const core::Schedule& s) {
+    std::map<std::uint64_t, std::pair<int, int>> at;  // instant -> (ends, starts)
+    for (const core::Session& session : s.sessions) {
+      ++at[session.end].first;
+      ++at[session.start].second;
+      zero_hop_legs += static_cast<int>(session.path_in.empty()) +
+                       static_cast<int>(session.path_out.empty());
+    }
+    for (const auto& [instant, n] : at) {
+      if (n.first >= 2 && n.second >= 1) ++coincident_instants;
+      if (n.first >= 3) ++three_end_instants;
     }
   }
+
+  /// `oracle_plan`, counting every plan it returns.
+  OraclePlan counting(OraclePlan oracle_plan) {
+    return [this, oracle_plan = std::move(oracle_plan)](const std::vector<int>& order) {
+      core::Schedule s = oracle_plan(order);
+      count(s);
+      return s;
+    };
+  }
+};
+
+/// A mid-timeline epoch: every processor either pretested (serves from
+/// 0, not planned) or a candidate, and some plain cores already tested
+/// in an earlier epoch.
+struct MidTimeline {
+  std::vector<int> pretested;
+  std::vector<bool> candidates;  ///< by module id - 1
+};
+
+MidTimeline random_mid_timeline(const core::SystemModel& sys, Rng& rng, double pretest_chance) {
+  MidTimeline m{{}, std::vector<bool>(sys.soc().modules.size(), false)};
+  for (const itc02::Module& mod : sys.soc().modules) {
+    if (mod.is_processor && rng.chance(pretest_chance)) {
+      m.pretested.push_back(mod.id);
+    } else if (mod.is_processor || !rng.chance(0.2)) {
+      m.candidates[static_cast<std::size_t>(mod.id - 1)] = true;
+    }
+  }
+  return m;
+}
+
+/// run_sequence over a random mid-timeline context of `sys` under
+/// `budget`, counting the oracle's plans into `coverage` when given.
+void run_subset_sequence(const core::SystemModel& sys, const power::PowerBudget& budget,
+                         Rng& rng, int steps, double pretest_chance = 0.5,
+                         BoundaryCoverage* coverage = nullptr) {
+  const MidTimeline mid = random_mid_timeline(sys, rng, pretest_chance);
+  const EvalContext ctx(sys, budget, core::PairTable(sys), noc::FaultSet{}, mid.candidates,
+                        mid.pretested);
+  OraclePlan oracle_plan = [&](const std::vector<int>& order) {
+    return core::oracle::plan_tests_subset(sys, budget, order, ctx.pair_table(), mid.pretested);
+  };
+  if (coverage != nullptr) oracle_plan = coverage->counting(std::move(oracle_plan));
+  run_sequence(ctx, oracle_plan, rng, steps);
 }
 
 TEST(DeltaEvalProperty, BuiltinSystemsSwapSequencesBitIdentical) {
@@ -140,6 +215,7 @@ TEST(DeltaEvalProperty, BuiltinSystemsSwapSequencesBitIdentical) {
 }
 
 TEST(DeltaEvalProperty, RandomSystemsAllParamVariants) {
+  BoundaryCoverage coverage;
   for (std::uint64_t seed = 0; seed < 16; ++seed) {
     Rng rng = stream_rng(0x5EED0D, seed);
     const core::SystemModel sys = random_system(rng, params_variant(seed));
@@ -148,7 +224,29 @@ TEST(DeltaEvalProperty, RandomSystemsAllParamVariants) {
     if (rng.chance(0.5)) budget = power::PowerBudget::fraction_of_total(sys.soc(), 0.8);
     const EvalContext ctx(sys, budget);
     run_sequence(ctx, full_order_oracle(ctx, budget), rng, 30);
+
+    // Coincident boundaries under the same variant: twin cores, zero-hop
+    // legs, power limits of 40-100%, whole-plan and mid-timeline
+    // contexts.  Most twin ends coincide where pretested
+    // processors start together at instant 0.  Many short sequences
+    // over many systems: a misordered same-instant sum shows in a peak
+    // power only now and then.
+    for (std::uint64_t k = 0; k < 32; ++k) {
+      Rng twins = stream_rng(0xC01C1DE, 16 * k + seed);
+      const core::SystemModel tsys = support::coincident_system(twins, params_variant(seed));
+      const power::PowerBudget tight =
+          power::PowerBudget::fraction_of_total(tsys.soc(), 0.4 + 0.6 * twins.uniform01());
+      SCOPED_TRACE("coincident " + std::to_string(k) + " limit " + std::to_string(tight.limit));
+      const EvalContext tctx(tsys, tight);
+      run_sequence(tctx, coverage.counting(full_order_oracle(tctx, tight)), twins, 5);
+      run_subset_sequence(tsys, tight, twins, 5, 0.8, &coverage);
+      if (HasFailure()) return;
+    }
   }
+  // The coincident systems reach the boundaries they are there for.
+  EXPECT_GT(coverage.coincident_instants, 1000);
+  EXPECT_GT(coverage.three_end_instants, 500);
+  EXPECT_GT(coverage.zero_hop_legs, 1000);
 }
 
 TEST(DeltaEvalProperty, SubsetOrdersWithPretestedProcessors) {
@@ -156,28 +254,7 @@ TEST(DeltaEvalProperty, SubsetOrdersWithPretestedProcessors) {
     Rng rng = stream_rng(0x5B5E7, seed);
     const core::SystemModel sys = random_system(rng, params_variant(seed % 2 ? 1 : 0));
     SCOPED_TRACE(seed);
-    const power::PowerBudget budget = power::PowerBudget::unconstrained();
-
-    // A mid-timeline context: every processor either pretested (serves
-    // from 0, not planned) or a candidate, and some plain cores already
-    // tested in an earlier epoch.
-    std::vector<int> pretested;
-    std::vector<bool> candidates(sys.soc().modules.size(), false);
-    for (const itc02::Module& m : sys.soc().modules) {
-      if (m.is_processor && rng.chance(0.5)) {
-        pretested.push_back(m.id);
-      } else if (m.is_processor || !rng.chance(0.2)) {
-        candidates[static_cast<std::size_t>(m.id - 1)] = true;
-      }
-    }
-    const EvalContext ctx(sys, budget, core::PairTable(sys), noc::FaultSet{}, candidates,
-                          pretested);
-    run_sequence(
-        ctx,
-        [&](const std::vector<int>& order) {
-          return core::oracle::plan_tests_subset(sys, budget, order, ctx.pair_table(), pretested);
-        },
-        rng, 20);
+    run_subset_sequence(sys, power::PowerBudget::unconstrained(), rng, 20);
   }
 }
 

@@ -9,7 +9,7 @@
 #include "common/error.hpp"
 #include "core/scheduler.hpp"
 #include "noc/routing.hpp"
-#include "power/step_function.hpp"
+#include "power/budget.hpp"
 #include "search/replan.hpp"
 #include "support/power_profile.hpp"
 
@@ -152,13 +152,11 @@ Fixture shared_stimulus_path(double second) {
 }
 
 TEST(Validate, ChannelCapacityUsesThePlannersTolerance) {
-  // The planner's load envelope admits a second leg that brings the
+  // The planner's load check admits a second leg that brings the
   // channel to 1.0 + 1.5e-9, inside within_budget's 1e-9 * (1 + 1)
   // slack at capacity 1.0; the validator must not flag that load.
-  power::StepFunction envelope;
-  envelope.add({0, 10}, 0.5);
-  EXPECT_TRUE(envelope.fits_at(0, 0.5 + 1.5e-9, 1.0));
-  EXPECT_FALSE(envelope.fits_at(0, 0.5 + 3e-9, 1.0));
+  EXPECT_TRUE(power::within_budget(0.5 + 0.5 + 1.5e-9, 1.0));
+  EXPECT_FALSE(power::within_budget(0.5 + 0.5 + 3e-9, 1.0));
 
   Fixture admitted = shared_stimulus_path(0.5 + 1.5e-9);
   EXPECT_FALSE(has_violation(validate(admitted.sys, admitted.schedule), "oversubscribed"));
