@@ -27,11 +27,15 @@ using namespace nocsched;
 
 // `choice` picks the planner's resource rule: the paper's greedy
 // (first available) or the earliest-completion ablation, whose window
-// queries no perfbench workload reaches.
+// queries no perfbench workload reaches.  `channels` picks how test
+// streams share a channel: multiplexed (the default) or the circuit
+// ablation, which no perfbench workload plans either.
 void bench_plan(benchmark::State& state, const char* soc, int procs, bool constrained,
-                core::ResourceChoice choice = core::ResourceChoice::kFirstAvailable) {
+                core::ResourceChoice choice = core::ResourceChoice::kFirstAvailable,
+                core::ChannelModel channels = core::ChannelModel::kMultiplexed) {
   core::PlannerParams params = core::PlannerParams::paper();
   params.resource_choice = choice;
+  params.channel_model = channels;
   const core::SystemModel sys =
       core::SystemModel::paper_system(soc, itc02::ProcessorKind::kLeon, procs, params);
   const power::PowerBudget budget =
@@ -135,6 +139,10 @@ BENCHMARK_CAPTURE(bench_plan, p93791_8proc_earliest, "p93791", 8, false,
                   core::ResourceChoice::kEarliestCompletion);
 BENCHMARK_CAPTURE(bench_plan, p93791_8proc_earliest_power, "p93791", 8, true,
                   core::ResourceChoice::kEarliestCompletion);
+BENCHMARK_CAPTURE(bench_plan, p93791_8proc_circuit, "p93791", 8, false,
+                  core::ResourceChoice::kFirstAvailable, core::ChannelModel::kCircuit);
+BENCHMARK_CAPTURE(bench_plan, p93791_8proc_earliest_circuit, "p93791", 8, false,
+                  core::ResourceChoice::kEarliestCompletion, core::ChannelModel::kCircuit);
 BENCHMARK_CAPTURE(bench_evaluate, d695_6proc, "d695", 6, 0.0);
 BENCHMARK_CAPTURE(bench_evaluate, d695_6proc_power, "d695", 6, 0.5);
 BENCHMARK_CAPTURE(bench_evaluate, p22810_8proc, "p22810", 8, 0.0);

@@ -1,10 +1,11 @@
 #pragma once
 // Sorted set of disjoint half-open time intervals [start, end).
 //
-// Used for endpoint and circuit-channel bookings: a test session holds
-// its source and sink, and under the circuit model each directed channel
-// on its two XY paths, for its whole duration, and the planner and the
-// validator must query conflicts cheaply.
+// Used for endpoint bookings: a test session holds its source and sink
+// for its whole duration, and the earliest-completion planner, the
+// validator and the replay cross-check must query conflicts cheaply.
+// The validator also books each directed channel a circuit session
+// holds here.
 
 #include <cstdint>
 #include <vector>

@@ -27,6 +27,39 @@ void sort_nearest_first(std::vector<PairChoice>& pairs) {
   });
 }
 
+/// True when some directed channel lies on both legs of `plan`.
+bool legs_share_a_channel(const SessionPlan& plan) {
+  return std::any_of(plan.path_in.begin(), plan.path_in.end(), [&](noc::ChannelId c) {
+    return std::find(plan.path_out.begin(), plan.path_out.end(), c) != plan.path_out.end();
+  });
+}
+
+/// Prices endpoints `s` -> `k` of module `module_id` over the router's
+/// routes and appends the pair to `pairs`, unless it is not offered: the
+/// faults leave it no route, or under kCircuit its two legs cross one
+/// directed channel, which two circuits can never hold together (only a
+/// fault detour does that; XY legs never share a channel).  The latter
+/// sets `withheld`.  The from-scratch build and apply_faults'
+/// re-pricing both decide legality here, so the two tables stay
+/// bit-identical.
+void offer_pair(const SystemModel& sys, int module_id, std::size_t s, std::size_t k,
+                noc::FaultRouter& router, std::vector<PairChoice>& pairs, bool& withheld) {
+  const std::vector<Endpoint>& eps = sys.endpoints();
+  std::optional<SessionPlan> plan = plan_session(sys, module_id, eps[s], eps[k], router);
+  if (!plan) return;
+  if (sys.params().channel_model == ChannelModel::kCircuit && legs_share_a_channel(*plan)) {
+    withheld = true;
+    return;
+  }
+  PairChoice& choice = pairs.emplace_back();
+  choice.source = s;
+  choice.sink = k;
+  // Route hops, not Manhattan distance: identical for XY routes, and
+  // the honest locality metric for fault detours.
+  choice.hops = static_cast<int>(plan->path_in.size() + plan->path_out.size());
+  choice.plan = std::move(*plan);
+}
+
 std::uint64_t endpoint_bit(std::size_t r) { return r < 64 ? std::uint64_t{1} << r : 0; }
 
 void flush_build(const std::vector<std::vector<PairChoice>>& by_module) {
@@ -50,6 +83,7 @@ void PairTable::build_module(const SystemModel& sys, const itc02::Module& m,
   const std::vector<Endpoint>& eps = sys.endpoints();
   const bool cross = sys.params().allow_cross_pairing;
   const bool dead = m.is_processor && faults.processor_failed(m.id);
+  bool withheld = false;
   for (std::size_t s = 0; !dead && s < eps.size(); ++s) {
     const Endpoint& src = eps[s];
     if (!src.can_source()) continue;
@@ -66,20 +100,11 @@ void PairTable::build_module(const SystemModel& sys, const itc02::Module& m,
       if (!cross && s != k && (src.is_processor() || snk.is_processor())) {
         continue;  // default: ATE pair or one self-contained processor
       }
-      std::optional<SessionPlan> plan = plan_session(sys, m.id, src, snk, router);
-      if (!plan) continue;  // no surviving route under the faults
-      PairChoice choice;
-      choice.source = s;
-      choice.sink = k;
-      choice.plan = std::move(*plan);
-      // Route hops, not Manhattan distance: identical for XY routes,
-      // and the honest locality metric for fault detours.
-      choice.hops =
-          static_cast<int>(choice.plan.path_in.size() + choice.plan.path_out.size());
-      pairs.push_back(std::move(choice));
+      offer_pair(sys, m.id, s, k, router, pairs, withheld);
     }
   }
   sort_nearest_first(pairs);
+  withheld_[static_cast<std::size_t>(m.id - 1)] = withheld;
   summarize(static_cast<std::size_t>(m.id - 1));
 }
 
@@ -103,6 +128,7 @@ PairTable::PairTable(const SystemModel& sys, const noc::FaultSet& faults) {
   by_module_.resize(sys.soc().modules.size());
   summaries_.resize(sys.soc().modules.size());
   masks_.resize(sys.soc().modules.size());
+  withheld_.resize(sys.soc().modules.size());
   noc::FaultRouter router(sys.mesh(), faults);
   for (const itc02::Module& m : sys.soc().modules) build_module(sys, m, router);
   flush_build(by_module_);
@@ -117,12 +143,21 @@ std::size_t PairTable::apply_faults(const SystemModel& sys, const noc::FaultSet&
   std::size_t rebuilt = 0;
   std::size_t stale = 0;  // pairs that could not be kept verbatim
   for (const itc02::Module& m : sys.soc().modules) {
-    std::vector<PairChoice>& pairs = by_module_[static_cast<std::size_t>(m.id - 1)];
+    const auto i = static_cast<std::size_t>(m.id - 1);
+    std::vector<PairChoice>& pairs = by_module_[i];
+    if (withheld_[i]) {
+      // A withheld pair's detour is not in the table, so whether more
+      // faults move it is unknown: enumerate the module afresh.
+      ++rebuilt;
+      stale += pairs.size();
+      build_module(sys, m, router);
+      continue;
+    }
     const bool dead = (m.is_processor && faults.processor_failed(m.id)) ||
                       faults.router_failed(sys.router_of(m.id));
     bool touched = dead;
-    for (std::size_t i = 0; !touched && i < pairs.size(); ++i) {
-      const PairChoice& p = pairs[i];
+    for (std::size_t j = 0; !touched && j < pairs.size(); ++j) {
+      const PairChoice& p = pairs[j];
       touched = endpoint_failed(eps[p.source], faults) ||
                 endpoint_failed(eps[p.sink], faults) ||
                 !router.usable(p.plan.path_in) || !router.usable(p.plan.path_out);
@@ -136,6 +171,7 @@ std::size_t PairTable::apply_faults(const SystemModel& sys, const noc::FaultSet&
     // from-scratch build); only stale pairs are re-priced, dropping
     // the ones the degraded mesh cannot serve at all.
     std::vector<PairChoice> next;
+    bool withheld = false;
     if (!dead) {
       next.reserve(pairs.size());
       for (PairChoice& p : pairs) {
@@ -150,22 +186,15 @@ std::size_t PairTable::apply_faults(const SystemModel& sys, const noc::FaultSet&
           continue;
         }
         ++stale;
-        std::optional<SessionPlan> plan = plan_session(sys, m.id, src, snk, router);
-        if (!plan) continue;
-        PairChoice detoured;
-        detoured.source = p.source;
-        detoured.sink = p.sink;
-        detoured.hops =
-            static_cast<int>(plan->path_in.size() + plan->path_out.size());
-        detoured.plan = std::move(*plan);
-        next.push_back(std::move(detoured));
+        offer_pair(sys, m.id, p.source, p.sink, router, next, withheld);
       }
       sort_nearest_first(next);
     } else {
       stale += pairs.size();
     }
     pairs = std::move(next);
-    summarize(static_cast<std::size_t>(m.id - 1));
+    withheld_[i] = withheld;
+    summarize(i);
   }
 
   obs::MetricsRegistry& reg = obs::registry();

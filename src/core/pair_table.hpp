@@ -14,13 +14,16 @@
 // Every table is built over a fault set — the pristine system is the
 // empty one: pairs whose endpoints died or whose routes cannot survive
 // the fault set disappear, and surviving pairs are priced over their
-// fault-aware (possibly detoured) routes; each build or apply_faults
-// call routes through one noc::FaultRouter of its own, so the surviving
-// graph is searched once per call, not once per pair.  apply_faults is
-// the incremental path — only modules whose existing pairs touch the fault
-// set are re-enumerated, and the result is bit-identical to a
-// from-scratch degraded build (asserted by the tests/fault property
-// suite).
+// fault-aware (possibly detoured) routes.  Under ChannelModel::kCircuit
+// a pair whose detoured stimulus and response legs cross one directed
+// channel is withheld too: its two circuits could never hold that
+// channel together.  Each build or apply_faults call routes through one
+// noc::FaultRouter of its own, so the surviving graph is searched once
+// per call, not once per pair.  apply_faults is the incremental path —
+// only modules whose existing pairs touch the fault set (or that
+// withheld a pair, whose detour more faults may move) are
+// re-enumerated, and the result is bit-identical to a from-scratch
+// degraded build (asserted by the tests/fault property suite).
 
 #include <cstdint>
 #include <span>
@@ -53,7 +56,8 @@ class PairTable {
   /// Incrementally degrade this table to `faults`: re-enumerate only
   /// the modules whose current pairs touch the fault set (a failed
   /// endpoint, a failed router on either route, the module's own or an
-  /// endpoint's router, or the module itself dying).  Requires the
+  /// endpoint's router, or the module itself dying), and those that
+  /// withheld a circuit pair (see the file comment).  Requires the
   /// table to have been built from `sys` under a subset of `faults`
   /// (the pristine table qualifies); afterwards the table is
   /// bit-identical to PairTable(sys, faults).  Returns the number of
@@ -148,6 +152,9 @@ class PairTable {
   };
   std::vector<Summary> summaries_;  // parallel to by_module_
   std::vector<std::vector<std::uint64_t>> masks_;  // parallel to by_module_
+  /// Per module: some pair was withheld because its two circuit legs
+  /// share a channel (never on a pristine table).
+  std::vector<bool> withheld_;
 };
 
 }  // namespace nocsched::core

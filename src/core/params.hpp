@@ -37,6 +37,9 @@ enum class ChannelModel {
   kMultiplexed,
   /// Conservative circuit switching: a session exclusively reserves
   /// every channel of its two paths for its whole duration (ablation).
+  /// A pair whose two legs share a directed channel (only a fault
+  /// detour does that) is not offered: its circuits could never hold
+  /// the channel together.
   kCircuit,
 };
 

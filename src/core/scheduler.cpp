@@ -11,21 +11,27 @@
 // independent reference planner that tests/support keeps as the oracle
 // (tests/core/kernel_oracle_test.cpp).
 //
+// One channel state.  Every leg books a draw on its channels' loads
+// (capacity 1.0) under either ChannelModel: its bandwidth when streams
+// are multiplexed, the whole 1.0 when it holds a circuit.  Circuit
+// levels are then whole numbers, so a load that fits one more full draw
+// is a channel no circuit holds; PairTable never offers a circuit pair
+// whose two legs cross one channel, so a session never blocks itself.
+//
 // The first-available invariant.  Under kFirstAvailable every session
 // starts at the current pass time `t` and is non-empty (plan_session
 // enforces duration > 0), so "free throughout [t, t + dur)" is a check at
-// `t` alone: an endpoint or circuit channel conflicts iff its free-from
-// frontier (the end of its latest session) lies past `t`, and a load or
-// power envelope's max over the window is its level at `t` (every
-// breakpoint after `t` is a session end, so the level only falls).  Each
-// such check gives the identical answer, down to the same floating-point
-// comparison, as the general interval check earliest-completion probing
-// has to use.
+// `t` alone: an endpoint conflicts iff its free-from frontier (the end of
+// its latest session) lies past `t`, and a load or power envelope's max
+// over the window is its level at `t` (every breakpoint after `t` is a
+// session end, so the level only falls).  Each such check gives the
+// identical answer, down to the same floating-point comparison, as the
+// general interval check earliest-completion probing has to use.
 //
 // The pass ledger.  Every commit starts at `t`, and every session end
 // becomes a later pass time (time advances to the next end) unless the
 // plan finishes first, so every breakpoint of the power envelope and of
-// each multiplexed channel load lies at a pass time.  Each envelope is
+// each channel load lies at a pass time.  Each envelope is
 // therefore a PassLane, not a step function: a folded `level` and the
 // `step` of the pass it was last booked at, that instant's deltas summed
 // in call order.  A commit adds +value to the power step and to the step
@@ -89,7 +95,7 @@ struct PlannerStats {
 };
 
 /// One envelope of the first-available pass ledger (see the file
-/// comment): power, or one multiplexed channel's load.
+/// comment): power, or one channel's load.
 struct PassLane {
   std::uint64_t at = 0;  ///< the pass time `step` sums the deltas of
   double step = 0.0;
@@ -121,9 +127,9 @@ class Planner {
   /// (Re-)target the kernel at `sys` under `budget` from `table` and
   /// reset the state: processors unavailable until their own test ends
   /// (pretested ones from instant 0), ATE ports free from 0, nothing
-  /// committed.  Only the structures `sys.params()` needs are sized: the
-  /// channel bookkeeping of its channel model, and the busy-window
-  /// interval sets only under kEarliestCompletion.  `table` (and `sys`)
+  /// committed.  Only the structures `sys.params()` needs are sized:
+  /// the envelopes of its resource choice, and the busy-window interval
+  /// sets only under kEarliestCompletion.  `table` (and `sys`)
   /// must outlive the kernel's use; `pretested` follows
   /// plan_tests_subset semantics.
   void init(const SystemModel& sys, const power::PowerBudget& budget, const PairTable& table,
@@ -153,11 +159,7 @@ class Planner {
     busy_.resize(first_available_ ? 0 : eps.size());
     for (IntervalSet& b : busy_) b.clear();
     const auto channels = static_cast<std::size_t>(sys.mesh().channel_count());
-    if (circuit_) {
-      channel_busy_.resize(first_available_ ? 0 : channels);
-      for (IntervalSet& c : channel_busy_) c.clear();
-      channel_free_from_.assign(first_available_ ? channels : 0, 0);
-    } else if (first_available_) {
+    if (first_available_) {
       channel_lane_.assign(channels, PassLane{});
     } else {
       channel_load_.resize(channels);
@@ -283,40 +285,37 @@ class Planner {
   }
 
   /// Visits the channels of the stimulus leg, then of the response leg,
-  /// as visit(channel index, leg bandwidth) while `visit` returns true;
-  /// true when it never returned false.
+  /// as visit(channel index, the leg's draw on it) while `visit` returns
+  /// true; true when it never returned false.  A multiplexed leg draws
+  /// its bandwidth, a circuit leg the whole capacity (see the file
+  /// comment).
   template <class Visit>
-  static bool every_leg_channel(const SessionPlan& plan, Visit visit) {
+  bool every_leg_channel(const SessionPlan& plan, Visit visit) const {
+    const double in = circuit_ ? 1.0 : plan.bandwidth_in;
+    const double out = circuit_ ? 1.0 : plan.bandwidth_out;
     for (const noc::ChannelId c : plan.path_in) {
-      if (!visit(channel_index(c), plan.bandwidth_in)) return false;
+      if (!visit(channel_index(c), in)) return false;
     }
     for (const noc::ChannelId c : plan.path_out) {
-      if (!visit(channel_index(c), plan.bandwidth_out)) return false;
+      if (!visit(channel_index(c), out)) return false;
     }
     return true;
   }
 
   /// Books `plan` at the pass time on the first-available state: as the
-  /// session starts (its draws, and its circuit channels held to its
-  /// end), or (`Start` false) as it ends (its draws taken back).  Zero
-  /// draws are no-ops, as they are for a step function.
+  /// session starts (its draws), or (`Start` false) as it ends (its
+  /// draws taken back).  Zero draws are no-ops, as they are for a step
+  /// function.
   template <bool Start>
   void book_at_pass(const SessionPlan& plan) {
     const auto book = [this](PassLane& lane, double value) {
       if constexpr (Start) power::require_valid_draw(value);
       if (value != 0.0) lane.add(t_, Start ? value : -value);
     };
-    if (!circuit_) {
-      every_leg_channel(plan, [&](std::size_t ch, double bandwidth) {
-        book(channel_lane_[ch], bandwidth);
-        return true;
-      });
-    } else if constexpr (Start) {
-      every_leg_channel(plan, [&](std::size_t ch, double) {
-        channel_free_from_[ch] = std::max(channel_free_from_[ch], t_ + plan.duration);
-        return true;
-      });
-    }
+    every_leg_channel(plan, [&](std::size_t ch, double draw) {
+      book(channel_lane_[ch], draw);
+      return true;
+    });
     book(power_lane_, plan.power);
   }
 
@@ -335,12 +334,8 @@ class Planner {
     } else {
       busy_[c.source].insert(iv);
       if (c.sink != c.source) busy_[c.sink].insert(iv);
-      every_leg_channel(plan, [&](std::size_t ch, double bandwidth) {
-        if (circuit_) {
-          channel_busy_[ch].insert(iv);
-        } else {
-          channel_load_[ch].add(iv, bandwidth);
-        }
+      every_leg_channel(plan, [&](std::size_t ch, double draw) {
+        channel_load_[ch].add(iv, draw);
         return true;
       });
       profile_.add(iv, plan.power);
@@ -363,16 +358,11 @@ class Planner {
   }
 
   /// Both legs of `plan` can start at the pass time under the
-  /// first-available invariant: no circuit channel is held past it, or
-  /// every channel's load level there leaves room for the leg's
-  /// bandwidth.
+  /// first-available invariant: every channel's load level there leaves
+  /// room for the leg's draw.
   [[nodiscard]] bool paths_free_now(const SessionPlan& plan) const {
-    if (circuit_) {
-      return every_leg_channel(
-          plan, [&](std::size_t ch, double) { return channel_free_from_[ch] <= t_; });
-    }
-    return every_leg_channel(plan, [&](std::size_t ch, double bandwidth) {
-      return power::within_budget(channel_lane_[ch].now() + bandwidth, 1.0);
+    return every_leg_channel(plan, [&](std::size_t ch, double draw) {
+      return power::within_budget(channel_lane_[ch].now() + draw, 1.0);
     });
   }
 
@@ -544,27 +534,6 @@ class Planner {
     }
   }
 
-  /// Earliest start >= `from` of a `len`-cycle window no channel of
-  /// `path` has a circuit reservation in: a fixed point that bumps past
-  /// any overlapping reservation until no channel moves it.
-  [[nodiscard]] std::uint64_t circuit_earliest_path_fit(std::span<const noc::ChannelId> path,
-                                                        std::uint64_t from,
-                                                        std::uint64_t len) const {
-    std::uint64_t t = from;
-    bool moved = true;
-    while (moved) {
-      moved = false;
-      for (const noc::ChannelId c : path) {
-        const std::uint64_t fit = channel_busy_[channel_index(c)].earliest_fit(t, len);
-        if (fit != t) {
-          t = fit;
-          moved = true;
-        }
-      }
-    }
-    return t;
-  }
-
   [[nodiscard]] std::uint64_t earliest_feasible_start(const PairChoice& pc) {
     // Fixed point over the three constraint classes (endpoints, channels,
     // power).  Terminates: t is nondecreasing and each constraint has
@@ -576,25 +545,21 @@ class Planner {
       const std::uint64_t before = t;
       t = busy_[pc.source].earliest_fit(t, dur);
       if (pc.sink != pc.source) t = busy_[pc.sink].earliest_fit(t, dur);
-      if (circuit_) {
-        t = circuit_earliest_path_fit(plan.path_in, t, dur);
-        t = circuit_earliest_path_fit(plan.path_out, t, dur);
-      } else {
-        // Bandwidth constraint: advance to the next load breakpoint on
-        // either path until the whole window fits on every channel.
-        const auto window_fits = [&](std::size_t ch, double bandwidth) {
-          return channel_load_[ch].fits(Interval{t, t + dur}, bandwidth, 1.0);
-        };
-        while (!every_leg_channel(plan, window_fits)) {
-          std::optional<std::uint64_t> bump;
-          every_leg_channel(plan, [&](std::size_t ch, double) {
-            const auto n = channel_load_[ch].next_change_after(t);
-            if (n && (!bump || *n < *bump)) bump = n;
-            return true;
-          });
-          NOCSCHED_ASSERT(bump.has_value());  // loads end, so a fit exists
-          t = *bump;
-        }
+      // Channel constraint: advance to the next load breakpoint on either
+      // path until the whole window fits on every channel (the least
+      // fitting start is `t` or a breakpoint, so none is skipped).
+      const auto window_fits = [&](std::size_t ch, double draw) {
+        return channel_load_[ch].fits(Interval{t, t + dur}, draw, 1.0);
+      };
+      while (!every_leg_channel(plan, window_fits)) {
+        std::optional<std::uint64_t> bump;
+        every_leg_channel(plan, [&](std::size_t ch, double) {
+          const auto n = channel_load_[ch].next_change_after(t);
+          if (n && (!bump || *n < *bump)) bump = n;
+          return true;
+        });
+        NOCSCHED_ASSERT(bump.has_value());  // loads end, so a fit exists
+        t = *bump;
       }
       if (!profile_.fits(Interval{t, t + dur}, plan.power, budget_.limit)) {
         const auto bump = profile_.next_change_after(t);
@@ -651,15 +616,12 @@ class Planner {
   /// first-available frontier.  Exact only for non-decreasing `t`,
   /// which first-available time is.
   std::vector<std::uint64_t> free_from_;
-  std::vector<IntervalSet> busy_;                 // per endpoint (kEarliestCompletion)
-  std::vector<IntervalSet> channel_busy_;         // per channel (kCircuit, kEarliestCompletion)
-  std::vector<std::uint64_t> channel_free_from_;  // per channel (kCircuit, kFirstAvailable)
-  /// Earliest-completion envelopes: per channel (kMultiplexed) load and
-  /// summed power.
+  std::vector<IntervalSet> busy_;  // per endpoint (kEarliestCompletion)
+  /// Earliest-completion envelopes: per channel load and summed power.
   std::vector<power::StepFunction> channel_load_;
   power::StepFunction profile_;
   /// The pass ledger (kFirstAvailable): the pass time, summed power, and
-  /// per channel (kMultiplexed) load.
+  /// per channel load.
   std::uint64_t t_ = 0;
   PassLane power_lane_;
   std::vector<PassLane> channel_lane_;

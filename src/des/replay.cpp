@@ -138,6 +138,7 @@ enum class Hold : std::uint8_t {
 /// kRelease queued at reservation time would already have popped.
 struct ChannelState {
   Hold hold = Hold::kFree;
+  int holder = -1;  ///< worm granted the channel last (the holder unless kFree)
   std::uint64_t release_time = 0;
   std::uint64_t release_seq = 0;
   int waiter_head = -1;  ///< worm ids, FIFO through Worm::next_waiter
@@ -176,8 +177,10 @@ class Replayer {
       dispatch(e.payload);
     }
     for (const SessionState& s : sessions_) {
-      ensure(s.done, "replay deadlock: module ", s.module_id,
-             " never completed — schedule dependencies cannot be met (validate it first)");
+      if (s.done) continue;
+      diagnose_wait_cycle();
+      fail("replay deadlock: module ", s.module_id,
+           " never completed — schedule dependencies cannot be met (validate it first)");
     }
     return build_trace();
   }
@@ -609,6 +612,7 @@ class Replayer {
     const noc::ChannelId c = path[hop];
     ChannelState& ch = channels_[static_cast<std::size_t>(c)];
     ch.hold = Hold::kAcquiring;
+    ch.holder = worm_id;
     ++ch.packets;
     s.blocked_cycles += now_ - w.request_time;
     w.grants.push_back(now_);
@@ -730,6 +734,63 @@ class Replayer {
   }
 
   // ----- wrap-up ----------------------------------------------------------
+
+  /// Called once the queue has drained with sessions unfinished: throws
+  /// naming the wormhole wait-for cycle when worms wait on channels.  A
+  /// waiting worm's channel is held by a worm still acquiring its path
+  /// (a holder with its whole path would have queued the release), so
+  /// that holder waits on its own next channel; following holders from
+  /// the lowest waited-on channel id must close a cycle.  Returns when no
+  /// worm waits (the unfinished sessions never launched).
+  void diagnose_wait_cycle() const {
+    const auto waited = std::find_if(channels_.begin(), channels_.end(),
+                                     [](const ChannelState& ch) { return ch.waiter_head >= 0; });
+    if (waited == channels_.end()) return;
+    // Walk channel -> its holder -> the channel that holder waits on,
+    // until a holder repeats: the walk from its first visit is the cycle.
+    struct Step {
+      int worm;
+      std::size_t hop;  ///< where the channel waited on lies on the worm's path
+    };
+    std::vector<Step> walk;
+    auto c = static_cast<noc::ChannelId>(waited - channels_.begin());
+    for (;;) {
+      const ChannelState& ch = channels_[static_cast<std::size_t>(c)];
+      if (ch.hold != Hold::kAcquiring) return;
+      const auto repeat = std::find_if(walk.begin(), walk.end(),
+                                       [&](const Step& st) { return st.worm == ch.holder; });
+      if (repeat != walk.end()) {
+        walk.erase(walk.begin(), repeat);
+        break;
+      }
+      const Worm& holder = worms_[static_cast<std::size_t>(ch.holder)];
+      const auto& path = path_of(holder);
+      const auto hop = std::find(path.begin(), path.end(), c) - path.begin();
+      walk.push_back({ch.holder, static_cast<std::size_t>(hop)});
+      c = path[static_cast<std::size_t>(holder.next_hop)];
+    }
+    // The cycle: each holder's channels from the one waited on up to
+    // its head, then the next holder's.
+    std::vector<noc::ChannelId> cycle;
+    std::vector<int> modules;
+    for (const Step& st : walk) {
+      const Worm& w = worms_[static_cast<std::size_t>(st.worm)];
+      const auto& path = path_of(w);
+      cycle.insert(cycle.end(), path.begin() + static_cast<std::ptrdiff_t>(st.hop),
+                   path.begin() + w.next_hop);
+      modules.push_back(sessions_[static_cast<std::size_t>(w.session)].module_id);
+    }
+    std::rotate(cycle.begin(), std::min_element(cycle.begin(), cycle.end()), cycle.end());
+    std::sort(modules.begin(), modules.end());
+    modules.erase(std::unique(modules.begin(), modules.end()), modules.end());
+    std::string channels;
+    for (const noc::ChannelId id : cycle) channels += cat(id, " -> ");
+    channels += cat(cycle.front());
+    std::string names;
+    for (const int id : modules) names += cat(names.empty() ? "" : ", ", id);
+    fail("replay deadlock: modules ", names, " hold channels in the wormhole wait-for cycle ",
+         channels, " — their routes form a cyclic channel dependency");
+  }
 
   SimTrace build_trace() const {
     SimTrace trace;

@@ -2,8 +2,9 @@
 // The earliest-completion planner's envelope (ablation A1): a
 // piecewise-constant sum of interval draws, kept online while sessions
 // are booked one by one anywhere on the timeline.  The kernel holds one
-// for the summed session power and one per multiplexed channel
-// (capacity 1.0), and asks window fits and next breakpoints.
+// for the summed session power and one per channel load (capacity 1.0;
+// a circuit leg draws all of it), and asks window fits and next
+// breakpoints.
 // (First-available planning needs none: every breakpoint it books lies
 // at a pass time, so it folds a pass ledger instead; core/scheduler.cpp.)
 //

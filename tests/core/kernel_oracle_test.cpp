@@ -3,7 +3,8 @@
 // oracle's Schedule bit for bit — sessions, makespan, peak power — or
 // throw the oracle's error text byte for byte, and core::plan_makespan
 // must return the oracle's makespan.  Swept over the builtin paper
-// systems and hundreds of random systems, every ResourceChoice x
+// systems and hundreds of random systems, on pristine and on
+// fault-degraded pair tables (detoured legs), every ResourceChoice x
 // ChannelModel x PairOrder, with and without cross pairing, loose and
 // tight power budgets, and full, shuffled, and subset-with-pretested
 // orders.  The kernel runs on a per-thread workspace reused across
@@ -20,6 +21,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -28,6 +30,7 @@
 #include "core/pair_table.hpp"
 #include "core/scheduler.hpp"
 #include "noc/fault.hpp"
+#include "noc/routing.hpp"
 #include "obs/metrics.hpp"
 #include "support/random_system.hpp"
 #include "support/reference_planner.hpp"
@@ -204,6 +207,154 @@ TEST(KernelOracle, RandomSystemsEveryVariant) {
     }
   }
   EXPECT_GE(planned, 200 * 16 * 5);
+}
+
+/// 3-10 failed links, sometimes a failed processor or router: enough
+/// to force detours on every system the sweep draws.
+noc::FaultSet random_degradation(const SystemModel& sys, Rng& rng) {
+  noc::FaultSet faults;
+  const auto channels = static_cast<std::uint64_t>(sys.mesh().channel_count());
+  for (std::uint64_t i = 3 + rng.below(8); i > 0 && channels > 0; --i) {
+    faults.fail_channel(static_cast<noc::ChannelId>(rng.below(channels)));
+  }
+  const std::vector<int> procs = sys.soc().processor_ids();
+  if (!procs.empty() && rng.chance(0.3)) faults.fail_processor(procs[rng.below(procs.size())]);
+  if (rng.chance(0.15)) {
+    faults.fail_router(static_cast<noc::RouterId>(
+        rng.below(static_cast<std::uint64_t>(sys.mesh().router_count()))));
+  }
+  return faults;
+}
+
+/// A mid-timeline order over what `table` can serve: live processors
+/// are pretested with chance 0.5, and the order holds every other
+/// module testable under `limit`, each plain core kept with chance 0.8,
+/// shuffled.
+SubsetOrder random_testable_subset(const SystemModel& sys, const PairTable& table,
+                                   const noc::FaultSet& faults, double limit, Rng& rng) {
+  SubsetOrder s;
+  for (const int id : sys.soc().processor_ids()) {
+    if (!faults.processor_failed(id) && rng.chance(0.5)) s.pretested.push_back(id);
+  }
+  const std::vector<bool> testable = table.testable_modules(sys, limit, s.pretested);
+  for (const itc02::Module& m : sys.soc().modules) {
+    if (!testable[static_cast<std::size_t>(m.id - 1)]) continue;
+    if (std::find(s.pretested.begin(), s.pretested.end(), m.id) != s.pretested.end()) continue;
+    if (m.is_processor || rng.chance(0.8)) s.order.push_back(m.id);
+  }
+  rng.shuffle(s.order);
+  return s;
+}
+
+/// Sessions of `schedule` with a detoured leg, and with one channel on
+/// both legs.
+struct LegTally {
+  int detoured = 0;
+  int shared = 0;
+};
+
+void tally_legs(const SystemModel& sys, const Schedule& schedule, LegTally& tally) {
+  const auto router = [&](int endpoint) {
+    return sys.endpoints()[static_cast<std::size_t>(endpoint)].router;
+  };
+  for (const Session& s : schedule.sessions) {
+    const noc::RouterId core = sys.router_of(s.module_id);
+    if (s.path_in != noc::xy_route(sys.mesh(), router(s.source_resource), core) ||
+        s.path_out != noc::xy_route(sys.mesh(), core, router(s.sink_resource))) {
+      ++tally.detoured;
+    }
+    for (const noc::ChannelId c : s.path_in) {
+      if (std::find(s.path_out.begin(), s.path_out.end(), c) != s.path_out.end()) {
+        ++tally.shared;
+        break;
+      }
+    }
+  }
+}
+
+TEST(KernelOracle, DegradedTablesEveryVariant) {
+  // Fault-degraded tables, built from scratch and through apply_faults,
+  // under every variant: detours put legs where XY never does (two legs
+  // of one session on one channel, turns XY never takes), and circuit
+  // legs must still book exactly as the oracle's reservations do.
+  // Whole testable orders plan on the scratch table, mid-timeline
+  // subsets with pretested processors on the incremental one.
+  LegTally circuit;
+  LegTally multiplexed;
+  int planned = 0;
+  const auto sweep = [&](const SystemModel& sys, std::uint64_t v, Rng& rng) {
+    const PairTable pristine(sys);
+    const noc::FaultSet faults = random_degradation(sys, rng);
+    SCOPED_TRACE(faults.describe());
+    const PairTable scratch(sys, faults);
+    const PairTable incremental = [&] {
+      PairTable table = pristine;
+      table.apply_faults(sys, faults);
+      return table;
+    }();
+    EXPECT_EQ(incremental, scratch);
+    const power::PowerBudget budget =
+        rng.chance(0.5) ? power::PowerBudget::unconstrained()
+                        : power::PowerBudget::fraction_of_total(sys.soc(), 0.8);
+    const SubsetOrder whole = [&] {
+      SubsetOrder s;
+      const std::vector<bool> testable = scratch.testable_modules(sys, budget.limit);
+      for (const itc02::Module& m : sys.soc().modules) {
+        if (testable[static_cast<std::size_t>(m.id - 1)]) s.order.push_back(m.id);
+      }
+      rng.shuffle(s.order);
+      return s;
+    }();
+    const SubsetOrder part = random_testable_subset(sys, incremental, faults, budget.limit, rng);
+    LegTally& tally = (v & 4) ? circuit : multiplexed;
+    for (const auto& run : {std::pair{&whole, &scratch}, std::pair{&part, &incremental}}) {
+      const SubsetOrder* order = run.first;
+      const PairTable* table = run.second;
+      const Outcome o = outcome_of([&] {
+        return oracle::plan_tests_subset(sys, budget, order->order, *table, order->pretested);
+      });
+      if (expect_same(outcome_of([&] {
+                        return plan_tests_subset(sys, budget, order->order, *table,
+                                                 order->pretested);
+                      }),
+                      o)) {
+        ++planned;
+        tally_legs(sys, *o.schedule, tally);
+      }
+      expect_same_makespan(
+          [&] {
+            return plan_makespan(sys, budget, order->order, *table, true, order->pretested);
+          },
+          o);
+    }
+  };
+  for (std::uint64_t v = 0; v < 16; ++v) {
+    for (const std::string soc : {"d695", "p22810", "p93791"}) {
+      for (const int procs : {2, 4, 8}) {
+        SCOPED_TRACE(soc + " procs " + std::to_string(procs) + " variant " + std::to_string(v));
+        const SystemModel sys = SystemModel::paper_system(soc, itc02::ProcessorKind::kLeon,
+                                                          procs, params_variant(v));
+        Rng rng = stream_rng(0xDE6AD, v * 16 + static_cast<std::uint64_t>(procs));
+        for (int trial = 0; trial < 6; ++trial) sweep(sys, v, rng);
+        if (HasFailure()) return;
+      }
+    }
+    for (std::uint64_t seed = 0; seed < 40; ++seed) {
+      Rng rng = stream_rng(0xDE6AD0, seed);
+      const SystemModel sys = random_system(rng, params_variant(v));
+      SCOPED_TRACE("seed " + std::to_string(seed) + " variant " + std::to_string(v));
+      sweep(sys, v, rng);
+      if (HasFailure()) return;
+    }
+  }
+  // The fixed seeds plan 3007 of 3008 comparisons, with 9179 circuit
+  // and 10589 multiplexed detoured sessions, 46 of the latter holding
+  // one channel on both legs.
+  EXPECT_GE(planned, 2900);
+  EXPECT_GE(circuit.detoured, 5000);
+  EXPECT_EQ(circuit.shared, 0);
+  EXPECT_GE(multiplexed.detoured, 5000);
+  EXPECT_GE(multiplexed.shared, 20);
 }
 
 TEST(KernelOracle, BackToBackPlansOnOneThreadShareNothing) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -149,6 +151,76 @@ TEST(PairTableFaults, GrowingFaultSetsComposeIncrementally) {
     stepwise.apply_faults(sys, both);
     EXPECT_EQ(stepwise, PairTable(sys, both)) << both.describe();
   }
+}
+
+/// `count` more random failed links on top of `base`.
+noc::FaultSet with_random_links(const SystemModel& sys, noc::FaultSet base, std::uint64_t count,
+                                Rng& rng) {
+  for (std::uint64_t i = 0; i < count; ++i) {
+    base.fail_channel(static_cast<noc::ChannelId>(
+        rng.below(static_cast<std::uint64_t>(sys.mesh().channel_count()))));
+  }
+  return base;
+}
+
+std::size_t pair_count(const SystemModel& sys, const PairTable& table) {
+  std::size_t n = 0;
+  for (const itc02::Module& m : sys.soc().modules) n += table.pairs(m.id).size();
+  return n;
+}
+
+TEST(PairTableFaults, CircuitTablesWithholdSharedLegPairsAndComposeIncrementally) {
+  // Under kCircuit a detour whose two legs cross one directed channel is
+  // withheld.  A later fault can move that detour, so a module that
+  // withheld a pair is re-enumerated by every apply_faults: chained
+  // applies must still land on the from-scratch table.  Multi-link
+  // fault sets on the builtin systems force detours.
+  std::size_t withheld_first = 0;
+  std::size_t withheld_both = 0;
+  for (const std::string& soc : itc02::builtin_names()) {
+    for (const bool cross : {false, true}) {
+      PlannerParams params = PlannerParams::paper();
+      params.channel_model = ChannelModel::kCircuit;
+      params.allow_cross_pairing = cross;
+      const SystemModel sys =
+          SystemModel::paper_system(soc, itc02::ProcessorKind::kLeon, 4, params);
+      PlannerParams shared = params;
+      shared.channel_model = ChannelModel::kMultiplexed;
+      const SystemModel multiplexed =
+          SystemModel::paper_system(soc, itc02::ProcessorKind::kLeon, 4, shared);
+      const PairTable pristine(sys);
+      Rng rng(0xC1C0);
+      for (int trial = 0; trial < 30; ++trial) {
+        const noc::FaultSet first = with_random_links(sys, {}, 3 + rng.below(6), rng);
+        const noc::FaultSet both = with_random_links(sys, first, 1 + rng.below(4), rng);
+        SCOPED_TRACE(soc + " cross " + std::to_string(cross) + " " + both.describe());
+        const PairTable scratch_first(sys, first);
+        const PairTable scratch_both(sys, both);
+        PairTable stepwise = pristine;
+        stepwise.apply_faults(sys, first);
+        EXPECT_EQ(stepwise, scratch_first);
+        stepwise.apply_faults(sys, both);
+        EXPECT_EQ(stepwise, scratch_both);
+        for (const itc02::Module& m : sys.soc().modules) {
+          for (const PairChoice& p : scratch_both.pairs(m.id)) {
+            for (const noc::ChannelId c : p.plan.path_in) {
+              EXPECT_EQ(std::count(p.plan.path_out.begin(), p.plan.path_out.end(), c), 0)
+                  << "module " << m.id << " holds channel " << c << " on both legs";
+            }
+          }
+        }
+        // The multiplexed table offers every routable pair; the
+        // difference is what the circuit table withheld.
+        withheld_first +=
+            pair_count(multiplexed, PairTable(multiplexed, first)) - pair_count(sys, scratch_first);
+        withheld_both +=
+            pair_count(multiplexed, PairTable(multiplexed, both)) - pair_count(sys, scratch_both);
+      }
+    }
+  }
+  // The fixed seed withholds 275 and 500.
+  EXPECT_GE(withheld_first, 100u);
+  EXPECT_GE(withheld_both, 200u);
 }
 
 class PairTableFaultProperties : public ::testing::TestWithParam<std::uint64_t> {};

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -222,6 +223,48 @@ TEST(Replan, PowerInfeasibleDetourBecomesUntestableNotAThrow) {
     }
   }
   EXPECT_TRUE(saw_power_loss) << "no scenario exercised the power-infeasible path";
+}
+
+/// The directed channels named "from:to" by router ids.
+noc::FaultSet failed_links(const SystemModel& sys, const std::vector<std::pair<int, int>>& links) {
+  noc::FaultSet faults;
+  for (const auto& [from, to] : links) faults.fail_channel(sys.mesh().channel_between(from, to));
+  return faults;
+}
+
+TEST(Replan, CircuitPairsNeverHoldOneChannelOnBothLegs) {
+  // Regression: under kCircuit a fault detour could send a pair's
+  // stimulus and response legs through one directed channel, which the
+  // two circuits can never hold together.  The first-available plan
+  // used such a pair (module 5 on the ATE pair, both legs on 6->10) and
+  // failed validation; the earliest-completion plan booked the channel
+  // twice and threw (module 3, both legs on 1->5).  Such pairs are not
+  // offered, so both replans succeed and validate.
+  struct Repro {
+    core::ResourceChoice choice;
+    std::vector<std::pair<int, int>> links;
+  };
+  for (const Repro& repro :
+       {Repro{core::ResourceChoice::kFirstAvailable,
+              {{0, 4}, {3, 7}, {5, 4}, {6, 7}, {7, 11}, {10, 9}, {13, 9}, {11, 10}, {14, 15}}},
+        Repro{core::ResourceChoice::kEarliestCompletion,
+              {{0, 4}, {1, 2}, {2, 6}, {7, 3}, {5, 9}, {7, 11}, {9, 8}, {9, 13}}}}) {
+    PlannerParams params = PlannerParams::paper();
+    params.channel_model = core::ChannelModel::kCircuit;
+    params.resource_choice = repro.choice;
+    const SystemModel sys =
+        SystemModel::paper_system("d695", itc02::ProcessorKind::kLeon, 2, params);
+    const noc::FaultSet faults = failed_links(sys, repro.links);
+    SCOPED_TRACE(faults.describe());
+    const core::PairTable pristine(sys);
+    const power::PowerBudget budget = power::PowerBudget::unconstrained();
+    const ReplanResult scratch = replan(sys, budget, faults, SearchOptions{});
+    const ReplanResult incremental = replan(sys, budget, faults, SearchOptions{}, pristine);
+    expect_same_schedule(scratch.schedule, incremental.schedule);
+    EXPECT_FALSE(scratch.schedule.sessions.empty());
+    const sim::ValidationReport report = sim::validate(sys, scratch.schedule, faults);
+    EXPECT_TRUE(report.ok()) << report.violations.front();
+  }
 }
 
 TEST(Replan, BitIdenticalAcrossJobsOnAllPaperSocs) {

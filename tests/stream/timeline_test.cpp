@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <string>
 
+#include "common/error.hpp"
+#include "core/scheduler.hpp"
 #include "power/budget.hpp"
 #include "report/timeline_report.hpp"
 #include "search/fault_stream.hpp"
@@ -183,6 +185,29 @@ TEST(Timeline, BitIdenticalAtAnyJobCount) {
     const TimelineResult again = replay_timeline(sys, budget, stream, jopts);
     EXPECT_EQ(report::timeline_json(sys, stream, again), reference_json)
         << "timeline diverged at jobs " << jobs;
+  }
+}
+
+TEST(Timeline, ReplayDeadlockNamesTheWaitForCycle) {
+  // `nocsched_cli --soc d695 --procs 8 --fault-stream 8 --fault-seed 5`:
+  // in epoch 7 module 4's stimulus leg [43 31 17 14] and module 8's
+  // [14 20 34 43] (at least one a fault detour) each hold a channel the
+  // other waits for, and the wormhole replay stalls.  The error names
+  // the cycle.  Once fault detours obey a turn model, this becomes a
+  // test that the timeline replays to completion and validates.
+  const core::SystemModel sys = core::SystemModel::paper_system(
+      "d695", itc02::ProcessorKind::kLeon, 8, core::PlannerParams::paper());
+  const power::PowerBudget budget = power::PowerBudget::unconstrained();
+  const core::Schedule pristine = core::plan_tests(sys, budget);
+  const search::FaultStream stream = search::random_fault_stream(sys, 8, 5, pristine.makespan);
+  try {
+    static_cast<void>(replay_timeline(sys, budget, stream, search::SearchOptions{}));
+    ADD_FAILURE() << "the seed-5 stream replayed without a deadlock";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(),
+                 "replay deadlock: modules 4, 8 hold channels in the wormhole wait-for cycle "
+                 "14 -> 20 -> 34 -> 43 -> 31 -> 17 -> 14 — their routes form a cyclic channel "
+                 "dependency");
   }
 }
 
