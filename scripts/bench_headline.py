@@ -15,6 +15,10 @@ Every pipeline bench prints each machine row once, as a line
                                        REFERENCE's for the same (soc,
                                        power_limit, strategy, iters); a key
                                        REFERENCE lacks is reported as new
+  check-des-replay DOC REFERENCE       every des_replay row's events, packets
+                                       and sim_cycles equal REFERENCE's for the
+                                       same (soc, cpu), and both documents hold
+                                       the same (soc, cpu) rows
 """
 
 import argparse
@@ -141,6 +145,37 @@ def check_search_quality(args):
         fail("best makespans moved vs reference")
 
 
+DES_REPLAY_FIELDS = ("events", "packets", "sim_cycles")
+
+
+def check_des_replay(args):
+    def by_key(path):
+        return {(row["soc"], row["cpu"]): row for row in load_section(path, "des_replay")}
+
+    reference = by_key(args.reference)
+    fresh = by_key(args.doc)
+    bad = 0
+    for key in sorted(reference.keys() | fresh.keys()):
+        label = f"des_replay: {key[0]} {key[1]}"
+        if key not in fresh:
+            print(f"{label}: missing from {args.doc}", file=sys.stderr)
+            bad += 1
+        elif key not in reference:
+            print(f"{label}: no reference row in {args.reference}", file=sys.stderr)
+            bad += 1
+        else:
+            moved = [f"{field} {fresh[key][field]} != reference {reference[key][field]}"
+                     for field in DES_REPLAY_FIELDS if fresh[key][field] != reference[key][field]]
+            if moved:
+                print(f"{label}: " + ", ".join(moved), file=sys.stderr)
+                bad += 1
+            else:
+                print(f"{label}: " + ", ".join(f"{field} {fresh[key][field]}"
+                                               for field in DES_REPLAY_FIELDS) + " OK")
+    if bad:
+        fail(f"{bad} des_replay row(s) differ from the reference")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -157,6 +192,10 @@ def main():
     p.add_argument("doc")
     p.add_argument("reference")
     p.set_defaults(run=check_search_quality)
+    p = sub.add_parser("check-des-replay", help="gate des_replay simulated statistics")
+    p.add_argument("doc")
+    p.add_argument("reference")
+    p.set_defaults(run=check_des_replay)
     args = parser.parse_args()
     args.run(args)
 

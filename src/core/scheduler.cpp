@@ -545,26 +545,22 @@ class Planner {
       const std::uint64_t before = t;
       t = busy_[pc.source].earliest_fit(t, dur);
       if (pc.sink != pc.source) t = busy_[pc.sink].earliest_fit(t, dur);
-      // Channel constraint: advance to the next load breakpoint on either
-      // path until the whole window fits on every channel (the least
-      // fitting start is `t` or a breakpoint, so none is skipped).
-      const auto window_fits = [&](std::size_t ch, double draw) {
-        return channel_load_[ch].fits(Interval{t, t + dur}, draw, 1.0);
+      // Channel and power constraints: jump past the last level in the
+      // window that overflows (every start up to it keeps that level in
+      // its window, so none is skipped) until the whole window fits.
+      const auto fits_or_jumps = [&](std::size_t ch, double draw) {
+        const auto fit = channel_load_[ch].skip_overflow(Interval{t, t + dur}, draw, 1.0);
+        NOCSCHED_ASSERT(fit.has_value());  // loads end, so a fit exists
+        if (*fit == t) return true;
+        t = *fit;
+        return false;
       };
-      while (!every_leg_channel(plan, window_fits)) {
-        std::optional<std::uint64_t> bump;
-        every_leg_channel(plan, [&](std::size_t ch, double) {
-          const auto n = channel_load_[ch].next_change_after(t);
-          if (n && (!bump || *n < *bump)) bump = n;
-          return true;
-        });
-        NOCSCHED_ASSERT(bump.has_value());  // loads end, so a fit exists
-        t = *bump;
+      while (!every_leg_channel(plan, fits_or_jumps)) {
       }
-      if (!profile_.fits(Interval{t, t + dur}, plan.power, budget_.limit)) {
-        const auto bump = profile_.next_change_after(t);
-        NOCSCHED_ASSERT(bump.has_value());  // precheck guarantees the tail fits
-        t = *bump;
+      const auto fit = profile_.skip_overflow(Interval{t, t + dur}, plan.power, budget_.limit);
+      NOCSCHED_ASSERT(fit.has_value());  // precheck guarantees the tail fits
+      if (*fit != t) {
+        t = *fit;
         continue;
       }
       if (t == before) return t;

@@ -17,6 +17,13 @@
 // nothing while keeping every other event's position (and the event
 // count) unchanged.
 //
+// Direct dispatch.  A caller holding an event for a reserved slot may
+// handle it without queuing it at all: when earliest() — the (time, seq)
+// pop() would return next — orders after the slot, nothing queued can
+// pop ahead of it, so the caller runs its handler at once and calls
+// mark_popped(time, seq).  Later pushes, pops and pushed() then behave
+// exactly as after push_at on the slot and the pop() that returned it.
+//
 // Storage is a calendar wheel plus an overflow heap.  The wheel has
 // kSpan one-cycle buckets covering [last popped time, + kSpan): an
 // event inside that window goes to bucket `time % kSpan`, and since
@@ -41,6 +48,17 @@
 
 namespace nocsched::des {
 
+/// A position in an EventQueue's pop order.
+struct EventSlot {
+  std::uint64_t time = 0;
+  std::uint64_t seq = 0;
+
+  /// Whether an event on this slot pops ahead of one on `other`.
+  [[nodiscard]] bool before(const EventSlot& other) const {
+    return time != other.time ? time < other.time : seq < other.seq;
+  }
+};
+
 template <typename Payload>
 class EventQueue {
  public:
@@ -62,8 +80,13 @@ class EventQueue {
     insert(Event{time, next_seq_++, std::move(payload)});
   }
 
-  /// Issue the next sequence without queuing an event on it.
-  [[nodiscard]] std::uint64_t reserve() { return next_seq_++; }
+  /// Issue the next `n` sequences without queuing an event on them;
+  /// returns the first (the others follow it consecutively).
+  [[nodiscard]] std::uint64_t reserve(std::uint64_t n = 1) {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
 
   /// Queue `payload` at `time` on a sequence issued earlier by
   /// reserve().  Each reserved sequence may be queued at most once, and
@@ -93,6 +116,30 @@ class EventQueue {
     return top;
   }
 
+  /// The slot of the event pop() would return next, read without
+  /// removing it; an empty queue reports (max, max), which no issued
+  /// slot orders after.
+  [[nodiscard]] EventSlot earliest() const {
+    if (near_ == 0) {
+      if (far_.empty()) return {kNone, kNone};
+      return {far_.front().time, far_.front().seq};
+    }
+    const Event& e = nodes_[static_cast<std::size_t>(head_[next_bucket()])].event;
+    const Event& top = !far_.empty() && before(far_.front(), e) ? far_.front() : e;
+    return {top.time, top.seq};
+  }
+
+  /// Record that the caller handled the event of a reserved slot itself
+  /// (see "Direct dispatch"): (time, seq) becomes the last popped slot.
+  /// The slot must order before earliest() — the caller's check, not
+  /// repeated here — and not before the last popped slot.
+  void mark_popped(std::uint64_t time, std::uint64_t seq) {
+    NOCSCHED_ASSERT(seq < next_seq_);
+    NOCSCHED_ASSERT(time > last_popped_ || (time == last_popped_ && seq >= last_popped_seq_));
+    last_popped_ = time;
+    last_popped_seq_ = seq;
+  }
+
   [[nodiscard]] bool empty() const { return near_ == 0 && far_.empty(); }
   [[nodiscard]] std::size_t size() const { return near_ + far_.size(); }
 
@@ -101,6 +148,7 @@ class EventQueue {
   [[nodiscard]] std::uint64_t pushed() const { return next_seq_; }
 
  private:
+  static constexpr std::uint64_t kNone = ~std::uint64_t{0};
   static constexpr std::size_t kWords = kSpan / 64;
   static_assert(std::has_single_bit(kSpan) && kWords >= 1 && kWords <= 64,
                 "the wheel is a power of two wide and its word summary fits one word");
@@ -113,7 +161,7 @@ class EventQueue {
   [[nodiscard]] Node& node(std::int32_t n) { return nodes_[static_cast<std::size_t>(n)]; }
 
   static bool before(const Event& a, const Event& b) {
-    return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+    return EventSlot{a.time, a.seq}.before({b.time, b.seq});
   }
 
   void insert(Event e) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <utility>
 
 #include "common/error.hpp"
 #include "core/session_model.hpp"
@@ -113,6 +114,7 @@ struct SessionState {
 
 struct Worm {
   int session = -1;
+  const std::vector<noc::ChannelId>* path = nullptr;  ///< the session leg it crosses
   bool response = false;
   bool notify_inject_on_delivery = false;  ///< zero-hop/zero-flit stimulus
   std::uint64_t flits = 0;
@@ -157,7 +159,9 @@ class Replayer {
            const noc::FaultSet& faults, std::span<const int> pretested)
       : sys_(sys), schedule_(schedule),
         pretested_(pretested.begin(), pretested.end()),
-        channels_(sys.mesh().channel_count()) {
+        channels_(sys.mesh().channel_count()),
+        routing_latency_(sys.params().noc.routing_latency),
+        flow_control_latency_(sys.params().noc.flow_control_latency) {
     endpoint_busy_.assign(sys_.endpoints().size(), false);
     build_sessions(faults);
   }
@@ -170,7 +174,25 @@ class Replayer {
       queue_.push(sessions_[i].planned_start, {Ev::kLaunch, static_cast<int>(i)});
       pending_.push_back(static_cast<int>(i));
     }
-    while (!queue_.empty()) {
+    for (;;) {
+      if (held_worm_ >= 0) {
+        // A head's next request, held on its reserved slot by start_hold:
+        // when nothing queued pops ahead of it, handle it now, exactly
+        // where its pop would have run; otherwise queue it on the slot.
+        // (No handler issues a sequence after its grant today, so only a
+        // strictly earlier time blocks it; the check does not rely on it.)
+        const int worm = std::exchange(held_worm_, -1);
+        if (held_.before(queue_.earliest())) {
+          queue_.mark_popped(held_.time, held_.seq);
+          now_ = held_.time;
+          now_seq_ = held_.seq;
+          ++direct_dispatches_;
+          advance_head(worm);
+          continue;
+        }
+        queue_.push_at(held_.time, held_.seq, {Ev::kHeadAdvance, worm});
+      }
+      if (queue_.empty()) break;
       const auto e = queue_.pop();
       now_ = e.time;
       now_seq_ = e.seq;
@@ -351,12 +373,9 @@ class Replayer {
       case Ev::kGenDone:
         on_gen_done(sessions_[static_cast<std::size_t>(p.arg)], p.arg);
         break;
-      case Ev::kHeadAdvance: {
-        Worm& w = worms_[static_cast<std::size_t>(p.arg)];
-        w.request_time = now_;
-        request_channel(p.arg);
+      case Ev::kHeadAdvance:
+        advance_head(p.arg);
         break;
-      }
       case Ev::kRelease:
         on_release(p.arg);
         break;
@@ -537,11 +556,6 @@ class Replayer {
     return static_cast<int>(worms_.size()) - 1;
   }
 
-  const std::vector<noc::ChannelId>& path_of(const Worm& w) const {
-    const SessionState& s = sessions_[static_cast<std::size_t>(w.session)];
-    return w.response ? s.path_out : s.path_in;
-  }
-
   /// Put one packet on the network (or straight into delivery for
   /// zero-flit payloads and zero-hop routes).
   void send_packet(int session, bool response, std::uint64_t flits) {
@@ -551,15 +565,15 @@ class Replayer {
     w.session = session;
     w.response = response;
     w.flits = flits;
-    const auto& path = path_of(w);
+    w.path = response ? &s.path_out : &s.path_in;
     if (flits == 0) {
       // Nothing crosses the mesh; the "packet" is a bookkeeping token.
       w.notify_inject_on_delivery = !response;
       queue_.push(now_, {Ev::kDelivered, id});
       return;
     }
-    const std::uint64_t fc = sys_.params().noc.flow_control_latency;
-    if (path.empty()) {
+    const std::uint64_t fc = flow_control_latency_;
+    if (w.path->empty()) {
       // Source or sink sits on the core's router: stream through the
       // local port, one flit per flow-control cycle, serialized.
       std::uint64_t& local_free = response ? s.local_out_free : s.local_in_free;
@@ -581,9 +595,15 @@ class Replayer {
     return time < now_ || (time == now_ && seq < now_seq_);
   }
 
+  /// The head crossed a hop: request the next channel.
+  void advance_head(int worm_id) {
+    worms_[static_cast<std::size_t>(worm_id)].request_time = now_;
+    request_channel(worm_id);
+  }
+
   void request_channel(int worm_id) {
     Worm& w = worms_[static_cast<std::size_t>(worm_id)];
-    const noc::ChannelId c = path_of(w)[static_cast<std::size_t>(w.next_hop)];
+    const noc::ChannelId c = (*w.path)[static_cast<std::size_t>(w.next_hop)];
     ChannelState& ch = channels_[static_cast<std::size_t>(c)];
     if (ch.hold == Hold::kFree ||
         (ch.hold == Hold::kLazy && before_now(ch.release_time, ch.release_seq))) {
@@ -604,10 +624,13 @@ class Replayer {
   }
 
   /// Grant the channel at index `next_hop` to the worm at time `now_`.
+  /// Before the last hop, the head's next request is held on the slot a
+  /// push would have issued it (see run()); a handler grants at most
+  /// one channel, so at most one request is held.
   void start_hold(int worm_id) {
     Worm& w = worms_[static_cast<std::size_t>(worm_id)];
     SessionState& s = sessions_[static_cast<std::size_t>(w.session)];
-    const auto& path = path_of(w);
+    const auto& path = *w.path;
     const std::uint64_t hop = static_cast<std::uint64_t>(w.next_hop);
     const noc::ChannelId c = path[hop];
     ChannelState& ch = channels_[static_cast<std::size_t>(c)];
@@ -620,12 +643,13 @@ class Replayer {
       const int session_index = w.session;
       on_stimulus_injected(sessions_[static_cast<std::size_t>(session_index)], session_index);
     }
-    const noc::Characterization& nc = sys_.params().noc;
-    const std::uint64_t rl = nc.routing_latency;
-    const std::uint64_t fc = nc.flow_control_latency;
+    const std::uint64_t rl = routing_latency_;
+    const std::uint64_t fc = flow_control_latency_;
     if (hop + 1 < path.size()) {
       w.next_hop = static_cast<int>(hop + 1);
-      queue_.push(now_ + rl + fc, {Ev::kHeadAdvance, worm_id});
+      NOCSCHED_ASSERT(held_worm_ < 0);
+      held_worm_ = worm_id;
+      held_ = {now_ + rl + fc, queue_.reserve()};
       return;
     }
     // Whole path acquired: the worm streams home.  Tail-accurate
@@ -633,21 +657,20 @@ class Replayer {
     //   T[j] = max(g[j] + rl + F*fc, T[j+1] - fc)
     // (never before "now" — a short packet that was long blocked
     // downstream conservatively keeps its upstream holds until freed).
-    // Each release reserves its event slot in hop order; the kRelease
-    // is queued now only for a channel that already has a waiter.
+    // The releases' event slots are reserved in hop order, all at once,
+    // and filled from the last hop back; the kRelease is queued now
+    // only for a channel that already has a waiter.
     const std::uint64_t H = path.size();
     const std::uint64_t stream = rl + w.flits * fc;
     const std::uint64_t delivered = now_ + stream;
-    release_.resize(H);
-    release_[H - 1] = delivered;
-    for (std::size_t j = H - 1; j-- > 0;) {
-      release_[j] = std::max({w.grants[j] + stream, release_[j + 1] - fc, now_});
-    }
-    for (std::size_t j = 0; j < H; ++j) {
+    const std::uint64_t first_seq = queue_.reserve(H);
+    std::uint64_t release = delivered;
+    for (std::size_t j = H; j-- > 0;) {
+      if (j + 1 < H) release = std::max({w.grants[j] + stream, release - fc, now_});
       ChannelState& held = channels_[static_cast<std::size_t>(path[j])];
-      held.busy_cycles += release_[j] - w.grants[j];
-      held.release_time = release_[j];
-      held.release_seq = queue_.reserve();
+      held.busy_cycles += release - w.grants[j];
+      held.release_time = release;
+      held.release_seq = first_seq + j;
       if (held.waiter_head < 0) {
         held.hold = Hold::kLazy;
       } else {
@@ -764,7 +787,7 @@ class Replayer {
         break;
       }
       const Worm& holder = worms_[static_cast<std::size_t>(ch.holder)];
-      const auto& path = path_of(holder);
+      const auto& path = *holder.path;
       const auto hop = std::find(path.begin(), path.end(), c) - path.begin();
       walk.push_back({ch.holder, static_cast<std::size_t>(hop)});
       c = path[static_cast<std::size_t>(holder.next_hop)];
@@ -775,7 +798,7 @@ class Replayer {
     std::vector<int> modules;
     for (const Step& st : walk) {
       const Worm& w = worms_[static_cast<std::size_t>(st.worm)];
-      const auto& path = path_of(w);
+      const auto& path = *w.path;
       cycle.insert(cycle.end(), path.begin() + static_cast<std::ptrdiff_t>(st.hop),
                    path.begin() + w.next_hop);
       modules.push_back(sessions_[static_cast<std::size_t>(w.session)].module_id);
@@ -838,12 +861,14 @@ class Replayer {
     if (reg.enabled()) {
       static obs::Counter& events = reg.counter("des.events");
       static obs::Counter& packets = reg.counter("des.packets");
+      static obs::Counter& direct = reg.counter("des.direct_dispatches");
       static obs::Counter& blocked = reg.counter("des.blocked_cycles");
       static obs::Counter& sessions = reg.counter("des.sessions_replayed");
       static obs::Histogram& busy = reg.histogram(
           "des.channel_busy_cycles", {100, 1000, 10000, 100000, 1000000, 10000000});
       events.add(trace.events_processed);
       packets.add(packets_);
+      direct.add(direct_dispatches_);
       sessions.add(trace.sessions.size());
       std::uint64_t blocked_total = 0;
       for (const SessionTrace& t : trace.sessions) blocked_total += t.blocked_cycles;
@@ -863,11 +888,15 @@ class Replayer {
   std::vector<int> free_worms_;
   std::vector<bool> endpoint_busy_;
   std::vector<int> pending_;  ///< unlaunched session indices, plan order
-  std::vector<std::uint64_t> release_;  ///< start_hold scratch: release time per hop
   EventQueue<Payload> queue_;
+  const std::uint64_t routing_latency_;       ///< head cycles per hop
+  const std::uint64_t flow_control_latency_;  ///< cycles per flit
+  int held_worm_ = -1;                   ///< worm whose head request start_hold held, if any
+  EventSlot held_;                       ///< that request's slot
   std::uint64_t now_ = 0;      ///< time of the event being handled
   std::uint64_t now_seq_ = 0;  ///< its sequence
   std::uint64_t packets_ = 0;
+  std::uint64_t direct_dispatches_ = 0;  ///< held head requests handled without queuing
   double active_power_ = 0.0;
 };
 

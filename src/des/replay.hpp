@@ -39,7 +39,14 @@
 // that channel.  A request finds the channel free iff the slot orders
 // before the event being handled, so every event fires in the order it
 // would if each release were queued when reserved, and
-// SimTrace::events_processed counts the reserved slots as events.  Model simplifications are conservative where it matters —
+// SimTrace::events_processed counts the reserved slots as events.
+// A head's next-hop request skips the queue the same way: the grant
+// that moves a head on reserves the request's slot (now + routing +
+// flow-control latency) and holds it, and the event loop handles it
+// at once when nothing queued orders before that slot (else queues it
+// there), so every event still runs at the same (time, seq) in the same
+// order; the `des.direct_dispatches` counter says how many skipped.
+// Model simplifications are conservative where it matters —
 // observed timing never undercuts the analytical plan (asserted by the
 // test suite; sim::cross_check reports the deltas).
 //

@@ -3,8 +3,8 @@
 // piecewise-constant sum of interval draws, kept online while sessions
 // are booked one by one anywhere on the timeline.  The kernel holds one
 // for the summed session power and one per channel load (capacity 1.0;
-// a circuit leg draws all of it), and asks window fits and next
-// breakpoints.
+// a circuit leg draws all of it), and asks where a window that
+// overflows one can next start (skip_overflow).
 // (First-available planning needs none: every breakpoint it books lies
 // at a pass time, so it folds a pass ledger instead; core/scheduler.cpp.)
 //
@@ -52,26 +52,32 @@ class StepFunction {
     stale_ = std::min(stale_, first);  // only the levels from the start on moved
   }
 
-  /// Would `value` more over `iv` keep the level within_budget of
-  /// `limit` throughout `iv`?  An empty window always fits.
-  [[nodiscard]] bool fits(const Interval& iv, double value, double limit) {
-    if (iv.empty()) return true;
+  /// The first start from iv.start on that a window of iv's length
+  /// with `value` more is not yet known to overflow `limit`: iv.start
+  /// when the level stays within_budget throughout `iv`, else the end of
+  /// the run of overflowing levels that holds the last one inside `iv` —
+  /// every earlier start keeps an overflowing level in its window.
+  /// nullopt when that run never ends.  Repeating the jump from the
+  /// returned start reaches the earliest fitting start without visiting
+  /// each breakpoint.
+  [[nodiscard]] std::optional<std::uint64_t> skip_overflow(const Interval& iv, double value,
+                                                           double limit) {
+    if (iv.empty()) return iv.start;
     refold();
-    // The level holding at iv.start, then every level strictly inside.
-    std::size_t j = search(iv.start, /*strict=*/true);
-    double best = j == 0 ? 0.0 : steps_[j - 1].level;
-    for (; j < steps_.size() && steps_[j].time < iv.end; ++j) {
-      if (steps_[j].level > best) best = steps_[j].level;
+    const auto overflows = [&](double level) { return !within_budget(level + value, limit); };
+    // From the level steps_[j - 1] sets, past every overflowing level.
+    const auto run_end = [&](std::size_t j) -> std::optional<std::uint64_t> {
+      while (j < steps_.size() && overflows(steps_[j].level)) ++j;
+      if (j == steps_.size()) return std::nullopt;
+      return steps_[j].time;
+    };
+    // Levels strictly inside, last first, then the one holding at iv.start.
+    const std::size_t first = search(iv.start, /*strict=*/true);
+    for (std::size_t j = search(iv.end, /*strict=*/false); j-- > first;) {
+      if (overflows(steps_[j].level)) return run_end(j + 1);
     }
-    return within_budget(best + value, limit);
-  }
-
-  /// First breakpoint strictly after `t`, or nullopt when the level
-  /// never changes again.
-  [[nodiscard]] std::optional<std::uint64_t> next_change_after(std::uint64_t t) const {
-    const std::size_t j = search(t, /*strict=*/true);
-    if (j == steps_.size()) return std::nullopt;
-    return steps_[j].time;
+    if (overflows(first == 0 ? 0.0 : steps_[first - 1].level)) return run_end(first);
+    return iv.start;
   }
 
   /// The highest level reached (0 for an empty function).

@@ -94,6 +94,34 @@ class PipelineTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertIn("new row (no reference), best 1", proc.stdout)
 
+    def test_des_replay_gate_passes_on_match(self):
+        proc = run("check-des-replay", COMMITTED, COMMITTED)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertEqual(proc.stdout.count(" OK\n"), 6)
+        self.assertIn("des_replay: d695 leon: events 12716, packets 2018, sim_cycles 116965 OK",
+                      proc.stdout)
+
+    def test_des_replay_gate_fails_on_moved_statistic(self):
+        proc = run("check-des-replay", os.path.join(FIXTURES, "moved_des_replay.json"),
+                   COMMITTED)
+        self.assert_fails(proc, "des_replay: p22810 plasma: events 87603 != reference 87602")
+        self.assertIn("1 des_replay row(s) differ from the reference", proc.stderr)
+
+    def test_des_replay_gate_fails_on_missing_row(self):
+        with open(COMMITTED, encoding="utf-8") as f:
+            doc = json.load(f)
+        doc["des_replay"] = [row for row in doc["des_replay"]
+                             if (row["soc"], row["cpu"]) != ("p93791", "leon")]
+        with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as f:
+            json.dump(doc, f)
+        try:
+            missing = run("check-des-replay", f.name, COMMITTED)
+            extra = run("check-des-replay", COMMITTED, f.name)
+        finally:
+            os.unlink(f.name)
+        self.assert_fails(missing, "des_replay: p93791 leon: missing from")
+        self.assert_fails(extra, "des_replay: p93791 leon: no reference row in")
+
     def test_overhead_gate(self):
         self.assertEqual(run("check-overhead", COMMITTED).returncode, 0)
         over = os.path.join(FIXTURES, "overhead_over_limit.json")

@@ -1,23 +1,25 @@
 #!/bin/sh
-# Golden for served search replies: serves tests/corpus/search_replies.jsonl
-# at --jobs 1 and --jobs 2 and requires both reply streams to equal the
-# committed tests/corpus/search_replies.expected byte for byte, so any
-# change to what a search evaluates, prunes or picks shows up as a diff.
-# Registered with ctest; usage:
-#   serve_golden_test.sh <path-to-nocsched_cli> <corpus-dir>
+# Golden for served replies: serves tests/corpus/<stem>.jsonl at --jobs 1
+# and --jobs 2 and requires both reply streams to equal the committed
+# tests/corpus/<stem>.expected byte for byte, so any change to what the
+# served requests plan, search or replay shows up as a diff.
+# Registered with ctest once per corpus stem; usage:
+#   serve_golden_test.sh <path-to-nocsched_cli> <corpus-dir> <stem>
 set -u
 
-cli=${1:?usage: serve_golden_test.sh <path-to-nocsched_cli> <corpus-dir>}
-corpus=${2:?usage: serve_golden_test.sh <path-to-nocsched_cli> <corpus-dir>}
-requests=$corpus/search_replies.jsonl
-expected=$corpus/search_replies.expected
+usage="usage: serve_golden_test.sh <path-to-nocsched_cli> <corpus-dir> <stem>"
+cli=${1:?$usage}
+corpus=${2:?$usage}
+stem=${3:?$usage}
+requests=$corpus/$stem.jsonl
+expected=$corpus/$stem.expected
 fails=0
 
 for jobs in 1 2; do
   if "$cli" --serve --jobs "$jobs" < "$requests" | diff -u "$expected" - ; then
-    echo "ok: --serve --jobs $jobs matches search_replies.expected"
+    echo "ok: --serve --jobs $jobs matches $stem.expected"
   else
-    echo "FAIL: --serve --jobs $jobs differs from search_replies.expected" >&2
+    echo "FAIL: --serve --jobs $jobs differs from $stem.expected" >&2
     fails=$((fails + 1))
   fi
 done

@@ -146,7 +146,113 @@ TEST(EventQueue, SameInstantSplitAcrossWheelAndOverflowPopsBySequence) {
   EXPECT_TRUE(r.empty());
 }
 
-TEST(EventQueue, RandomInterleaveMatchesSortedReference) {
+using Slot = EventSlot;
+
+void expect_slot(const Slot& got, std::uint64_t time, std::uint64_t seq) {
+  EXPECT_EQ(got.time, time);
+  EXPECT_EQ(got.seq, seq);
+}
+
+TEST(EventQueue, EarliestOfAnEmptyQueueOrdersAfterEverySlot) {
+  EventQueue<int> q;
+  const Slot none = q.earliest();
+  EXPECT_TRUE((Slot{~std::uint64_t{0} - 1, 0}).before(none));
+  q.push(3, 0);
+  (void)q.pop();
+  EXPECT_TRUE((Slot{3, q.reserve()}).before(q.earliest()));
+}
+
+TEST(EventQueue, EarliestReadsTheWheelWithoutPopping) {
+  EventQueue<int> q;
+  q.push(9, 1);
+  q.push(4, 2);
+  q.push(4, 3);
+  expect_slot(q.earliest(), 4, 1);
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_EQ(q.pop().payload, 2);
+  expect_slot(q.earliest(), 4, 2);
+  EXPECT_EQ(q.pop().payload, 3);
+  expect_slot(q.earliest(), 9, 0);
+}
+
+TEST(EventQueue, EarliestReadsTheOverflowHeap) {
+  constexpr std::uint64_t kFar = EventQueue<int>::kSpan * 3;
+  EventQueue<int> q;
+  q.push(kFar + 7, 1);
+  q.push(kFar, 2);
+  expect_slot(q.earliest(), kFar, 1);
+  EXPECT_EQ(q.pop().payload, 2);
+  expect_slot(q.earliest(), kFar + 7, 0);
+}
+
+TEST(EventQueue, EarliestOfAnInstantSplitAcrossWheelAndOverflowIsTheLowerSequence) {
+  constexpr std::uint64_t kFar = EventQueue<int>::kSpan + 5;
+  // The overflow heap holds the older sequence: it is the earliest.
+  EventQueue<int> q;
+  q.push(kFar, 1);  // a full span ahead: overflow
+  q.push(10, 0);
+  EXPECT_EQ(q.pop().payload, 0);
+  q.push(kFar, 2);  // now near: wheel, same instant, later sequence
+  expect_slot(q.earliest(), kFar, 0);
+  EXPECT_EQ(q.pop().payload, 1);
+  expect_slot(q.earliest(), kFar, 2);
+
+  // The wheel holds the older (reserved) sequence: it is the earliest.
+  EventQueue<int> r;
+  const std::uint64_t slot = r.reserve();
+  r.push(kFar, 1);
+  r.push(10, 0);
+  EXPECT_EQ(r.pop().payload, 0);
+  r.push_at(kFar, slot, 2);
+  expect_slot(r.earliest(), kFar, slot);
+  EXPECT_EQ(r.pop().payload, 2);
+  expect_slot(r.earliest(), kFar, 1);
+}
+
+TEST(EventQueue, DirectDispatchLeavesTheQueueAsAPushAndPopWould) {
+  // The held event ('h' at 8) orders before everything queued when it
+  // is dispatched; later pushes land on both sides of its instant, one
+  // of them far enough ahead to reach the overflow store only relative
+  // to the dispatched time.
+  constexpr std::uint64_t kSpan = EventQueue<char>::kSpan;
+  const auto rest = [](EventQueue<char>& q) {
+    q.push(8, 'i');
+    q.push(8 + kSpan, 'k');
+    q.push(9, 'j');
+    std::string order;
+    while (!q.empty()) order += q.pop().payload;
+    return order;
+  };
+  EventQueue<char> queued;
+  queued.push(2, 'a');
+  const std::uint64_t queued_slot = queued.reserve();
+  queued.push(8, 'b');
+  EXPECT_EQ(queued.pop().payload, 'a');
+  queued.push_at(8, queued_slot, 'h');
+  const auto popped = queued.pop();
+  EXPECT_EQ(popped.payload, 'h');
+
+  EventQueue<char> direct;
+  direct.push(2, 'a');
+  const std::uint64_t direct_slot = direct.reserve();
+  direct.push(8, 'b');
+  EXPECT_EQ(direct.pop().payload, 'a');
+  ASSERT_TRUE((Slot{8, direct_slot}).before(direct.earliest()));
+  direct.mark_popped(8, direct_slot);
+  // The recorded slot is the last pop: an earlier one is in the past.
+  EXPECT_THROW(direct.push_at(7, direct_slot, 'x'), Error);
+
+  EXPECT_EQ(popped.seq, direct_slot);
+  const std::string direct_order = rest(direct);
+  EXPECT_EQ(direct_order, "bijk");
+  EXPECT_EQ(direct_order, rest(queued));
+  EXPECT_EQ(direct.pushed(), queued.pushed());
+}
+
+/// Random pushes, reservations, late push_ats and pops against a sorted
+/// reference.  With `direct`, a reserved slot that orders before every
+/// queued event is dispatched directly (mark_popped) instead of queued.
+void random_interleave(bool direct) {
   // Gaps below 4 cycles keep to a few wheel buckets; the span-sized
   // ones reach the overflow store, wrap the wheel, and split one
   // instant between bucket and overflow.
@@ -161,6 +267,7 @@ TEST(EventQueue, RandomInterleaveMatchesSortedReference) {
   std::uint64_t last_time = 0;
   std::uint64_t last_seq = 0;
   int payload = 0;
+  int dispatched = 0;
   const auto gap = [&] { return kGaps[static_cast<std::size_t>(rng.below(kGaps.size()))]; };
   const auto expect_pop = [&] {
     ASSERT_FALSE(reference.empty());
@@ -185,8 +292,23 @@ TEST(EventQueue, RandomInterleaveMatchesSortedReference) {
       reserved.erase(reserved.begin() + static_cast<std::ptrdiff_t>(i));
       std::uint64_t time = last_time + gap();
       if (time == last_time && seq < last_seq) ++time;
-      reference.emplace(time, seq, ++payload);
-      q.push_at(time, seq, payload);
+      const Slot earliest = q.earliest();
+      if (reference.empty()) {
+        ASSERT_TRUE(q.empty());
+      } else {
+        ASSERT_EQ(Key(earliest.time, earliest.seq, std::get<2>(*reference.begin())),
+                  *reference.begin());
+      }
+      if (direct && (Slot{time, seq}).before(earliest)) {
+        ++payload;
+        ++dispatched;
+        q.mark_popped(time, seq);
+        last_time = time;
+        last_seq = seq;
+      } else {
+        reference.emplace(time, seq, ++payload);
+        q.push_at(time, seq, payload);
+      }
     } else if (!reference.empty()) {
       expect_pop();
     }
@@ -194,7 +316,12 @@ TEST(EventQueue, RandomInterleaveMatchesSortedReference) {
   }
   while (!reference.empty()) expect_pop();
   EXPECT_TRUE(q.empty());
+  EXPECT_EQ(dispatched > 0, direct);
 }
+
+TEST(EventQueue, RandomInterleaveMatchesSortedReference) { random_interleave(false); }
+
+TEST(EventQueue, RandomDirectDispatchMatchesSortedReference) { random_interleave(true); }
 
 }  // namespace
 }  // namespace nocsched::des

@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "common/interval_set.hpp"
 #include "core/scheduler.hpp"
+#include "obs/metrics.hpp"
 #include "report/trace_report.hpp"
 #include "sim/cross_check.hpp"
 #include "sim/validate.hpp"
@@ -34,6 +35,27 @@ struct Fixture {
   Schedule schedule;
   SimTrace trace;
 };
+
+TEST(Replay, HeadAdvancesDispatchDirectlyWhenNothingPendsBeforeThem) {
+  // How many held head requests each paper system's replay handles
+  // without queuing them (des.direct_dispatches), pinned: running one
+  // while an event pends ahead of it moves the ReplayGolden digests, and
+  // queuing one that could have run directly moves only this count.
+  obs::MetricsRegistry& reg = obs::registry();
+  reg.set_enabled(true);
+  std::vector<std::uint64_t> got;
+  for (const char* soc : {"d695", "p22810", "p93791"}) {
+    reg.reset();
+    const Fixture f(soc);
+    const std::uint64_t direct = reg.snapshot().counter_or("des.direct_dispatches");
+    EXPECT_GT(direct, 0u) << soc;
+    EXPECT_LT(direct, f.trace.events_processed) << soc;
+    got.push_back(direct);
+  }
+  reg.reset();
+  reg.set_enabled(false);
+  EXPECT_EQ(got, (std::vector<std::uint64_t>{2263, 15390, 14987}));
+}
 
 TEST(Replay, CoversEveryPlannedSession) {
   Fixture f;

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,8 +61,8 @@ std::string add_error(double value) {
 TEST(StepFunction, EmptyFunction) {
   StepFunction f;
   EXPECT_EQ(f.peak(), 0.0);
-  EXPECT_TRUE(f.fits({0, 100}, 5.0, 5.0));
-  EXPECT_FALSE(f.next_change_after(0).has_value());
+  EXPECT_EQ(f.skip_overflow({0, 100}, 5.0, 5.0), 0u);         // fits: stays
+  EXPECT_EQ(f.skip_overflow({0, 100}, 6.0, 5.0), std::nullopt);  // never fits
 }
 
 TEST(StepFunction, WindowFitsSeeTheLevelCarriedIn) {
@@ -68,14 +70,17 @@ TEST(StepFunction, WindowFitsSeeTheLevelCarriedIn) {
   f.add({0, 100}, 3.0);
   f.add({50, 150}, 4.0);
   EXPECT_EQ(f.peak(), 7.0);
-  EXPECT_TRUE(f.fits({0, 50}, 2.0, 5.0));     // exactly at the limit
-  EXPECT_FALSE(f.fits({40, 60}, 2.0, 5.0));   // 7 inside the window
-  EXPECT_TRUE(f.fits({120, 130}, 1.0, 5.0));  // no breakpoint inside, level 4
-  EXPECT_TRUE(f.fits({150, 200}, 5.0, 5.0));
-  EXPECT_TRUE(f.fits({60, 60}, 100.0, 1.0));  // an empty window fits anything
-  EXPECT_EQ(f.next_change_after(0), std::optional<std::uint64_t>(50));
-  EXPECT_EQ(f.next_change_after(100), std::optional<std::uint64_t>(150));
-  EXPECT_EQ(f.next_change_after(150), std::nullopt);
+  EXPECT_EQ(f.skip_overflow({0, 50}, 2.0, 5.0), 0u);       // exactly at the limit
+  EXPECT_EQ(f.skip_overflow({120, 130}, 1.0, 5.0), 120u);  // no breakpoint inside, level 4
+  EXPECT_EQ(f.skip_overflow({150, 200}, 5.0, 5.0), 150u);
+  EXPECT_EQ(f.skip_overflow({60, 60}, 100.0, 1.0), 60u);  // an empty window fits anything
+  // 7 inside the window overflows; so does the 4 after it with 2 more,
+  // not with 1 more.
+  EXPECT_EQ(f.skip_overflow({40, 60}, 2.0, 5.0), 150u);
+  EXPECT_EQ(f.skip_overflow({40, 60}, 1.0, 5.0), 100u);
+  // The level carried in at the window's start overflows too.
+  EXPECT_EQ(f.skip_overflow({0, 10}, 3.0, 5.0), 150u);
+  EXPECT_EQ(f.skip_overflow({0, 10}, 6.0, 5.0), std::nullopt);
 }
 
 TEST(StepFunction, EmptyIntervalAndZeroDrawAreNoops) {
@@ -83,7 +88,7 @@ TEST(StepFunction, EmptyIntervalAndZeroDrawAreNoops) {
   f.add({5, 5}, 10.0);
   f.add({0, 10}, 0.0);
   EXPECT_EQ(f.peak(), 0.0);
-  EXPECT_FALSE(f.next_change_after(0).has_value());
+  EXPECT_EQ(f.skip_overflow({0, 1}, 6.0, 5.0), std::nullopt);  // no breakpoint to reach
 }
 
 TEST(StepFunction, RejectsBadDrawsWithTheSharedText) {
@@ -94,8 +99,32 @@ TEST(StepFunction, RejectsBadDrawsWithTheSharedText) {
             "PowerProfile: bad power value inf");
 }
 
+/// skip_overflow(iv) stays at iv.start exactly when the oracle fits the
+/// window there; otherwise every start before its answer overflows a
+/// window of iv's length, and the answer is a breakpoint whose own level
+/// fits (or nullopt when no later start fits either).
+void expect_skip_matches_oracle(StepFunction& f, const PowerProfile& oracle, const Interval& iv,
+                                double value, double limit) {
+  const std::optional<std::uint64_t> skip = f.skip_overflow(iv, value, limit);
+  const std::uint64_t len = iv.end - iv.start;
+  const auto window_fits = [&](std::uint64_t s) { return oracle.fits({s, s + len}, value, limit); };
+  if (window_fits(iv.start)) {
+    ASSERT_EQ(skip, std::optional<std::uint64_t>(iv.start));
+    return;
+  }
+  const std::uint64_t end = skip ? *skip : 400;  // past every breakpoint of the property
+  ASSERT_GT(end, iv.start);
+  for (std::uint64_t s = iv.start; s < end; ++s) {
+    ASSERT_FALSE(window_fits(s)) << "skip_overflow jumped past a fitting start " << s;
+  }
+  if (skip) {
+    ASSERT_EQ(oracle.next_change_after(*skip - 1), skip);
+    ASSERT_TRUE(oracle.fits({*skip, *skip + 1}, value, limit));
+  }
+}
+
 // The earliest-completion pattern: adds anywhere on the timeline,
-// interleaved with window fits and next-breakpoint queries.  (The
+// interleaved with overflow skips over windows.  (The
 // first-available pattern, every add at a pass time that never
 // decreases, is the kernel's pass ledger; tests/search/
 // delta_eval_property_test.cpp checks it against the reference planner.)
@@ -117,11 +146,10 @@ TEST(StepFunctionProperty, WindowQueriesMatchTheMapOracle) {
         const Interval iv{a, a + rng.below(40)};
         const double v = random_draw(rng);
         for (const double limit : edge_limits(oracle.max_in(iv), v)) {
-          ASSERT_EQ(f.fits(iv, v, limit), oracle.fits(iv, v, limit))
-              << "seed " << seed << " window [" << iv.start << ", " << iv.end << ") limit "
-              << limit;
+          SCOPED_TRACE(testing::Message() << "seed " << seed << " window [" << iv.start << ", "
+                                          << iv.end << ") limit " << limit);
+          expect_skip_matches_oracle(f, oracle, iv, v, limit);
         }
-        ASSERT_EQ(f.next_change_after(a), oracle.next_change_after(a));
       }
     }
   }

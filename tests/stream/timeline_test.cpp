@@ -12,6 +12,7 @@
 
 #include "common/error.hpp"
 #include "core/scheduler.hpp"
+#include "engine/request.hpp"
 #include "power/budget.hpp"
 #include "report/timeline_report.hpp"
 #include "search/fault_stream.hpp"
@@ -188,6 +189,28 @@ TEST(Timeline, BitIdenticalAtAnyJobCount) {
   }
 }
 
+/// What the seed-5 d695 stream's replay stalls with (see below).
+constexpr const char* kSeed5Deadlock =
+    "replay deadlock: modules 4, 8 hold channels in the wormhole wait-for cycle "
+    "14 -> 20 -> 34 -> 43 -> 31 -> 17 -> 14 — their routes form a cyclic channel dependency";
+
+core::SystemModel d695_leon8() {
+  return core::SystemModel::paper_system("d695", itc02::ProcessorKind::kLeon, 8,
+                                         core::PlannerParams::paper());
+}
+
+/// Replays `stream` on `sys` unconstrained and requires the seed-5
+/// deadlock text.
+void expect_seed5_deadlock(const core::SystemModel& sys, const search::FaultStream& stream) {
+  try {
+    static_cast<void>(
+        replay_timeline(sys, power::PowerBudget::unconstrained(), stream, search::SearchOptions{}));
+    ADD_FAILURE() << "the seed-5 stream replayed without a deadlock";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), kSeed5Deadlock);
+  }
+}
+
 TEST(Timeline, ReplayDeadlockNamesTheWaitForCycle) {
   // `nocsched_cli --soc d695 --procs 8 --fault-stream 8 --fault-seed 5`:
   // in epoch 7 module 4's stimulus leg [43 31 17 14] and module 8's
@@ -195,20 +218,20 @@ TEST(Timeline, ReplayDeadlockNamesTheWaitForCycle) {
   // other waits for, and the wormhole replay stalls.  The error names
   // the cycle.  Once fault detours obey a turn model, this becomes a
   // test that the timeline replays to completion and validates.
-  const core::SystemModel sys = core::SystemModel::paper_system(
-      "d695", itc02::ProcessorKind::kLeon, 8, core::PlannerParams::paper());
-  const power::PowerBudget budget = power::PowerBudget::unconstrained();
-  const core::Schedule pristine = core::plan_tests(sys, budget);
-  const search::FaultStream stream = search::random_fault_stream(sys, 8, 5, pristine.makespan);
-  try {
-    static_cast<void>(replay_timeline(sys, budget, stream, search::SearchOptions{}));
-    ADD_FAILURE() << "the seed-5 stream replayed without a deadlock";
-  } catch (const Error& e) {
-    EXPECT_STREQ(e.what(),
-                 "replay deadlock: modules 4, 8 hold channels in the wormhole wait-for cycle "
-                 "14 -> 20 -> 34 -> 43 -> 31 -> 17 -> 14 — their routes form a cyclic channel "
-                 "dependency");
-  }
+  const core::SystemModel sys = d695_leon8();
+  const core::Schedule pristine = core::plan_tests(sys, power::PowerBudget::unconstrained());
+  expect_seed5_deadlock(sys, search::random_fault_stream(sys, 8, 5, pristine.makespan));
+}
+
+TEST(Timeline, CommittedDeadlockStreamFileNamesTheWaitForCycle) {
+  // The seed-5 events written out as a `--fault-stream-file`, so the
+  // repro no longer depends on the generator; its replay stops with the
+  // same cycle.  The cycle walk reads the holder and hold state the
+  // replay's channel grants write.
+  const core::SystemModel sys = d695_leon8();
+  expect_seed5_deadlock(
+      sys, engine::load_fault_stream(
+               std::string(NOCSCHED_CORPUS_DIR) + "/streams/d695_leon8_seed5_deadlock.jsonl", sys));
 }
 
 }  // namespace
