@@ -11,6 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -78,6 +79,37 @@ void bench_validate(benchmark::State& state, const char* soc, int procs) {
   for (auto _ : state) {
     sim::ValidationReport r = sim::validate(sys, s);
     benchmark::DoNotOptimize(r.violations.size());
+  }
+}
+
+// The served pattern: cycle over the greedy plans of the 18 paper
+// systems (d695/p22810/p93791 x Leon/Plasma x 1/2/4 processors), each at
+// no limit and at 60% power, so no one plan stays hot in the caches.
+void bench_validate_paper_mix(benchmark::State& state) {
+  const core::PlannerParams params = core::PlannerParams::paper();
+  std::vector<core::SystemModel> systems;
+  std::vector<std::pair<std::size_t, core::Schedule>> plans;
+  for (const char* soc : {"d695", "p22810", "p93791"}) {
+    for (const itc02::ProcessorKind kind :
+         {itc02::ProcessorKind::kLeon, itc02::ProcessorKind::kPlasma}) {
+      for (const int procs : {1, 2, 4}) {
+        systems.push_back(core::SystemModel::paper_system(soc, kind, procs, params));
+      }
+    }
+  }
+  for (std::size_t i = 0; i < systems.size(); ++i) {
+    const itc02::Soc& soc = systems[i].soc();
+    for (const power::PowerBudget& budget :
+         {power::PowerBudget::unconstrained(), power::PowerBudget::fraction_of_total(soc, 0.6)}) {
+      plans.emplace_back(i, core::plan_tests(systems[i], budget));
+    }
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const auto& [sys, plan] = plans[next];
+    sim::ValidationReport r = sim::validate(systems[sys], plan);
+    benchmark::DoNotOptimize(r.violations.size());
+    next = (next + 1) % plans.size();
   }
 }
 
@@ -156,6 +188,7 @@ BENCHMARK_CAPTURE(bench_evaluate, p93791_4proc_power75, "p93791", 4, 0.75);
 BENCHMARK_CAPTURE(bench_validate, d695_6proc, "d695", 6);
 BENCHMARK_CAPTURE(bench_validate, p93791_8proc, "p93791", 8);
 BENCHMARK_CAPTURE(bench_validate_degraded, p22810_4proc, "p22810", 4);
+BENCHMARK(bench_validate_paper_mix)->Name("bench_validate/paper_mix");
 BENCHMARK_CAPTURE(bench_apply_faults, p22810_4proc_link, "p22810", false);
 BENCHMARK_CAPTURE(bench_apply_faults, p22810_4proc_router, "p22810", true);
 BENCHMARK_CAPTURE(bench_apply_faults, p93791_4proc_link, "p93791", false);

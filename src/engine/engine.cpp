@@ -62,7 +62,10 @@ PlanResult Engine::execute(const PlanRequest& request, const ContextCache::SlotH
       const obs::Span span("plan");
       search::ReplanResult replanned =
           search::replan(sys, budget, faults, sopts, ctx->pristine_pairs());
-      sim::validate_or_throw(sys, replanned.schedule, faults);
+      {
+        const obs::Span check("validate");
+        sim::validate_or_throw(sys, replanned.schedule, faults);
+      }
       res.schedule = std::move(replanned.schedule);
       res.faulted = true;
       res.dead_modules = std::move(replanned.dead_modules);
@@ -78,13 +81,17 @@ PlanResult Engine::execute(const PlanRequest& request, const ContextCache::SlotH
           budget.is_constrained()
               ? search::search_orders(ctx->scaffold().with_budget(budget), sopts)
               : search::search_orders(ctx->scaffold(), sopts);
-      sim::validate_or_throw(sys, result.best);
+      {
+        const obs::Span check("validate");
+        sim::validate_or_throw(sys, result.best);
+      }
       res.schedule = std::move(result.best);
       res.search_metrics = std::move(result.metrics);
     } else {
       const obs::Span span("plan");
       res.schedule = core::plan_tests_with_order(sys, budget, ctx->scaffold().base_order(),
                                                  ctx->pristine_pairs());
+      const obs::Span check("validate");
       sim::validate_or_throw(sys, res.schedule);
     }
 

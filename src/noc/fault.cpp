@@ -78,11 +78,11 @@ FaultRouter::FaultRouter(const Mesh& mesh, const FaultSet& faults)
 
 bool FaultRouter::channel_usable(ChannelId c) const {
   if (c < 0 || c >= mesh_.channel_count()) (void)mesh_.channel_source(c);  // throws
-  return usable_.empty() || usable_[static_cast<std::size_t>(c)] != 0;
+  return intact() || usable_[static_cast<std::size_t>(c)] != 0;
 }
 
 bool FaultRouter::usable(std::span<const ChannelId> path) const {
-  if (usable_.empty()) return true;  // no channel or router is down
+  if (intact()) return true;  // no channel or router is down
   for (ChannelId c : path) {
     if (!channel_usable(c)) return false;
   }
@@ -146,20 +146,27 @@ const int* FaultRouter::distances_to(RouterId to) {
 }
 
 std::optional<std::vector<ChannelId>> FaultRouter::route(RouterId from, RouterId to) {
-  if (faults_.router_failed(from) || faults_.router_failed(to)) return std::nullopt;
-  if (from == to) return std::vector<ChannelId>{};
+  std::vector<ChannelId> path;
+  if (!route(from, to, path)) return std::nullopt;
+  return path;
+}
+
+bool FaultRouter::route(RouterId from, RouterId to, std::vector<ChannelId>& out) {
+  out.clear();
+  if (faults_.router_failed(from) || faults_.router_failed(to)) return false;
+  if (from == to) return true;
 
   // Fast path: the deterministic XY route, whenever it survives.
-  std::vector<ChannelId> xy = xy_route(mesh_, from, to);
-  if (usable(xy)) return xy;
+  xy_route(mesh_, from, to, out);
+  if (usable(out)) return true;
 
   // Fallback: a forward walk from `from` that at every router takes the
   // lowest usable channel id still decreasing the distance to `to` —
   // the unique lexicographically-smallest shortest path.
+  out.clear();
   const int* dist = distances_to(to);
-  if (dist[from] < 0) return std::nullopt;
-  std::vector<ChannelId> route;
-  route.reserve(static_cast<std::size_t>(dist[from]));
+  if (dist[from] < 0) return false;
+  out.reserve(static_cast<std::size_t>(dist[from]));
   RouterId at = from;
   while (at != to) {
     ChannelId step = -1;
@@ -172,10 +179,10 @@ std::optional<std::vector<ChannelId>> FaultRouter::route(RouterId from, RouterId
       }
     }
     NOCSCHED_ASSERT(step >= 0);  // dist[at] reachable => a decreasing edge exists
-    route.push_back(step);
+    out.push_back(step);
     at = mesh_.channel_target(step);
   }
-  return route;
+  return true;
 }
 
 FaultSet random_fault_scenario(const Mesh& mesh, std::span<const int> processor_ids, Rng& rng) {

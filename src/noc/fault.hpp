@@ -86,6 +86,10 @@ class FaultRouter {
   [[nodiscard]] const Mesh& mesh() const { return mesh_; }
   [[nodiscard]] const FaultSet& faults() const { return faults_; }
 
+  /// True when the fault set names no channel or router, or the mesh
+  /// has no channel: every channel of the mesh is then usable.
+  [[nodiscard]] bool intact() const { return usable_.empty(); }
+
   /// FaultSet::channel_usable, read from the bitmap; throws on a
   /// channel id the mesh does not have.
   [[nodiscard]] bool channel_usable(ChannelId c) const;
@@ -102,6 +106,11 @@ class FaultRouter {
   /// surviving path exists.  The result never traverses a failed
   /// channel or a channel touching a failed router.
   [[nodiscard]] std::optional<std::vector<ChannelId>> route(RouterId from, RouterId to);
+
+  /// The same route written into `out` (cleared first; left empty when
+  /// there is none), whose capacity a caller routing many legs keeps
+  /// between calls.  Returns false exactly when route() returns nullopt.
+  bool route(RouterId from, RouterId to, std::vector<ChannelId>& out);
 
  private:
   /// BFS hop counts from every router to `to` over the surviving graph

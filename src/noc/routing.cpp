@@ -1,23 +1,33 @@
 #include "noc/routing.hpp"
 
+#include <cstdlib>
+
 namespace nocsched::noc {
 
 std::vector<ChannelId> xy_route(const Mesh& mesh, RouterId from, RouterId to) {
-  Coord at = mesh.coord_of(from);
-  const Coord dst = mesh.coord_of(to);
   std::vector<ChannelId> route;
-  route.reserve(static_cast<std::size_t>(mesh.hop_count(from, to)));
-  while (at.x != dst.x) {
-    const int nx = at.x + (dst.x > at.x ? 1 : -1);
-    route.push_back(mesh.channel_between(mesh.router_at(at.x, at.y), mesh.router_at(nx, at.y)));
-    at.x = nx;
-  }
-  while (at.y != dst.y) {
-    const int ny = at.y + (dst.y > at.y ? 1 : -1);
-    route.push_back(mesh.channel_between(mesh.router_at(at.x, at.y), mesh.router_at(at.x, ny)));
-    at.y = ny;
-  }
+  xy_route(mesh, from, to, route);
   return route;
+}
+
+void xy_route(const Mesh& mesh, RouterId from, RouterId to, std::vector<ChannelId>& out) {
+  const Coord src = mesh.coord_of(from);
+  const Coord dst = mesh.coord_of(to);
+  out.clear();
+  out.reserve(static_cast<std::size_t>(std::abs(dst.x - src.x) + std::abs(dst.y - src.y)));
+  // Both ends are on the grid, so every step lands on a neighbour.
+  RouterId at = from;
+  const int sx = dst.x > src.x ? 1 : -1;
+  for (int x = src.x; x != dst.x; x += sx) {
+    out.push_back(mesh.channel_between(at, at + sx));
+    at += sx;
+  }
+  const int sy = dst.y > src.y ? 1 : -1;
+  const int row = sy * mesh.cols();
+  for (int y = src.y; y != dst.y; y += sy) {
+    out.push_back(mesh.channel_between(at, at + row));
+    at += row;
+  }
 }
 
 }  // namespace nocsched::noc

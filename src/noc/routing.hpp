@@ -12,4 +12,8 @@ namespace nocsched::noc {
 /// `from == to` (core and interface on the same router use local ports).
 [[nodiscard]] std::vector<ChannelId> xy_route(const Mesh& mesh, RouterId from, RouterId to);
 
+/// The same route written into `out` (cleared first), whose capacity a
+/// caller routing many legs keeps between calls.
+void xy_route(const Mesh& mesh, RouterId from, RouterId to, std::vector<ChannelId>& out);
+
 }  // namespace nocsched::noc

@@ -31,19 +31,32 @@ struct Edge {
 /// index) order: the order PeakSweep sums same-instant deltas in.
 [[nodiscard]] std::vector<Edge> sweep_edges(std::span<const Interval> spans);
 
+/// The same edges written into `out` (cleared first), whose capacity a
+/// checker sweeping many plans keeps between calls.
+void sweep_edges(std::span<const Interval> spans, std::vector<Edge>& out);
+
 class PeakSweep {
  public:
+  PeakSweep() = default;
   explicit PeakSweep(std::size_t lanes) : lanes_(lanes) {}
+
+  /// Starts a new sweep over `lanes` lanes, every one back at level 0,
+  /// keeping the lane storage's capacity.
+  void reset(std::size_t lanes) { lanes_.assign(lanes, Lane{}); }
 
   /// Books `value` on `lane` at edge `e` (+value at a start, -value at
   /// an end).  Edges must come in sweep_edges order.
-  void add(std::size_t lane, const Edge& e, double value) {
+  void add(std::size_t lane, const Edge& e, double value) { add(lane, e.time, e.sign * value); }
+
+  /// Books the signed `delta` on `lane` at `time`: add() with the sign
+  /// already applied, for a caller booking one draw on many lanes.
+  void add(std::size_t lane, std::uint64_t time, double delta) {
     Lane& l = lanes_[lane];
-    if (l.at != e.time) {
+    if (l.at != time) {
       l.fold();  // a fold of a zero step changes nothing
-      l.at = e.time;
+      l.at = time;
     }
-    l.step += e.sign * value;
+    l.step += delta;
   }
 
   /// The highest level `lane` reached (0 if it never rose), once every

@@ -25,37 +25,57 @@ struct RouteHops {
   int out = -1;
 };
 
-/// The peaks one power::PeakSweep over a plan's sessions finds.
-struct PlanPeaks {
-  double power = 0.0;  ///< summed power of every non-empty session
-  /// Multiplexed load of every directed channel a `loaded` session
-  /// crosses, as (channel, peak) in ascending channel order.
-  std::vector<std::pair<noc::ChannelId, double>> channel_loads;
+/// The working storage of one validation, kept per thread.  Every call
+/// re-targets each buffer (assigns, clears or resets it) before reading
+/// it, so all that outlives a call, even one that threw, is capacity:
+/// a warm thread validates a valid fault-free plan without allocating,
+/// and no report depends on what the thread validated before.
+struct Scratch {
+  std::vector<int> seen;  ///< sessions per module id
+  std::vector<std::optional<std::uint64_t>> processor_ready;  ///< by module id
+  std::vector<IntervalSet> resource_busy;  ///< by endpoint; the first endpoints().size() live
+  std::vector<IntervalSet> channel_busy;   ///< circuit model, by in-mesh channel id
+  std::vector<RouteHops> hops;             ///< by session
+  std::vector<std::uint8_t> loaded;        ///< by session: booked as multiplexed load
+  std::vector<noc::ChannelId> route;       ///< the leg being checked
+  std::vector<Interval> spans;             ///< by session, for the sweep
+  std::vector<power::Edge> edges;
+  std::vector<noc::ChannelId> outside;  ///< loaded ids outside the mesh, sorted, unique
+  power::PeakSweep sweep;
 };
+
+Scratch& scratch() {
+  thread_local Scratch s;
+  return s;
+}
+
+/// Clears the first `n` sets of `sets` (growing it to `n`), keeping
+/// every set's capacity; returns them.
+std::span<IntervalSet> clear_sets(std::vector<IntervalSet>& sets, std::size_t n) {
+  if (sets.size() < n) sets.resize(n);
+  for (std::size_t i = 0; i < n; ++i) sets[i].clear();
+  return {sets.data(), n};
+}
 
 /// Sweeps, for each session flagged `loaded` (valid bandwidths), both
 /// legs' bandwidths into one lane per channel (stimulus leg before
 /// response leg), and every non-empty session's power into one last
 /// lane.  The session powers are checked first, in session order.
-/// Recorded ids outside the mesh (hostile input) get extra lanes ordered
-/// around the mesh's own, keeping lane order equal to channel order.
-PlanPeaks sweep_peaks(std::span<const core::Session> sessions,
-                      std::span<const std::uint8_t> loaded, int mesh_channels) {
-  std::vector<Interval> spans(sessions.size());
-  std::vector<noc::ChannelId> outside;  // sorted, unique
+/// `sc.outside` holds the recorded ids of loaded legs outside the mesh
+/// (hostile input): they get extra lanes ordered around the mesh's own,
+/// keeping lane order equal to channel order.  Calls
+/// `on_channel(channel, peak)` for every lane in lane order and returns
+/// the peak power.
+template <typename OnChannel>
+double sweep_peaks(Scratch& sc, std::span<const core::Session> sessions, int mesh_channels,
+                   OnChannel&& on_channel) {
+  sc.spans.resize(sessions.size());
   for (std::size_t i = 0; i < sessions.size(); ++i) {
     const core::Session& s = sessions[i];
-    spans[i] = Interval{s.start, s.end};
-    if (!spans[i].empty()) power::require_valid_draw(s.power);
-    if (!loaded[i]) continue;
-    for (const auto* path : {&s.path_in, &s.path_out}) {
-      for (const noc::ChannelId c : *path) {
-        if (c < 0 || c >= mesh_channels) outside.push_back(c);
-      }
-    }
+    sc.spans[i] = Interval{s.start, s.end};
+    if (!sc.spans[i].empty()) power::require_valid_draw(s.power);
   }
-  std::sort(outside.begin(), outside.end());
-  outside.erase(std::unique(outside.begin(), outside.end()), outside.end());
+  const std::vector<noc::ChannelId>& outside = sc.outside;
   const auto below = static_cast<std::size_t>(
       std::lower_bound(outside.begin(), outside.end(), 0) - outside.begin());
   const auto mesh = static_cast<std::size_t>(mesh_channels);
@@ -72,27 +92,25 @@ PlanPeaks sweep_peaks(std::span<const core::Session> sessions,
   };
 
   const std::size_t power_lane = mesh + outside.size();
-  power::PeakSweep sweep(power_lane + 1);
-  for (const power::Edge& e : power::sweep_edges(spans)) {
+  power::PeakSweep& sweep = sc.sweep;
+  sweep.reset(power_lane + 1);
+  power::sweep_edges(sc.spans, sc.edges);
+  for (const power::Edge& e : sc.edges) {
     const core::Session& s = sessions[e.draw];
     if (s.power != 0.0) sweep.add(power_lane, e, s.power);  // a zero draw books nothing
-    if (!loaded[e.draw]) continue;
-    const double bws[] = {s.bandwidth_in, s.bandwidth_out};
-    int side = 0;
-    for (const auto* path : {&s.path_in, &s.path_out}) {
-      const double bw = bws[side++];
-      if (bw == 0.0) continue;
-      for (const noc::ChannelId c : *path) sweep.add(lane_of(c), e, bw);
-    }
+    if (!sc.loaded[e.draw]) continue;
+    auto book = [&](const std::vector<noc::ChannelId>& path, double bw) {
+      if (bw == 0.0) return;
+      const double delta = e.sign * bw;
+      for (const noc::ChannelId c : path) sweep.add(lane_of(c), e.time, delta);
+    };
+    book(s.path_in, s.bandwidth_in);
+    book(s.path_out, s.bandwidth_out);
   }
-
-  PlanPeaks out;
-  out.power = sweep.peak(power_lane);
   for (std::size_t lane = 0; lane < power_lane; ++lane) {
-    const double peak = sweep.peak(lane);
-    if (peak > 0.0) out.channel_loads.emplace_back(channel_of(lane), peak);
+    on_channel(channel_of(lane), sweep.peak(lane));
   }
-  return out;
+  return sweep.peak(power_lane);
 }
 
 }  // namespace
@@ -122,6 +140,7 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
                                const noc::FaultSet& faults, std::span<const int> pretested,
                                bool complete) {
   ValidationReport report;
+  Scratch& sc = scratch();
   auto violation = [&](auto&&... parts) {
     report.violations.push_back(cat(std::forward<decltype(parts)>(parts)...));
   };
@@ -136,7 +155,8 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
   // 1. Coverage: each module exactly once, or at most once unless
   // `complete`.  Counts are dense per module id; ids outside the SoC's
   // range spill to `stray`.
-  std::vector<int> seen(id_bound, 0);
+  std::vector<int>& seen = sc.seen;
+  seen.assign(id_bound, 0);
   std::map<int, int> stray;
   for (const core::Session& s : schedule.sessions) {
     if (s.module_id >= 0 && static_cast<std::size_t>(s.module_id) < seen.size()) {
@@ -188,7 +208,8 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
   // processors finished their own test in an earlier timeline epoch —
   // ready from instant 0 even though this plan has no session for them.
   // Dense by module id; nullopt = the processor was never tested.
-  std::vector<std::optional<std::uint64_t>> processor_ready(id_bound);
+  std::vector<std::optional<std::uint64_t>>& processor_ready = sc.processor_ready;
+  processor_ready.assign(id_bound, std::nullopt);
   for (const int id : pretested) {
     if (const itc02::Module* m = soc.find(id); m != nullptr && m->is_processor) {
       processor_ready[static_cast<std::size_t>(id)] = 0;
@@ -205,7 +226,7 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
   };
 
   // 3/4/7. Resource usage.
-  std::vector<IntervalSet> resource_busy(endpoints.size());
+  const std::span<IntervalSet> resource_busy = clear_sets(sc.resource_busy, endpoints.size());
   for (const core::Session& s : schedule.sessions) {
     if (!endpoint_ok(s.source_resource) || !endpoint_ok(s.sink_resource)) {
       violation("module ", s.module_id, ": resource index out of range");
@@ -254,11 +275,24 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
   // 5. Channel usage (per the system's channel model) and path
   // correctness.  The routes computed here are what check 6 prices.
   const bool circuit = sys.params().channel_model == core::ChannelModel::kCircuit;
-  std::vector<RouteHops> hops(schedule.sessions.size());
-  std::map<noc::ChannelId, IntervalSet> channel_busy;
+  const int mesh_channels = sys.mesh().channel_count();
+  std::vector<RouteHops>& hops = sc.hops;
+  hops.assign(schedule.sessions.size(), RouteHops{});
+  // Circuit bookings, dense for in-mesh channel ids; recorded ids
+  // outside the mesh (hostile input) spill to `stray_channels`.
+  const std::span<IntervalSet> channel_busy =
+      clear_sets(sc.channel_busy, circuit ? static_cast<std::size_t>(mesh_channels) : 0);
+  std::map<noc::ChannelId, IntervalSet> stray_channels;
+  auto channel_set = [&](noc::ChannelId c) -> IntervalSet& {
+    return c >= 0 && c < mesh_channels ? channel_busy[static_cast<std::size_t>(c)]
+                                       : stray_channels[c];
+  };
   // Sessions booked as multiplexed channel load.
-  std::vector<std::uint8_t> loaded(schedule.sessions.size(), 0);
+  std::vector<std::uint8_t>& loaded = sc.loaded;
+  loaded.assign(schedule.sessions.size(), 0);
+  sc.outside.clear();
   noc::FaultRouter router(sys.mesh(), faults);
+  std::vector<noc::ChannelId>& route = sc.route;
   for (std::size_t i = 0; i < schedule.sessions.size(); ++i) {
     const core::Session& s = schedule.sessions[i];
     if (!endpoint_ok(s.source_resource) || !endpoint_ok(s.sink_resource)) continue;
@@ -266,26 +300,30 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
     const core::Endpoint& snk = endpoints[static_cast<std::size_t>(s.sink_resource)];
     if (soc.find(s.module_id) == nullptr) continue;
     const noc::RouterId at = sys.router_of(s.module_id);
-    const auto in = router.route(src.router, at);
-    if (in) hops[i].in = static_cast<int>(in->size());
-    if (!in || s.path_in != *in) {
+    // Each leg is checked against its route, written into the scratch
+    // buffer.
+    const bool in = router.route(src.router, at, route);
+    if (in) hops[i].in = static_cast<int>(route.size());
+    if (!in || s.path_in != route) {
       violation("module ", s.module_id,
                 ": recorded stimulus path is not the XY route or its fault-aware detour");
     }
-    const auto out = router.route(at, snk.router);
-    if (out) hops[i].out = static_cast<int>(out->size());
-    if (!out || s.path_out != *out) {
+    const bool out = router.route(at, snk.router, route);
+    if (out) hops[i].out = static_cast<int>(route.size());
+    if (!out || s.path_out != route) {
       violation("module ", s.module_id,
                 ": recorded response path is not the XY route or its fault-aware detour");
     }
     // Belt and braces: the route contract says this can never happen,
     // and a schedule that crosses dead silicon must fail loudly even if
-    // the route comparison above is someday relaxed.
-    for (const auto* path : {&s.path_in, &s.path_out}) {
-      if (router.usable(*path)) continue;
-      for (noc::ChannelId c : *path) {
-        if (!router.channel_usable(c)) {
-          violation("module ", s.module_id, ": path traverses failed channel ", c);
+    // the route comparison above is someday relaxed.  An id outside the
+    // mesh names no channel at all; the comparison above reported it.
+    if (!router.intact()) {
+      for (const auto* path : {&s.path_in, &s.path_out}) {
+        for (const noc::ChannelId c : *path) {
+          if (c >= 0 && c < mesh_channels && !router.channel_usable(c)) {
+            violation("module ", s.module_id, ": path traverses failed channel ", c);
+          }
         }
       }
     }
@@ -295,12 +333,17 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
       if (!s.path_in.empty()) power::require_valid_draw(s.bandwidth_in);
       if (!s.path_out.empty()) power::require_valid_draw(s.bandwidth_out);
       loaded[i] = 1;
+      for (const auto* path : {&s.path_in, &s.path_out}) {
+        for (const noc::ChannelId c : *path) {
+          if (c < 0 || c >= mesh_channels) sc.outside.push_back(c);
+        }
+      }
       continue;
     }
     const Interval iv{s.start, s.end};
     for (const auto* path : {&s.path_in, &s.path_out}) {
       for (noc::ChannelId c : *path) {
-        IntervalSet& busy = channel_busy[c];
+        IntervalSet& busy = channel_set(c);
         if (busy.conflicts(iv)) {
           violation("channel ", c, " double-booked around [", s.start, ", ", s.end,
                     ") by module ", s.module_id);
@@ -310,12 +353,14 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
       }
     }
   }
-  const PlanPeaks peaks = sweep_peaks(schedule.sessions, loaded, sys.mesh().channel_count());
-  for (const auto& [channel, peak_load] : peaks.channel_loads) {
-    if (!power::within_budget(peak_load, 1.0)) {
-      violation("channel ", channel, " oversubscribed: peak bandwidth ", peak_load);
-    }
-  }
+  std::sort(sc.outside.begin(), sc.outside.end());
+  sc.outside.erase(std::unique(sc.outside.begin(), sc.outside.end()), sc.outside.end());
+  const double peak =
+      sweep_peaks(sc, schedule.sessions, mesh_channels, [&](noc::ChannelId c, double load) {
+        if (!power::within_budget(load, 1.0)) {
+          violation("channel ", c, " oversubscribed: peak bandwidth ", load);
+        }
+      });
 
   // 6. Power: the swept peak within budget; recorded values match the
   // cost model, priced over the routes check 5 computed.
@@ -350,7 +395,6 @@ ValidationReport validate_impl(const core::SystemModel& sys, const core::Schedul
       violation("module ", s.module_id, ": recorded channel bandwidth != cost model");
     }
   }
-  const double peak = peaks.power;
   if (!power::within_budget(peak, schedule.power_limit)) {
     violation("peak power ", peak, " exceeds budget ", schedule.power_limit);
   }

@@ -18,8 +18,18 @@
 //      itself.
 //
 // Everything the planner produced is rebuilt here from scratch
-// (reservation tables, power profile), so planner bookkeeping bugs
-// cannot hide themselves.
+// (reservation tables, routes, power and channel-load peaks), so
+// planner bookkeeping bugs cannot hide themselves: the validator reads
+// no PairTable, pass ledger, StepFunction or planner state.
+//
+// The rebuilt tables live in validator-owned per-thread scratch that
+// every call re-targets (sizes, clears, resets) before reading it, the
+// way the planning kernel reuses its per-thread Planner.  Only capacity
+// outlives a call, so a warm thread validates a valid fault-free plan
+// without allocating, while no report depends on what the thread
+// validated before, even after a call that threw, or on which thread
+// validates.  Nothing else is kept between calls: no memo of plans or
+// results.
 
 #include <span>
 #include <string>

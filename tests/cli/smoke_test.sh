@@ -399,7 +399,8 @@ esac
 trace="${TMPDIR:-/tmp}/nocsched_smoke_trace.$$.json"
 if "$cli" --soc d695 --procs 4 --simulate --trace-out "$trace" >/dev/null 2>&1 &&
    grep -q traceEvents "$trace" && grep -q '"parse"' "$trace" &&
-   grep -q '"plan"' "$trace" && grep -q '"replay"' "$trace"; then
+   grep -q '"plan"' "$trace" && grep -q '"validate"' "$trace" &&
+   grep -q '"replay"' "$trace"; then
   echo "ok: --trace-out writes the phase spans"
 else
   echo "FAIL: --trace-out did not produce a span trace" >&2

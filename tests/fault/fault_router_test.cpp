@@ -44,6 +44,7 @@ TEST(FaultRouterOracle, EveryPairInShuffledOrderMatchesPerCallBfs) {
       for (RouterId b = 0; b < mesh.router_count(); ++b) pairs.emplace_back(a, b);
     }
     FaultRouter router(mesh, faults);
+    std::vector<ChannelId> buffer;  // the buffer-filling form, reused across every call
     for (int pass = 0; pass < 2; ++pass) {  // the second pass reads a warm memo
       rng.shuffle(pairs);
       for (const auto& [from, to] : pairs) {
@@ -51,6 +52,8 @@ TEST(FaultRouterOracle, EveryPairInShuffledOrderMatchesPerCallBfs) {
         ASSERT_EQ(router.route(from, to), want)
             << mesh.cols() << "x" << mesh.rows() << " " << from << "->" << to << " under "
             << faults.describe() << " (pass " << pass << ")";
+        ASSERT_EQ(router.route(from, to, buffer), want.has_value());
+        ASSERT_EQ(buffer, want.value_or(std::vector<ChannelId>{}));
         if (pass > 0) continue;
         if (!want) {
           ++unroutable;
@@ -81,6 +84,7 @@ TEST(FaultRouterOracle, UsableMatchesTheFaultSet) {
     }
     EXPECT_EQ(router.usable(all), all_usable);
     EXPECT_TRUE(router.usable({}));
+    EXPECT_EQ(router.intact(), all_usable);
   }
 }
 

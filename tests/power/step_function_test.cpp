@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -189,6 +190,47 @@ TEST(PeakSweepProperty, PeaksMatchTheMapOracle) {
     for (std::size_t lane = 0; lane < kLanes; ++lane) {
       ASSERT_EQ(sweep.peak(lane), oracle[lane].peak()) << "seed " << seed << " lane " << lane;
     }
+  }
+}
+
+// sweep_edges merges the sorted starts with the sorted ends; the order
+// must be the one a sort of every edge by (time, draw) gives, whether
+// the starts come in order (as a plan lists them) or not, and a reused
+// buffer must not carry edges over from its previous sweep.
+TEST(PeakSweepProperty, MergedEdgesMatchOneSortOfEveryEdge) {
+  std::vector<Edge> reused;
+  for (std::uint64_t seed = 1; seed <= 80; ++seed) {
+    Rng rng(seed * 7919);
+    const std::size_t draws = rng.below(50);
+    std::vector<Interval> spans;
+    std::uint64_t start = 0;
+    for (std::size_t i = 0; i < draws; ++i) {
+      start = seed % 2 == 0 ? start + rng.below(3) : rng.below(40);  // even: starts in order
+      const std::uint64_t len = rng.below(6) == 0 ? 0 : 1 + rng.below(12);
+      spans.push_back({start, start + len});
+    }
+    std::vector<Edge> want;
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+      if (spans[i].empty()) continue;
+      want.push_back(Edge{spans[i].start, i, 1.0});
+      want.push_back(Edge{spans[i].end, i, -1.0});
+    }
+    std::sort(want.begin(), want.end(), [](const Edge& a, const Edge& b) {
+      return a.time != b.time ? a.time < b.time : a.draw < b.draw;
+    });
+    auto same = [&](const std::vector<Edge>& got) {
+      if (got.size() != want.size()) return false;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        if (got[i].time != want[i].time || got[i].draw != want[i].draw ||
+            got[i].sign != want[i].sign) {
+          return false;
+        }
+      }
+      return true;
+    };
+    EXPECT_TRUE(same(sweep_edges(spans))) << "seed " << seed;
+    sweep_edges(spans, reused);
+    EXPECT_TRUE(same(reused)) << "seed " << seed << ", reused buffer";
   }
 }
 

@@ -155,6 +155,54 @@ TEST(ValidateGolden, ZeroBandwidthLegs) {
   });
 }
 
+TEST(ValidateGolden, RecordedChannelIdsNoMeshHasInEveryForm) {
+  // A recorded stimulus path ending in channel 9999 and a response path
+  // starting at -3.  Every form reports the two mismatched legs; the
+  // fault-aware form with a failed link scans each path for failed
+  // channels too, and an id the mesh does not have is simply not one.
+  const SystemModel sys = d695(2);
+  Schedule plan = half_budget_plan(sys);
+  plan.sessions[0].path_in.push_back(9999);
+  plan.sessions[1].path_out.insert(plan.sessions[1].path_out.begin(), -3);
+  const std::vector<std::string> want = {
+      "module 11: recorded stimulus path is not the XY route or its fault-aware detour",
+      "module 5: recorded response path is not the XY route or its fault-aware detour",
+  };
+  expect_violations(validate(sys, plan), want);
+  expect_violations(validate(sys, plan, noc::FaultSet{}), want);
+
+  // A failed link no session crosses: the same two lines.
+  noc::FaultSet link;
+  noc::ChannelId unused = 0;
+  while (std::any_of(plan.sessions.begin(), plan.sessions.end(),
+                     [&](const Session& s) { return uses_channel(s, unused); })) {
+    ++unused;
+  }
+  ASSERT_LT(unused, sys.mesh().channel_count());
+  link.fail_channel(unused);
+  expect_violations(validate(sys, plan, link), want);
+
+  // A failed link the corrupted stimulus leg crosses (as do others):
+  // the scan names the failed channel, never the foreign ids.
+  noc::FaultSet crossed;
+  crossed.fail_channel(plan.sessions[0].path_in.front());
+  expect_violations(validate(sys, plan, crossed), {
+      "module 11: recorded stimulus path is not the XY route or its fault-aware detour",
+      "module 11: path traverses failed channel 0",
+      "module 5: recorded stimulus path is not the XY route or its fault-aware detour",
+      "module 5: recorded response path is not the XY route or its fault-aware detour",
+      "module 5: path traverses failed channel 0",
+      "module 6: recorded stimulus path is not the XY route or its fault-aware detour",
+      "module 6: path traverses failed channel 0",
+      "module 2: recorded stimulus path is not the XY route or its fault-aware detour",
+      "module 2: path traverses failed channel 0",
+      "module 1: recorded response path is not the XY route or its fault-aware detour",
+      "module 1: path traverses failed channel 0",
+      "module 2: recorded duration 3920 != cost model 3928",
+      "module 2: recorded power 842 != cost model 922",
+  });
+}
+
 TEST(ValidateGolden, OutOfRangeResourceIndices) {
   const SystemModel sys = d695(2);
   Schedule plan = half_budget_plan(sys);
